@@ -1,7 +1,9 @@
 """Optimizers with compressed, error-compensated node communication.
 
 All nodes live in one process and are stepped sequentially in node order;
-aggregation sums in fixed node order so runs are reproducible bit for bit.
+each compressor then runs once per step on the (n, d) batch of node
+messages, node tau drawing from its own stream. Aggregation sums in fixed
+node order so runs are reproducible bit for bit.
 Each optimizer validates its defining algebraic identities every step (error
 conservation, maintained averages, dual feasibility) and raises on NaN/Inf,
 so a completed run certifies its own internal consistency.
@@ -40,25 +42,29 @@ def _copies_support(spec: comp.CompressorSpec) -> bool:
 
 
 def _compress_with_feedback(
-    spec: comp.CompressorSpec, t: np.ndarray, rng: np.random.Generator, k: int, tau: int
+    spec: comp.CompressorSpec, t: np.ndarray, rngs: list[np.random.Generator], k: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Compress t, return (output, residual), and verify conservation.
+    """Compress the (n, d) node messages t in one call; return (output, residual).
 
-    Kinds that copy kept coordinates verbatim must satisfy the identity
-    ``residual + output == t`` bit for bit; quantizing kinds get a 1-ulp
-    allowance per coordinate.
+    Node tau draws from ``rngs[tau]``. Conservation is verified per node:
+    kinds that copy kept coordinates verbatim must satisfy ``residual +
+    output == t`` bit for bit; quantizing kinds get a 1-ulp allowance per
+    coordinate, relative to that node's largest entry.
     """
-    if not np.all(np.isfinite(t)):
+    nonfinite = ~np.isfinite(t).all(axis=1)
+    if nonfinite.any():
+        tau = int(np.argmax(nonfinite))
         raise NumericalError(f"compressor input became non-finite at step {k}, node {tau}")
-    y = comp._apply(spec, t, rng)
+    y = comp._apply(spec, t, rngs)
     e_new = t - y
     if _copies_support(spec):
-        if not np.array_equal(e_new + y, t):
-            raise InvariantError(f"error conservation broken at step {k}, node {tau}")
+        broken = (e_new + y != t).any(axis=1)
     else:
-        tol = 1e-12 * (1.0 + float(np.max(np.abs(t), initial=0.0)))
-        if np.max(np.abs(e_new + y - t), initial=0.0) > tol:
-            raise InvariantError(f"error conservation broken at step {k}, node {tau}")
+        tol = 1e-12 * (1.0 + np.max(np.abs(t), axis=1, initial=0.0))
+        broken = np.max(np.abs(e_new + y - t), axis=1, initial=0.0) > tol
+    if broken.any():
+        tau = int(np.argmax(broken))
+        raise InvariantError(f"error conservation broken at step {k}, node {tau}")
     return y, e_new
 
 
@@ -150,9 +156,6 @@ class EcLsvrg:
 
         sampled = np.empty(n, dtype=np.int64)
         g_nodes = np.empty((n, d))
-        t_nodes = np.empty((n, d))
-        y_nodes = np.empty((n, d))
-        z_nodes = np.empty((n, d))
         for tau in range(n):
             i = int(self._sample[tau].integers(m))
             sampled[tau] = i
@@ -164,12 +167,9 @@ class EcLsvrg:
             if smooth:
                 g = g + l2_drift
             g_nodes[tau] = g
-            t = eta * g + self.e[tau]
-            t_nodes[tau] = t
-            y, self.e[tau] = _compress_with_feedback(self.q, t, self._q_rng[tau], self.k, tau)
-            y_nodes[tau] = y
-            z = comp._apply(self.q1, self.grad_w[tau] - self.h[tau], self._q1_rng[tau])
-            z_nodes[tau] = z
+        t_nodes = eta * g_nodes + self.e
+        y_nodes, self.e = _compress_with_feedback(self.q, t_nodes, self._q_rng, self.k)
+        z_nodes = comp._apply(self.q1, self.grad_w - self.h, self._q1_rng)
         coin = bool(self._coin.random() < self.p)
 
         y_avg = y_nodes.mean(axis=0)
@@ -313,12 +313,9 @@ class EcGd:
         n, eta = pr.n, self.eta
         smooth = pr.mode == SMOOTH
         t_nodes = np.empty((n, pr.d))
-        y_nodes = np.empty((n, pr.d))
         for tau in range(n):
-            t = eta * pr.grad_f_node(self.x, tau) + self.e[tau]
-            t_nodes[tau] = t
-            y, self.e[tau] = _compress_with_feedback(self.q, t, self._q_rng[tau], self.k, tau)
-            y_nodes[tau] = y
+            t_nodes[tau] = eta * pr.grad_f_node(self.x, tau) + self.e[tau]
+        y_nodes, self.e = _compress_with_feedback(self.q, t_nodes, self._q_rng, self.k)
         y_avg = y_nodes.mean(axis=0)
         x_half = self.x - y_avg
         self.x = x_half if smooth else pr.prox_psi(x_half, eta) if eta > 0 else x_half
@@ -412,7 +409,6 @@ class EcDual:
         sampled = np.empty(n, dtype=np.int64)
         delta_alpha = np.empty(n)
         t_nodes = np.empty((n, pr.d))
-        y_nodes = np.empty((n, pr.d))
         for tau in range(n):
             i = int(self._sample[tau].integers(m))
             sampled[tau] = i
@@ -423,10 +419,8 @@ class EcDual:
             da = -theta * m * (self.alpha[j] + dphi)
             delta_alpha[tau] = da
             self.alpha[j] += da
-            t = (da / (lam * m)) * col + self.e[tau]
-            t_nodes[tau] = t
-            y, self.e[tau] = _compress_with_feedback(self.q, t, self._q_rng[tau], self.k, tau)
-            y_nodes[tau] = y
+            t_nodes[tau] = (da / (lam * m)) * col + self.e[tau]
+        y_nodes, self.e = _compress_with_feedback(self.q, t_nodes, self._q_rng, self.k)
 
         y_avg = y_nodes.mean(axis=0)
         self.u = self.u + y_avg

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -32,7 +32,8 @@ COMPOSE = "compose"
 
 _UNBIASED_KINDS = frozenset({DITHERING, NATURAL, RAND_K_UNBIASED})
 _K_KINDS = frozenset({TOP_K, RAND_K, RAND_K_UNBIASED})
-_CONTRACTION_KINDS = frozenset({IDENTITY, TOP_K, RAND_K, SCALED, COMPOSE})
+# Contractions a composition can run first: they keep a known support.
+_SPARSIFIER_KINDS = frozenset({IDENTITY, TOP_K, RAND_K})
 
 
 @dataclass(frozen=True)
@@ -72,19 +73,13 @@ class CompressorSpec:
         if self.kind == COMPOSE:
             if self.unbiased is None or not is_unbiased_kind(self.unbiased):
                 raise ValueError("compose needs an unbiased operand")
-            if self.contraction is None or not is_contraction_kind(self.contraction):
-                raise ValueError("compose needs a contraction operand")
+            kind = getattr(self.contraction, "kind", None)
+            if kind not in _SPARSIFIER_KINDS:
+                raise ValueError(
+                    f"compose needs a top_k, rand_k or identity contraction, got {kind}"
+                )
         elif self.unbiased is not None or self.contraction is not None:
             raise ValueError(f"{self.kind} takes no composition operands")
-
-
-@dataclass
-class CompressedVector:
-    """Dense output of one compression plus its accounting bits."""
-
-    values: np.ndarray
-    support: np.ndarray = field(repr=False)
-    nominal_bits: float = 0.0
 
 
 def identity() -> CompressorSpec:
@@ -134,10 +129,6 @@ def rtop_k(k: int) -> CompressorSpec:
 
 def is_unbiased_kind(spec: CompressorSpec) -> bool:
     return spec.kind in _UNBIASED_KINDS
-
-
-def is_contraction_kind(spec: CompressorSpec) -> bool:
-    return spec.kind in _CONTRACTION_KINDS
 
 
 def is_deterministic(spec: CompressorSpec) -> bool:
@@ -279,138 +270,91 @@ def bit_cost(spec: CompressorSpec, d: int) -> float:
     raise ValueError(f"unknown spec kind {spec.kind!r}")
 
 
-def compress(spec: CompressorSpec, x: np.ndarray, rng: np.random.Generator) -> CompressedVector:
-    """Apply the compressor to one vector.
+Rngs = Union[np.random.Generator, Sequence[np.random.Generator]]
 
-    Tie-breaking for top-k keeps the lowest-index coordinate among equal
-    magnitudes, so the map is deterministic and reproducible.
+
+def _apply(spec: CompressorSpec, x: np.ndarray, rngs: Rngs) -> np.ndarray:
+    """Compress each row of a (rows, d) batch; row r draws from ``rngs[r]``.
+
+    ``rngs`` is one generator per row, or a single generator shared by all
+    rows, which gives the same numbers as passing it once per row. Top-k
+    keeps the lowest-index coordinate among equal magnitudes, so it is
+    deterministic and reproducible.
     """
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1:
-        raise ValueError(f"expected a 1-d vector, got shape {x.shape}")
-    validate_for_dimension(spec, x.shape[0])
-    values = _apply(spec, x, rng)
-    return CompressedVector(
-        values=values,
-        support=np.flatnonzero(values),
-        nominal_bits=bit_cost(spec, x.shape[0]),
-    )
-
-
-def _apply(spec: CompressorSpec, x: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    d = x.shape[0]
+    if x.ndim != 2:
+        raise ValueError(f"expected a (rows, d) batch, got shape {x.shape}")
+    rows, d = x.shape
     if spec.kind == IDENTITY:
         return x.copy()
-    if spec.kind == TOP_K:
-        kept = _top_k_indices(x, spec.k)
-        out = np.zeros(d)
-        out[kept] = x[kept]
-        return out
-    if spec.kind in (RAND_K, RAND_K_UNBIASED):
-        kept = rng.choice(d, size=spec.k, replace=False)
-        out = np.zeros(d)
-        out[kept] = x[kept]
+    if spec.kind in _K_KINDS:
+        kept = _kept(spec, x, rngs)
+        out = np.zeros_like(x)
+        np.put_along_axis(out, kept, np.take_along_axis(x, kept, axis=1), axis=1)
         if spec.kind == RAND_K_UNBIASED:
             out *= d / spec.k
         return out
     if spec.kind == DITHERING:
-        return _dither_rows(x[None, :], spec.s, rng)[0]
+        return _dither_rows(x, spec.s, rngs)
     if spec.kind == NATURAL:
-        return _natural_rows(x[None, :], rng)[0]
+        return _natural_rows(x, rngs)
     if spec.kind == SCALED:
-        return _apply(spec.inner, x, rng) / (omega_of(spec.inner, d) + 1.0)
+        return _apply(spec.inner, x, rngs) / (omega_of(spec.inner, d) + 1.0)
     if spec.kind == COMPOSE:
-        coarse = _apply(spec.contraction, x, rng)
-        kept = _kept_indices(spec.contraction, x, coarse, d)
-        restricted = coarse[kept]
-        fine = _apply(spec.unbiased, restricted, rng)
-        fine /= omega_of(spec.unbiased, kept.shape[0]) + 1.0
-        out = np.zeros(d)
-        out[kept] = fine
+        kept = _kept(spec.contraction, x, rngs)
+        fine = _apply(spec.unbiased, np.take_along_axis(x, kept, axis=1), rngs)
+        fine /= omega_of(spec.unbiased, kept.shape[1]) + 1.0
+        out = np.zeros_like(x)
+        np.put_along_axis(out, kept, fine, axis=1)
         return out
     raise ValueError(f"unknown spec kind {spec.kind!r}")
 
 
-def _top_k_indices(x: np.ndarray, k: int) -> np.ndarray:
-    # Stable sort on -|x| keeps the lowest index first among ties.
-    order = np.argsort(-np.abs(x), kind="stable")[:k]
-    return np.sort(order)
+def _kept(spec: CompressorSpec, x: np.ndarray, rngs: Rngs) -> np.ndarray:
+    """Indices a sparsifier keeps in each row, sorted within the row.
+
+    The transmitted support includes kept-but-zero coordinates, so it cannot
+    be recovered from the output alone.
+    """
+    rows, d = x.shape
+    if spec.kind == IDENTITY:
+        return np.broadcast_to(np.arange(d), (rows, d))
+    if spec.kind == TOP_K:
+        order = np.argsort(-np.abs(x), axis=1, kind="stable")
+    else:
+        order = _uniform(rngs, rows, d).argsort(axis=1)
+    return np.sort(order[:, : spec.k], axis=1)
 
 
-def _kept_indices(
-    contraction: CompressorSpec, x: np.ndarray, coarse: np.ndarray, d: int
-) -> np.ndarray:
-    # The support a sparsifier transmits includes kept-but-zero coordinates,
-    # so it cannot be recovered from the output alone.
-    if contraction.kind == TOP_K:
-        return _top_k_indices(x, contraction.k)
-    if contraction.kind == IDENTITY:
-        return np.arange(d)
-    return np.flatnonzero(coarse)
+def _uniform(rngs: Rngs, rows: int, d: int) -> np.ndarray:
+    """A (rows, d) block of uniforms, row r drawn from its own generator."""
+    if isinstance(rngs, np.random.Generator):
+        return rngs.random((rows, d))
+    if len(rngs) != rows:
+        raise ValueError(f"need one generator per row: {rows} rows, {len(rngs)} generators")
+    u = np.empty((rows, d))
+    for row, g in zip(u, rngs):
+        g.random(out=row)
+    return u
 
 
-def _dither_rows(x: np.ndarray, s: Optional[float], rng: np.random.Generator) -> np.ndarray:
+def _dither_rows(x: np.ndarray, s: Optional[float], rngs: Rngs) -> np.ndarray:
     rows, d = x.shape
     levels = math.sqrt(d) if s is None else s
     norms = np.linalg.norm(x, axis=1, keepdims=True)
     safe = np.where(norms > 0, norms, 1.0)
     scaled_mag = np.abs(x) / safe * levels
     low = np.floor(scaled_mag)
-    level = low + (rng.random((rows, d)) < scaled_mag - low)
+    level = low + (_uniform(rngs, rows, d) < scaled_mag - low)
     out = np.sign(x) * safe * level / levels
     return np.where(norms > 0, out, 0.0)
 
 
-def _natural_rows(x: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+def _natural_rows(x: np.ndarray, rngs: Rngs) -> np.ndarray:
     mag = np.abs(x)
     mant, exp = np.frexp(mag)  # mag = mant * 2**exp with mant in [0.5, 1)
-    round_up = rng.random(x.shape) < 2.0 * mant - 1.0
+    round_up = _uniform(rngs, *x.shape) < 2.0 * mant - 1.0
     chosen = np.ldexp(np.where(round_up, 1.0, 0.5), exp)
     return np.where(mag > 0, np.sign(x) * chosen, 0.0)
-
-
-def _apply_rows(spec: CompressorSpec, x: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Row-wise compression of a (trials, d) batch, for the verifiers."""
-    rows, d = x.shape
-    if spec.kind == IDENTITY:
-        return x.copy()
-    if spec.kind == TOP_K:
-        kept = np.argsort(-np.abs(x), axis=1, kind="stable")[:, : spec.k]
-        out = np.zeros_like(x)
-        np.put_along_axis(out, kept, np.take_along_axis(x, kept, axis=1), axis=1)
-        return out
-    if spec.kind in (RAND_K, RAND_K_UNBIASED):
-        kept = rng.random((rows, d)).argsort(axis=1)[:, : spec.k]
-        out = np.zeros_like(x)
-        np.put_along_axis(out, kept, np.take_along_axis(x, kept, axis=1), axis=1)
-        if spec.kind == RAND_K_UNBIASED:
-            out *= d / spec.k
-        return out
-    if spec.kind == DITHERING:
-        return _dither_rows(x, spec.s, rng)
-    if spec.kind == NATURAL:
-        return _natural_rows(x, rng)
-    if spec.kind == SCALED:
-        return _apply_rows(spec.inner, x, rng) / (omega_of(spec.inner, d) + 1.0)
-    if spec.kind == COMPOSE:
-        contraction = spec.contraction
-        if contraction.kind == IDENTITY:
-            fine = _apply_rows(spec.unbiased, x, rng)
-            return fine / (omega_of(spec.unbiased, d) + 1.0)
-        if contraction.kind not in (TOP_K, RAND_K):
-            raise ValueError("batched compose supports top_k/rand_k/identity contractions")
-        k = contraction.k
-        if contraction.kind == TOP_K:
-            kept = np.argsort(-np.abs(x), axis=1, kind="stable")[:, :k]
-        else:
-            kept = rng.random((rows, d)).argsort(axis=1)[:, :k]
-        restricted = np.take_along_axis(x, kept, axis=1)
-        fine = _apply_rows(spec.unbiased, restricted, rng)
-        fine /= omega_of(spec.unbiased, k) + 1.0
-        out = np.zeros_like(x)
-        np.put_along_axis(out, kept, fine, axis=1)
-        return out
-    raise ValueError(f"unknown spec kind {spec.kind!r}")
 
 
 _CHUNK_ROWS = 20_000
@@ -445,7 +389,7 @@ def verify_contraction(
     while count < trials:
         rows = min(_CHUNK_ROWS, trials - count)
         x = rng.standard_normal((rows, d))
-        y = _apply_rows(spec, x, rng)
+        y = _apply(spec, x, rng)
         ratios = np.sum((x - y) ** 2, axis=1) / np.sum(x**2, axis=1)
         total += ratios.sum()
         total_sq += (ratios**2).sum()
@@ -567,7 +511,7 @@ def verify_unbiasedness(
     total_sq = 0.0
     while count < trials:
         rows = min(_CHUNK_ROWS, trials - count)
-        y = _apply_rows(spec, np.broadcast_to(x, (rows, d)).copy(), rng)
+        y = _apply(spec, np.broadcast_to(x, (rows, d)).copy(), rng)
         sq = np.sum(y**2, axis=1)
         total += sq.sum()
         total_sq += (sq**2).sum()
@@ -604,7 +548,7 @@ def _moment_stats(
     total_sq = np.zeros(d)
     while count < trials:
         rows = min(_CHUNK_ROWS, trials - count)
-        y = _apply_rows(spec, np.broadcast_to(x, (rows, d)).copy(), rng)
+        y = _apply(spec, np.broadcast_to(x, (rows, d)).copy(), rng)
         total += y.sum(axis=0)
         total_sq += (y**2).sum(axis=0)
         count += rows

@@ -55,15 +55,13 @@ def prox_elastic_net(v: np.ndarray, eta: float, lam1: float, lam2: float) -> np.
 class _Design:
     """Shared view of the retained examples with fast column access."""
 
-    def __init__(self, dataset: Dataset, part: Partition, dense: bool | None = None):
+    def __init__(self, dataset: Dataset, part: Partition):
         N = part.retained
         self.N = N
         self.d = dataset.d
         self.A = sparse.csc_matrix(dataset.features[:, :N])
         self.b = np.asarray(dataset.labels[:N], dtype=np.float64)
-        if dense is None:
-            dense = self.d * N <= _DENSE_LIMIT
-        self.A_dense = self.A.toarray() if dense else None
+        self.A_dense = self.A.toarray() if self.d * N <= _DENSE_LIMIT else None
 
     def margins(self, x: np.ndarray) -> np.ndarray:
         if self.A_dense is not None:

@@ -217,6 +217,52 @@ class TestEcLsvrgStep:
                 opt.step()
 
 
+class TestCompressWithFeedback:
+    def streams(self, n):
+        return [rng_for(f"fb{tau}") for tau in range(n)]
+
+    def test_nonfinite_input_names_the_node(self):
+        t = rng_for("fb").standard_normal((4, 6))
+        t[2, 3] = np.inf
+        with pytest.raises(alg.NumericalError, match="step 5, node 2"):
+            alg._compress_with_feedback(comp.top_k(2), t, self.streams(4), 5)
+
+    @pytest.mark.parametrize("q", ["top_k:2", "dither"], ids=str)
+    def test_lost_message_names_the_node(self, monkeypatch, q):
+        # Node 1's output absorbs its input into 1e20, so residual + output
+        # rounds to 0 instead of t, past either tolerance.
+        real = comp._apply
+
+        def lossy(spec, x, rngs):
+            y = real(spec, x, rngs)
+            y[1] = x[1] + 1e20
+            return y
+
+        monkeypatch.setattr(comp, "_apply", lossy)
+        t = rng_for("fb").standard_normal((4, 6))
+        with pytest.raises(alg.InvariantError, match="step 7, node 1"):
+            alg._compress_with_feedback(comp.parse_spec(q), t, self.streams(4), 7)
+
+    def test_one_compressor_call_per_compressor_per_step(self, monkeypatch, composite, dual):
+        calls = []
+        real = comp._apply
+
+        def counted(spec, x, rngs):
+            calls.append(x.shape[0])
+            return real(spec, x, rngs)
+
+        monkeypatch.setattr(comp, "_apply", counted)
+        n = composite.n
+        alg.EcLsvrg(composite, comp.top_k(2), comp.rand_k(2), eta=0.1, p=0.5, seed=3).step()
+        assert calls == [n, n]
+        calls.clear()
+        alg.EcGd(composite, comp.top_k(2), eta=0.1, seed=3).step()
+        assert calls == [n]
+        calls.clear()
+        alg.EcDual(dual, comp.top_k(2), theta=1e-3, seed=3).step()
+        assert calls == [n]
+
+
 class TestEcGd:
     def test_identity_is_exact_prox_gradient(self, composite):
         opt = alg.EcGd(composite, comp.identity(), eta=0.7, seed=1)

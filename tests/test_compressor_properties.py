@@ -1,0 +1,73 @@
+"""Property tests of the one compressor code path, drawn over spec x d x batch.
+
+Hypothesis runs derandomized, so every run draws the same examples.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+from ecvr import compressors as comp
+
+PROPERTY = settings(derandomize=True, max_examples=100, deadline=None)
+
+K_NAMES = ("top_k", "rand_k", "ntop_k", "rtop_k", "rand_k_unbiased")
+PLAIN_NAMES = ("identity", "dither", "natural")
+
+
+@st.composite
+def spec_texts(draw, names=K_NAMES + PLAIN_NAMES, max_d=40):
+    """A parse_spec string and a dimension it can be applied to."""
+    d = draw(st.integers(1, max_d))
+    name = draw(st.sampled_from(names))
+    if name in K_NAMES:
+        name = f"{name}:{draw(st.integers(1, d))}"
+    return name, d
+
+
+@st.composite
+def batches(draw, names=K_NAMES + PLAIN_NAMES):
+    """(spec, x, rngs): a (rows, d) batch with one generator per row."""
+    text, d = draw(spec_texts(names))
+    rows = draw(st.integers(1, 5))
+    x = draw(arrays(np.float64, (rows, d), elements=st.floats(-1e3, 1e3)))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return comp.parse_spec(text), x, [np.random.default_rng([seed, r]) for r in range(rows)]
+
+
+@PROPERTY
+@given(spec_texts())
+def test_parse_format_round_trip(case):
+    text, _ = case
+    spec = comp.parse_spec(text)
+    assert comp.format_spec(spec) == text
+    assert comp.parse_spec(comp.format_spec(spec)) == spec
+
+
+@PROPERTY
+@given(batches(names=("identity", "top_k", "rand_k")))
+def test_sparsifiers_conserve_exactly(case):
+    spec, t, rngs = case
+    y = comp._apply(spec, t, rngs)
+    e = t - y
+    assert np.array_equal(e + y, t)
+
+
+@PROPERTY
+@given(batches())
+def test_row_nonzeros_within_transmitted_coords(case):
+    spec, x, rngs = case
+    y = comp._apply(spec, x, rngs)
+    assert np.all(np.count_nonzero(y, axis=1) <= comp.transmitted_coords(spec, x.shape[1]))
+
+
+@PROPERTY
+@given(batches(names=("top_k",)))
+def test_top_k_contracts_every_row(case):
+    spec, x, rngs = case
+    d = x.shape[1]
+    y = comp._apply(spec, x, rngs)
+    lhs = np.sum((x - y) ** 2, axis=1)
+    total = np.sum(x**2, axis=1)
+    assert np.all(lhs <= (1 - spec.k / d) * total + 1e-12 * total)

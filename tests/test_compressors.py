@@ -45,11 +45,21 @@ class TestSpecValidation:
 
     def test_k_vs_dimension(self):
         with pytest.raises(ValueError):
-            comp.compress(comp.top_k(4), np.zeros(3), rng_for("kd"))
+            comp.validate_for_dimension(comp.top_k(4), 3)
 
     def test_dimension_mismatch_shape(self):
-        with pytest.raises(ValueError):
-            comp.compress(comp.identity(), np.zeros((2, 2)), rng_for("shape"))
+        for bad in (np.zeros(3), np.zeros((2, 2, 2))):
+            with pytest.raises(ValueError, match="batch"):
+                comp._apply(comp.identity(), bad, rng_for("shape"))
+        with pytest.raises(ValueError, match="one generator per row"):
+            comp._apply(comp.rand_k(1), np.zeros((2, 3)), [rng_for("shape")])
+
+    def test_compose_needs_a_sparsifier_contraction(self):
+        for contraction in (comp.scaled(comp.natural()), comp.rtop_k(2)):
+            with pytest.raises(ValueError, match=f"got {contraction.kind}"):
+                comp.compose(comp.natural(), contraction)
+        for contraction in (comp.identity(), comp.top_k(2), comp.rand_k(2)):
+            comp.compose(comp.natural(), contraction)  # ok
 
     def test_parse_roundtrip(self):
         for text in ["top_k:1", "rand_k:5", "dither", "natural", "ntop_k:5", "rtop_k:5", "identity"]:
@@ -60,53 +70,49 @@ class TestSpecValidation:
             comp.parse_spec("bogus:3")
 
 
+def compress_one(spec, x, rng):
+    """Compress a single vector as a one-row batch."""
+    return comp._apply(spec, np.asarray(x, dtype=np.float64)[None, :], rng)[0]
+
+
 class TestCompress:
     def test_top1_unique_largest(self):
-        out = comp.compress(comp.top_k(1), np.array([3.0, -1.0, 2.0]), rng_for("t1"))
-        assert np.array_equal(out.values, [3.0, 0.0, 0.0])
-        assert np.array_equal(out.support, [0])
+        out = compress_one(comp.top_k(1), [3.0, -1.0, 2.0], rng_for("t1"))
+        assert np.array_equal(out, [3.0, 0.0, 0.0])
+        assert np.array_equal(np.flatnonzero(out), [0])
 
     def test_topk_full_is_identity(self):
         x = rng_for("tfull").standard_normal(7)
-        out = comp.compress(comp.top_k(7), x, rng_for("t2"))
-        assert np.array_equal(out.values, x)
+        out = compress_one(comp.top_k(7), x, rng_for("t2"))
+        assert np.array_equal(out, x)
 
     def test_topk_tie_keeps_lowest_index(self):
-        out = comp.compress(comp.top_k(1), np.array([2.0, -2.0, 2.0]), rng_for("tie"))
-        assert np.array_equal(out.support, [0])
-        out = comp.compress(comp.top_k(2), np.array([1.0, -2.0, 2.0, -2.0]), rng_for("tie2"))
-        assert np.array_equal(out.support, [1, 2])
+        out = compress_one(comp.top_k(1), [2.0, -2.0, 2.0], rng_for("tie"))
+        assert np.array_equal(np.flatnonzero(out), [0])
+        out = compress_one(comp.top_k(2), [1.0, -2.0, 2.0, -2.0], rng_for("tie2"))
+        assert np.array_equal(np.flatnonzero(out), [1, 2])
 
     def test_rand1_frequencies(self):
         # Two equally likely outcomes; oracle is the exact Bernoulli(1/2) SE.
         trials = 100_000
-        rng = rng_for("rand1")
-        x = np.array([1.0, 1.0])
-        first = 0
-        for _ in range(trials):
-            out = comp.compress(comp.rand_k(1), x, rng)
-            assert out.support.shape == (1,)
-            first += out.support[0] == 0
+        out = comp._apply(comp.rand_k(1), np.ones((trials, 2)), rng_for("rand1"))
+        assert np.all(np.count_nonzero(out, axis=1) == 1)
+        first = np.count_nonzero(out[:, 0])
         se = math.sqrt(0.25 / trials)
         assert abs(first / trials - 0.5) <= 3 * se
 
     def test_compress_zero_is_zero(self):
         for spec in ZOO:
-            out = comp.compress(spec, np.zeros(10), rng_for("zero"))
-            assert np.array_equal(out.values, np.zeros(10))
-            assert out.support.size == 0
+            out = comp._apply(spec, np.zeros((3, 10)), rng_for("zero"))
+            assert np.array_equal(out, np.zeros((3, 10)))
 
     def test_support_size_and_zero_outside_support(self):
         rng = rng_for("supp")
-        x = rng.standard_normal(12)
+        x = rng.standard_normal((4, 12))
         for spec in ZOO:
-            out = comp.compress(spec, x, rng)
-            mask = np.zeros(12, dtype=bool)
-            mask[out.support] = True
-            assert np.all(out.values[~mask] == 0.0)
+            out = comp._apply(spec, x, rng)
             k = comp.transmitted_coords(spec, 12)
-            assert out.support.size <= k
-            assert out.nominal_bits == comp.bit_cost(spec, 12)
+            assert np.all(np.count_nonzero(out, axis=1) <= k)
 
     def test_topk_equivariance(self):
         # Permuting and flipping signs commutes with top-k away from ties.
@@ -115,31 +121,42 @@ class TestCompress:
             x = rng.standard_normal(15)
             perm = rng.permutation(15)
             signs = rng.choice([-1.0, 1.0], size=15)
-            base = comp.compress(comp.top_k(4), x, rng).values
-            moved = comp.compress(comp.top_k(4), (signs * x)[perm], rng).values
+            base = compress_one(comp.top_k(4), x, rng)
+            moved = compress_one(comp.top_k(4), (signs * x)[perm], rng)
             assert np.array_equal(moved, (signs * base)[perm])
 
     def test_topk_per_vector_bound(self):
-        rng = rng_for("pervec")
-        for _ in range(50):
-            x = rng.standard_normal(30)
-            for k in (1, 5, 30):
-                y = comp.compress(comp.top_k(k), x, rng).values
-                lhs = np.sum((x - y) ** 2)
-                assert lhs <= (1 - k / 30) * np.sum(x**2) + 1e-12
+        x = rng_for("pervec").standard_normal((50, 30))
+        for k in (1, 5, 30):
+            y = comp._apply(comp.top_k(k), x, rng_for("unused"))
+            lhs = np.sum((x - y) ** 2, axis=1)
+            assert np.all(lhs <= (1 - k / 30) * np.sum(x**2, axis=1) + 1e-12)
 
     def test_scaled_output_is_inner_over_omega_plus_one(self):
         x = rng_for("sc").standard_normal(16)
         seed_rng = lambda: np.random.default_rng(7)
-        raw = comp.compress(comp.dithering(), x, seed_rng()).values
-        scl = comp.compress(comp.scaled(comp.dithering()), x, seed_rng()).values
+        raw = compress_one(comp.dithering(), x, seed_rng())
+        scl = compress_one(comp.scaled(comp.dithering()), x, seed_rng())
         assert np.allclose(scl, raw / 2.0)
 
     def test_compose_restricts_to_topk_support(self):
         x = rng_for("comp").standard_normal(20)
-        kept = comp.compress(comp.top_k(5), x, rng_for("a")).support
-        out = comp.compress(comp.ntop_k(5), x, rng_for("b"))
-        assert set(out.support).issubset(set(kept))
+        kept = np.flatnonzero(compress_one(comp.top_k(5), x, rng_for("a")))
+        out = compress_one(comp.ntop_k(5), x, rng_for("b"))
+        assert set(np.flatnonzero(out)).issubset(set(kept))
+
+    def test_batch_rows_match_rows_alone(self):
+        # Row r of a batch draws only from rngs[r], so it equals that row
+        # compressed alone; one shared generator is the same as [rng] * rows.
+        x = rng_for("bm").standard_normal((6, 9))
+        for spec in ZOO:
+            batch = comp._apply(spec, x, [rng_for(f"u{r}") for r in range(6)])
+            for r in range(6):
+                alone = comp._apply(spec, x[r : r + 1], [rng_for(f"u{r}")])
+                assert np.array_equal(batch[r], alone[0])
+            shared = comp._apply(spec, x, rng_for("shared"))
+            one = rng_for("shared")
+            assert np.array_equal(shared, comp._apply(spec, x, [one] * 6))
 
 
 class TestParameters:
@@ -240,13 +257,6 @@ class TestStatistics:
     def test_unbiasedness_rejects_contraction(self):
         with pytest.raises(ValueError):
             comp.verify_unbiasedness(comp.top_k(1), 4, 10, rng_for("ubr"))
-
-    def test_batch_matches_single_for_deterministic(self):
-        x = rng_for("bm").standard_normal((6, 9))
-        batch = comp._apply_rows(comp.top_k(2), x, rng_for("u"))
-        for row in range(6):
-            single = comp._apply(comp.top_k(2), x[row], rng_for("u"))
-            assert np.array_equal(batch[row], single)
 
 
 def rep_id(spec):
