@@ -128,7 +128,7 @@ class EcLsvrg:
         self.x = np.zeros(d) if x0 is None else np.asarray(x0, dtype=np.float64).copy()
         self.w = self.x.copy()
         self.e = np.zeros((n, d))
-        self.grad_w = np.stack([problem.grad_f_node(self.w, tau) for tau in range(n)])
+        self.grad_w = problem.grad_f_nodes(self.w)
         if shift_init == "node-gradients":
             self.h = self.grad_w.copy()
         elif shift_init == "zero":
@@ -186,7 +186,7 @@ class EcLsvrg:
             raise InvariantError(f"shift average drifted at step {self.k}")
         if coin:
             self.w = x.copy()
-            self.grad_w = np.stack([pr.grad_f_node(self.w, tau) for tau in range(n)])
+            self.grad_w = pr.grad_f_nodes(self.w)
         self.x = x_new
         self.k += 1
         self.bits += self.bits_per_step
@@ -234,7 +234,7 @@ class Lsvrg:
         self.p = p
         self.x = np.zeros(d) if x0 is None else np.asarray(x0, dtype=np.float64).copy()
         self.w = self.x.copy()
-        self.grad_w = np.stack([problem.grad_f_node(self.w, tau) for tau in range(n)])
+        self.grad_w = problem.grad_f_nodes(self.w)
         self.k = 0
         self.bits = 0.0
         self.bits_per_step = problem.n * (comp.bit_cost(comp.identity(), d) * 2 + 1.0)
@@ -265,7 +265,7 @@ class Lsvrg:
         x_new = x_half if smooth else pr.prox_psi(x_half, eta) if eta > 0 else x_half
         if coin:
             self.w = x.copy()
-            self.grad_w = np.stack([pr.grad_f_node(self.w, tau) for tau in range(n)])
+            self.grad_w = pr.grad_f_nodes(self.w)
         self.x = x_new
         self.k += 1
         self.bits += self.bits_per_step
@@ -310,11 +310,9 @@ class EcGd:
 
     def step(self) -> GdStepInfo:
         pr = self.problem
-        n, eta = pr.n, self.eta
+        eta = self.eta
         smooth = pr.mode == SMOOTH
-        t_nodes = np.empty((n, pr.d))
-        for tau in range(n):
-            t_nodes[tau] = eta * pr.grad_f_node(self.x, tau) + self.e[tau]
+        t_nodes = eta * pr.grad_f_nodes(self.x) + self.e
         y_nodes, self.e = _compress_with_feedback(self.q, t_nodes, self._q_rng, self.k)
         y_avg = y_nodes.mean(axis=0)
         x_half = self.x - y_avg
@@ -413,7 +411,7 @@ class EcDual:
             i = int(self._sample[tau].integers(m))
             sampled[tau] = i
             j = pr.part.example_index(tau, i)
-            col = pr.column(j)
+            col = pr._design.column(j)
             z = float(col @ x_new)
             dphi = _coef(z, pr.labels[j])
             da = -theta * m * (self.alpha[j] + dphi)
@@ -491,7 +489,7 @@ class VanillaDual:
         for tau in range(n):
             i = int(self._sample[tau].integers(m))
             j = pr.part.example_index(tau, i)
-            col = pr.column(j)
+            col = pr._design.column(j)
             dphi = _coef(float(col @ x_new), pr.labels[j])
             da = -theta * m * (self.alpha[j] + dphi)
             self.alpha[j] += da

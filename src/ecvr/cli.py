@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -20,6 +21,7 @@ def _add_data_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--data", help="LIBSVM file to load")
     parser.add_argument(
         "--synth",
+        type=_synth,
         help="synthetic data as N,d,sparsity (default 200,50,0.3 when --data absent)",
     )
     parser.add_argument("--synth-scale", type=float, default=1.0, help="column norm of synthetic examples")
@@ -32,29 +34,43 @@ def _add_data_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=0, help="master seed (ECVR_SEED overrides)")
 
 
+def _synth(text: str) -> tuple[int, int, float]:
+    try:
+        N, d, sparsity = text.split(",")
+        spec = (int(N), int(d), float(sparsity))
+    except ValueError:
+        spec = None
+    if spec is None or min(spec[:2]) < 1 or not 0 < spec[2] <= 1:
+        raise argparse.ArgumentTypeError(
+            f"expects N,d,sparsity with N, d >= 1 and sparsity in (0, 1]; got {text!r}"
+        )
+    return spec
+
+
+def _eta(text: str) -> float | str:
+    if text == "theory":
+        return text
+    try:
+        eta = float(text)
+    except ValueError:
+        eta = math.nan
+    if not 0 <= eta < math.inf:
+        raise argparse.ArgumentTypeError(f"expects a nonnegative number or 'theory'; got {text!r}")
+    return eta
+
+
 def _resolve_seed(args) -> int:
     env = os.environ.get("ECVR_SEED")
     return int(env) if env else args.seed
 
 
-def _parse_synth(text: str | None) -> tuple[int, int, float] | None:
-    if text is None:
-        return None
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise SystemExit(f"--synth expects N,d,sparsity; got {text!r}")
-    return (int(parts[0]), int(parts[1]), float(parts[2]))
-
-
 def _config_from_args(args) -> harness.RunConfig:
-    synth = _parse_synth(getattr(args, "synth", None))
-    data = getattr(args, "data", None)
-    if data is None and synth is None:
-        synth = (200, 50, 0.3)
+    data = args.data
+    synth = None if data is not None else args.synth or (200, 50, 0.3)
     return harness.RunConfig(
         algo=getattr(args, "algo", "ec_lsvrg"),
         data=data,
-        synth=None if data is not None else synth,
+        synth=synth,
         synth_scale=args.synth_scale,
         n=args.n,
         compressor=getattr(args, "compressor", "identity"),
@@ -81,8 +97,6 @@ def cmd_run(args) -> int:
     if config.out_csv:
         stem, _, _ = config.out_csv.rpartition(".")
         config.out_json = (stem or config.out_csv) + ".json"
-    if args.eta != "theory":
-        config.eta = float(args.eta)
     result = harness.run_experiment(config)
     for rec in result.records:
         gap = "" if rec.dual_gap is None else f" dual_gap={rec.dual_gap:.3e}"
@@ -163,7 +177,7 @@ def cmd_verify(args) -> int:
         for _ in range(200):
             opt.step()
         print("ec_lsvrg: 200 steps, per-step identities held")
-        dual = DualProblem.from_regularization(ds, part, 1e-3, 1e-3)
+        dual = DualProblem(primal)
         c = compute_constants(primal)
         theta = alg.theoretical_theta(c, part.m, part.n, dual.lam, dual.gamma, 0.05)
         dopt = alg.EcDual(dual, comp.top_k(1), theta=theta, seed=seed)
@@ -181,7 +195,7 @@ def cmd_reference(args) -> int:
     ds = harness.load_dataset(config)
     part = partition(ds, config.n)
     primal = PrimalProblem(ds, part, lam1=config.lambda1, lam2=config.lambda2, mode=config.mode)
-    x_star, p_star = harness.solve_reference(primal, tol=args.tol)
+    x_star, p_star = harness.solve_reference(primal, compute_constants(primal), tol=args.tol)
     print(f"P* = {p_star!r}  (||x*|| = {np.linalg.norm(x_star):.6f}, d = {primal.d})")
     return 0
 
@@ -198,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--algo", choices=list(harness.ALGOS), default="ec_lsvrg")
     run.add_argument("--compressor", default="identity", help="e.g. top_k:1, rand_k:5, dither, natural")
     run.add_argument("--compressor-q1", dest="compressor_q1", default=None)
-    run.add_argument("--eta", default="theory", help="step size or 'theory'")
+    run.add_argument("--eta", type=_eta, default="theory", help="step size or 'theory'")
     run.add_argument("--theta", type=float, default=None, help="dual step parameter (default: theory)")
     run.add_argument("--p", type=float, default=None, help="reference refresh probability (default: delta)")
     run.add_argument("--epochs", type=float, default=10.0)

@@ -15,7 +15,7 @@ from scipy.special import expit
 
 from . import algorithms as alg
 from . import compressors as comp
-from .dataset import Dataset, normalize_examples, parse_libsvm, partition, shuffle_examples
+from .dataset import Dataset, Partition, normalize_examples, parse_libsvm, partition, shuffle_examples
 from .problem import (
     COMPOSITE,
     SMOOTH,
@@ -38,26 +38,26 @@ class ConvergenceError(RuntimeError):
 
 def solve_reference(
     problem: PrimalProblem,
+    constants: ProblemConstants,
     tol: float = 1e-10,
     x0: Optional[np.ndarray] = None,
     max_iter: int = 200_000,
 ) -> tuple[np.ndarray, float]:
     """High-accuracy minimizer via accelerated proximal gradient.
 
-    The l2 term is folded into the smooth part so the l1 prox is all that
-    remains, and the strong convexity it brings (lam2 > 0) selects the
-    constant-momentum accelerated scheme. Stops when the prox-gradient
-    mapping norm drops to ``tol``. Deterministic given ``x0``, and the
-    optimum is unique under strong convexity, so reruns agree to solver
-    accuracy.
+    The step is 1 / L with L from ``constants.l_f``. The l2 term is folded
+    into the smooth part so the l1 prox is all that remains, and the strong
+    convexity it brings (lam2 > 0) selects the constant-momentum accelerated
+    scheme. Stops when the prox-gradient mapping norm drops to ``tol``.
+    Deterministic given ``x0``, and the optimum is unique under strong
+    convexity, so reruns agree to solver accuracy.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    c = compute_constants(problem)
     composite = problem.mode == COMPOSITE
     lam1 = problem.lam1 if composite else 0.0
     extra_l2 = problem.lam2 if composite else 0.0  # smooth mode already counts it
-    lip = c.l_f + extra_l2
+    lip = constants.l_f + extra_l2
     if lip <= 0:
         lip = 1.0
     eta = 1.0 / lip
@@ -268,6 +268,8 @@ class RunResult:
     bits_to_target: Optional[float]
     target: Optional[float]
     steps: int
+    design: str  # "dense" or "sparse": the _Design path the run took
+    partition: Partition
     eta: Optional[float] = None
     theta: Optional[float] = None
     x: Optional[np.ndarray] = field(default=None, repr=False)
@@ -345,12 +347,10 @@ def run_experiment(config: RunConfig, reference: Optional[tuple[np.ndarray, floa
     dual_run = config.algo in DUAL_ALGOS
     mode = COMPOSITE if dual_run else config.mode
     primal = PrimalProblem(ds, part, lam1=config.lambda1, lam2=config.lambda2, mode=mode)
-    dual = None
-    if dual_run:
-        dual = DualProblem.from_regularization(ds, part, config.lambda1, config.lambda2)
+    dual = DualProblem(primal) if dual_run else None
     constants = compute_constants(primal)
     if reference is None:
-        _, p_star = solve_reference(primal, tol=config.reference_tol)
+        _, p_star = solve_reference(primal, constants, tol=config.reference_tol)
     else:
         p_star = reference[1]
 
@@ -415,6 +415,8 @@ def run_experiment(config: RunConfig, reference: Optional[tuple[np.ndarray, floa
         bits_to_target=bits_to_target,
         target=config.gap_target,
         steps=opt.k,
+        design="dense" if primal._design.A_dense is not None else "sparse",
+        partition=part,
         eta=eta,
         theta=theta,
         x=opt.x.copy(),
@@ -471,6 +473,8 @@ def emit_json(result: RunResult, path: str) -> None:
         "config": result.config.to_metadata(),
         "eta": result.eta,
         "theta": result.theta,
+        "design": result.design,
+        "partition": asdict(result.partition),
         "best_gap": result.best_gap,
         "final_gap": result.final_gap,
         "bits_to_target": result.bits_to_target,

@@ -135,11 +135,15 @@ class PrimalProblem:
             g = g + self.lam2 * x
         return g
 
-    def grad_f_node(self, x: np.ndarray, tau: int) -> np.ndarray:
-        sl = self.part.node_slice(tau)
-        z = self._design.margins(x)[sl]
-        coef = self._loss_coef(z, self._design.b[sl]) / self.part.m
-        g = self._design.combine(coef, sl)
+    def grad_f_nodes(self, x: np.ndarray) -> np.ndarray:
+        """The (n, d) node gradients, row tau the mean over node tau's examples.
+
+        One margins pass serves every node; each node combines its own slice.
+        """
+        coef = self._loss_coef(self._design.margins(x), self._design.b) / self.part.m
+        g = np.stack(
+            [self._design.combine(coef[sl], sl) for sl in map(self.part.node_slice, range(self.n))]
+        )
         if self.mode == SMOOTH:
             g = g + self.lam2 * x
         return g
@@ -157,11 +161,6 @@ class PrimalProblem:
     def loss_value(self, x: np.ndarray) -> float:
         z = self._design.margins(x)
         return float(np.mean(np.logaddexp(0.0, -self._design.b * z)))
-
-    def psi_value(self, x: np.ndarray) -> float:
-        if self.mode == SMOOTH:
-            return 0.0
-        return self.lam1 * float(np.abs(x).sum()) + 0.5 * self.lam2 * float(x @ x)
 
     def primal_value(self, x: np.ndarray) -> float:
         # Same total in both modes; only the smooth/prox split differs.
@@ -182,26 +181,22 @@ class PrimalProblem:
 
 @dataclass
 class DualProblem:
-    """Primal-dual view with one scalar dual variable per example."""
+    """Primal-dual view of a primal problem, one scalar dual variable per example.
 
-    dataset: Dataset
-    part: Partition
-    lam: float
-    c: float = 0.0
+    It shares the primal problem's design and writes its regularizer as
+    ``lam g`` with ``lam = lam2`` and ``c = lam1 / lam2``.
+    """
+
+    primal: PrimalProblem
     gamma: float = 4.0  # logistic losses are (1/gamma)-smooth for +-1 labels
 
     def __post_init__(self) -> None:
-        if self.lam <= 0:
-            raise ValueError("lam must be positive (it scales the dual map)")
-        if self.c < 0:
-            raise ValueError("l1 weight inside g must be nonnegative")
-        self._design = _Design(self.dataset, self.part)
-
-    @classmethod
-    def from_regularization(
-        cls, dataset: Dataset, part: Partition, lam1: float, lam2: float
-    ) -> "DualProblem":
-        return cls(dataset=dataset, part=part, lam=lam2, c=lam1 / lam2)
+        if self.primal.lam2 <= 0:
+            raise ValueError("lam2 must be positive (it scales the dual map)")
+        self.lam = self.primal.lam2
+        self.c = self.primal.lam1 / self.primal.lam2
+        self.part = self.primal.part
+        self._design = self.primal._design
 
     @property
     def d(self) -> int:
@@ -214,12 +209,6 @@ class DualProblem:
     @property
     def labels(self) -> np.ndarray:
         return self._design.b
-
-    def column(self, j: int) -> np.ndarray:
-        return self._design.column(j)
-
-    def margins(self, x: np.ndarray) -> np.ndarray:
-        return self._design.margins(x)
 
     # -- smooth losses and their conjugates ----------------------------------
 
@@ -262,7 +251,7 @@ class DualProblem:
         return self._design.combine(np.asarray(alpha) / (self.lam * self.N))
 
     def primal_value(self, x: np.ndarray) -> float:
-        z = self.margins(x)
+        z = self._design.margins(x)
         return float(np.mean(self.phi_value(z, self._design.b))) + self.lam * self.g_value(x)
 
     def dual_value(self, alpha: np.ndarray) -> float:
@@ -331,7 +320,7 @@ def power_iteration(
     raise PowerIterationError(last_residual, total_iters)
 
 
-def compute_constants(problem: PrimalProblem | DualProblem) -> ProblemConstants:
+def compute_constants(problem: PrimalProblem) -> ProblemConstants:
     """Column-norm and Gram-spectrum constants for step-size formulas.
 
     ``r_m`` comes from an exact column scan; the spectral radii use power
@@ -357,14 +346,7 @@ def compute_constants(problem: PrimalProblem | DualProblem) -> ProblemConstants:
         power_iteration(gram(A[:, part.node_slice(tau)]), d) / m for tau in range(part.n)
     )
 
-    smooth_shift = 0.0
-    mu = 0.0
-    if isinstance(problem, PrimalProblem):
-        mu = problem.lam2
-        if problem.mode == SMOOTH:
-            smooth_shift = problem.lam2
-    else:
-        mu = problem.lam
+    smooth_shift = problem.lam2 if problem.mode == SMOOTH else 0.0
 
     return ProblemConstants(
         r_m=r_m,
@@ -373,5 +355,5 @@ def compute_constants(problem: PrimalProblem | DualProblem) -> ProblemConstants:
         l=float(col_sq.max()) / 4.0 + smooth_shift,
         l_bar=r_bar_sq / 4.0 + smooth_shift,
         l_f=r_sq / 4.0 + smooth_shift,
-        mu=mu,
+        mu=problem.lam2,
     )

@@ -29,8 +29,8 @@ def bench_primal(bench_dataset, bench_partition):
 
 
 @pytest.fixture(scope="session")
-def bench_dual(bench_dataset, bench_partition):
-    return DualProblem.from_regularization(bench_dataset, bench_partition, 1e-3, 1e-3)
+def bench_dual(bench_primal):
+    return DualProblem(bench_primal)
 
 
 @pytest.fixture(scope="session")
@@ -39,5 +39,5 @@ def bench_constants(bench_primal):
 
 
 @pytest.fixture(scope="session")
-def bench_reference(bench_primal):
-    return solve_reference(bench_primal, tol=1e-12)
+def bench_reference(bench_primal, bench_constants):
+    return solve_reference(bench_primal, bench_constants, tol=1e-12)

@@ -245,7 +245,7 @@ def test_c10_gradient_correctness(bench_primal, bench_dual):
                                                  * (bench_primal._design.margins(v)[bench_primal.part.node_slice(tau)])))),
             x,
         )
-        ok &= math.isclose(float(bench_primal.grad_f_node(x, tau) @ u), fd_node, rel_tol=1e-6, abs_tol=1e-9)
+        ok &= math.isclose(float(bench_primal.grad_f_nodes(x)[tau] @ u), fd_node, rel_tol=1e-6, abs_tol=1e-9)
         fd_full = along(bench_primal.loss_value, x)
         ok &= math.isclose(float(bench_primal.grad_f(x) @ u), fd_full, rel_tol=1e-6, abs_tol=1e-9)
 

@@ -45,9 +45,8 @@ def smooth(fixture):
 
 
 @pytest.fixture(scope="module")
-def dual(fixture):
-    ds, part = fixture
-    return DualProblem.from_regularization(ds, part, lam1=1e-3, lam2=1e-3)
+def dual(composite):
+    return DualProblem(composite)
 
 
 @pytest.fixture(scope="module")
@@ -337,7 +336,7 @@ class TestEcDual:
         features = sparse.csc_matrix(np.array([[0.8], [-0.6]]))
         ds = Dataset(features=features, labels=np.array([1.0]))
         part = partition(ds, 1)
-        dual = DualProblem(ds, part, lam=0.5, c=0.2)
+        dual = DualProblem(PrimalProblem(ds, part, lam1=0.1, lam2=0.5))
         opt = alg.EcDual(dual, comp.identity(), theta=1.0, seed=59, variant=variant)
         info = opt.step()
         expected = -dual.phi_grad(float(features.toarray()[:, 0] @ info.x_new), 1.0)

@@ -8,9 +8,10 @@ from scipy import sparse
 
 from ecvr import cli
 from ecvr import harness
+from ecvr import problem as problem_module
 from ecvr.algorithms import NumericalError
 from ecvr.dataset import Dataset, partition
-from ecvr.problem import COMPOSITE, PrimalProblem
+from ecvr.problem import COMPOSITE, PrimalProblem, compute_constants
 
 
 def rng_for(name: str) -> np.random.Generator:
@@ -29,14 +30,14 @@ class TestSolveReference:
             grad = -b * a * s + lam2 * x
             hess = (a * a) * s * (1.0 - s) + lam2
             x -= grad / hess
-        x_star, p_star = harness.solve_reference(problem, tol=1e-12)
+        x_star, p_star = harness.solve_reference(problem, compute_constants(problem), tol=1e-12)
         assert x_star[0] == pytest.approx(x, abs=1e-8)
         assert p_star == pytest.approx(problem.primal_value(np.array([x])), abs=1e-14)
 
     def test_local_optimality_probe(self):
         ds = harness.synth_dataset(60, 10, 0.5, seed=21, scale=1.0)
         problem = PrimalProblem(ds, partition(ds, 3), lam1=1e-3, lam2=1e-3, mode=COMPOSITE)
-        x_star, p_star = harness.solve_reference(problem, tol=1e-10)
+        x_star, p_star = harness.solve_reference(problem, compute_constants(problem), tol=1e-10)
         rng = rng_for("probe")
         for _ in range(1000):
             u = rng.standard_normal(problem.d)
@@ -46,7 +47,7 @@ class TestSolveReference:
     def test_reference_value_is_global_floor(self):
         ds = harness.synth_dataset(60, 10, 0.5, seed=24, scale=1.0)
         problem = PrimalProblem(ds, partition(ds, 3), lam1=1e-3, lam2=1e-3, mode=COMPOSITE)
-        _, p_star = harness.solve_reference(problem, tol=1e-10)
+        _, p_star = harness.solve_reference(problem, compute_constants(problem), tol=1e-10)
         rng = rng_for("floor")
         for _ in range(100):
             x = rng.standard_normal(problem.d) * rng.uniform(0.1, 10.0)
@@ -55,16 +56,17 @@ class TestSolveReference:
     def test_optimum_independent_of_start(self):
         ds = harness.synth_dataset(60, 10, 0.5, seed=22, scale=1.0)
         problem = PrimalProblem(ds, partition(ds, 3), lam1=1e-3, lam2=1e-3, mode=COMPOSITE)
+        c = compute_constants(problem)
         rng = rng_for("start")
-        _, p_a = harness.solve_reference(problem, tol=1e-11, x0=rng.standard_normal(10))
-        _, p_b = harness.solve_reference(problem, tol=1e-11, x0=rng.standard_normal(10))
+        _, p_a = harness.solve_reference(problem, c, tol=1e-11, x0=rng.standard_normal(10))
+        _, p_b = harness.solve_reference(problem, c, tol=1e-11, x0=rng.standard_normal(10))
         assert p_a == pytest.approx(p_b, abs=1e-9)
 
     def test_budget_exhaustion_reports_residual(self):
         ds = harness.synth_dataset(60, 10, 0.5, seed=23)
         problem = PrimalProblem(ds, partition(ds, 3), lam1=1e-3, lam2=1e-3, mode=COMPOSITE)
         with pytest.raises(harness.ConvergenceError) as err:
-            harness.solve_reference(problem, tol=1e-14, max_iter=3)
+            harness.solve_reference(problem, compute_constants(problem), tol=1e-14, max_iter=3)
         assert err.value.residual > 0
 
 
@@ -122,7 +124,7 @@ class TestSynthDataset:
     def test_planted_model_is_learnable(self):
         ds = harness.synth_dataset(200, 20, 0.4, seed=12, scale=1.0)
         problem = PrimalProblem(ds, partition(ds, 4), lam1=1e-3, lam2=1e-3, mode=COMPOSITE)
-        _, p_star = harness.solve_reference(problem, tol=1e-9)
+        _, p_star = harness.solve_reference(problem, compute_constants(problem), tol=1e-9)
         assert p_star < problem.primal_value(np.zeros(problem.d))
 
 
@@ -161,6 +163,39 @@ class TestRunExperiment:
         assert harness.parse_json(str(out_json)) == res.records
         meta = json.loads(out_json.read_text())
         assert meta["config"]["algo"] == "ec_lsvrg"
+
+    def test_json_reports_design_path_and_partition(self, tmp_path, monkeypatch):
+        def manifest(name):
+            out = tmp_path / name
+            harness.run_experiment(base_config(synth=(82, 16, 0.4), epochs=1, out_json=str(out)))
+            return json.loads(out.read_text())
+
+        dense = manifest("dense.json")
+        assert dense["design"] == "dense"
+        assert dense["partition"] == {"n": 4, "m": 20, "dropped": 2}
+        monkeypatch.setattr(problem_module, "_DENSE_LIMIT", 0)
+        assert manifest("sparse.json")["design"] == "sparse"
+
+    @pytest.mark.parametrize("algo", ["ec_lsvrg", "ec_quartz"])
+    def test_one_problem_setup_per_run(self, monkeypatch, algo):
+        constants_calls, problems = [], []
+        real_constants, real_build = harness.compute_constants, harness.build_optimizer
+
+        def counting_constants(problem):
+            constants_calls.append(problem)
+            return real_constants(problem)
+
+        def capturing_build(config, primal, dual, constants):
+            problems.append((primal, dual))
+            return real_build(config, primal, dual, constants)
+
+        monkeypatch.setattr(harness, "compute_constants", counting_constants)
+        monkeypatch.setattr(harness, "build_optimizer", capturing_build)
+        harness.run_experiment(base_config(algo=algo, epochs=1))
+        assert len(constants_calls) == 1
+        [(primal, dual)] = problems
+        assert (dual is None) == (algo == "ec_lsvrg")
+        assert dual is None or dual._design is primal._design
 
     def test_bits_column_is_analytic_and_monotone(self):
         from ecvr import compressors as comp
@@ -219,6 +254,24 @@ class TestRunExperiment:
     def test_rejects_ambiguous_data_source(self):
         with pytest.raises(ValueError):
             harness.run_experiment(base_config(data="x.txt"))
+
+
+class TestDesignPaths:
+    @pytest.mark.parametrize("algo", harness.ALGOS)
+    def test_dense_and_sparse_designs_agree(self, monkeypatch, algo):
+        cfg = base_config(
+            algo=algo, synth=(200, 50, 0.3), synth_scale=0.3, eta=1.0, epochs=10, seed=3
+        )
+        dense = harness.run_experiment(cfg)
+        monkeypatch.setattr(problem_module, "_DENSE_LIMIT", 0)
+        sparse_run = harness.run_experiment(cfg)
+        assert (dense.design, sparse_run.design) == ("dense", "sparse")
+        assert len(dense.records) == len(sparse_run.records) == 10
+        for a, b in zip(dense.records, sparse_run.records):
+            assert (a.k, a.bits) == (b.k, b.bits)
+            for column in ("primal_gap", "dual_gap", "err_norm"):
+                x, y = getattr(a, column), getattr(b, column)
+                assert (x is None and y is None) or x == pytest.approx(y, rel=1e-12, abs=0.0)
 
 
 class TestGridSearch:
@@ -333,6 +386,24 @@ class TestCli:
     def test_verify_invariants(self, capsys):
         code = cli.main(["verify", "invariants"])
         assert code == 0
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--eta", "abc"),
+            ("--eta", "-1"),
+            ("--eta", "nan"),
+            ("--synth", "a,5,0.3"),
+            ("--synth", "60,12"),
+            ("--synth", "60,12,2"),
+            ("--synth", "0,12,0.5"),
+        ],
+    )
+    def test_bad_value_names_the_argument(self, capsys, flag, value):
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["run", flag, value, "--epochs", "0"])
+        assert exit_info.value.code == 2
+        assert f"argument {flag}: expects" in capsys.readouterr().err
 
     def test_reference_command(self, capsys):
         code = cli.main(["reference", "--synth", "60,12,0.4", "--tol", "1e-8"])

@@ -44,9 +44,8 @@ def smooth(small):
 
 
 @pytest.fixture(scope="module")
-def dual(small):
-    ds, part = small
-    return DualProblem.from_regularization(ds, part, lam1=1e-2, lam2=1e-2)
+def dual(composite):
+    return DualProblem(composite)
 
 
 def loss_fi(problem, x, tau, i):
@@ -99,13 +98,14 @@ class TestGradients:
         problem = composite if mode == "composite" else smooth
         rng = rng_for("avg" + mode)
         x = rng.standard_normal(problem.d)
+        nodes = problem.grad_f_nodes(x)
+        assert nodes.shape == (problem.n, problem.d)
         for tau in range(problem.n):
             avg = np.mean(
                 [problem.grad_fi(x, tau, i) for i in range(problem.m)], axis=0
             )
-            assert np.allclose(problem.grad_f_node(x, tau), avg, atol=1e-12)
-        node_avg = np.mean([problem.grad_f_node(x, tau) for tau in range(problem.n)], axis=0)
-        assert np.allclose(problem.grad_f(x), node_avg, atol=1e-12)
+            assert np.allclose(nodes[tau], avg, atol=1e-12)
+        assert np.allclose(problem.grad_f(x), nodes.mean(axis=0), atol=1e-12)
 
     def test_grad_f_finite_difference(self, composite):
         rng = rng_for("fdf")
@@ -219,12 +219,13 @@ class TestDual:
             conj = dual.phi_conj_neg(np.array([-v]), np.array([b]))[0]
             assert dual.phi_value(t, b) + conj - v * t == pytest.approx(0.0, abs=1e-10)
 
-    def test_gstar_grad_values(self, dual):
+    def test_gstar_grad_values(self, dual, small):
+        ds, part = small
         u = rng_for("gg").standard_normal(dual.d)
-        no_l1 = DualProblem(dual.dataset, dual.part, lam=1e-2, c=0.0)
+        no_l1 = DualProblem(PrimalProblem(ds, part, lam1=0.0, lam2=1e-2))
         assert np.array_equal(no_l1.gstar_grad(u), u)
         assert np.array_equal(dual.gstar_grad(np.array([0.5] * dual.d))[:1], [0.0]) or dual.c < 0.5
-        strong = DualProblem(dual.dataset, dual.part, lam=1e-2, c=1.0)
+        strong = DualProblem(PrimalProblem(ds, part, lam1=1e-2, lam2=1e-2))
         assert np.array_equal(strong.gstar_grad(np.full(dual.d, 0.5)), np.zeros(dual.d))
 
     def test_gstar_fenchel_equality_and_closed_form(self, dual):
@@ -262,8 +263,8 @@ class TestDual:
 
     def test_lam_must_be_positive(self, small):
         ds, part = small
-        with pytest.raises(ValueError):
-            DualProblem(ds, part, lam=0.0)
+        with pytest.raises(ValueError, match="lam2 must be positive"):
+            DualProblem(PrimalProblem(ds, part, lam1=0.0, lam2=0.0))
 
 
 class TestConstants:
