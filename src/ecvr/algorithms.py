@@ -18,6 +18,7 @@ from typing import Optional
 import numpy as np
 
 from . import compressors as comp
+from .dataset import Partition
 from .problem import COMPOSITE, SMOOTH, DualProblem, PrimalProblem, ProblemConstants
 from .rng import node_streams, split_rng
 
@@ -76,9 +77,14 @@ def _coef(z: float, b: float) -> float:
     return -b / (1.0 + math.exp(bz))
 
 
+def _draw_examples(streams: list[np.random.Generator], part: Partition) -> np.ndarray:
+    """One step's n global example indices: node tau draws its local index from streams[tau]."""
+    return np.array([part.example_index(tau, int(rng.integers(part.m))) for tau, rng in enumerate(streams)])
+
+
 @dataclass
 class LsvrgStepInfo:
-    sampled: np.ndarray
+    sampled: np.ndarray  # global example index drawn by each node
     g_nodes: np.ndarray  # per-node search directions before compression
     t_nodes: np.ndarray  # compressor inputs eta*g + e
     y_nodes: np.ndarray
@@ -148,25 +154,20 @@ class EcLsvrg:
 
     def step(self) -> LsvrgStepInfo:
         pr = self.problem
-        n, m, d, eta = pr.n, pr.m, pr.d, self.eta
+        eta = self.eta
         design = pr._design
         smooth = pr.mode == SMOOTH
         x, w = self.x, self.w
         l2_drift = pr.lam2 * (x - w) if smooth else None
 
-        sampled = np.empty(n, dtype=np.int64)
-        g_nodes = np.empty((n, d))
-        for tau in range(n):
-            i = int(self._sample[tau].integers(m))
-            sampled[tau] = i
-            j = pr.part.example_index(tau, i)
-            col = design.column(j)
-            b = design.b[j]
-            dc = _coef(design.col_dot(j, x), b) - _coef(design.col_dot(j, w), b)
-            g = dc * col + self.grad_w[tau] - self.h[tau]
-            if smooth:
-                g = g + l2_drift
-            g_nodes[tau] = g
+        sampled = _draw_examples(self._sample, pr.part)
+        dc = np.array(
+            [_coef(design.col_dot(j, x), design.b[j]) - _coef(design.col_dot(j, w), design.b[j])
+             for j in sampled]
+        )
+        g_nodes = dc[:, None] * design.columns(sampled) + self.grad_w - self.h
+        if smooth:
+            g_nodes = g_nodes + l2_drift
         t_nodes = eta * g_nodes + self.e
         y_nodes, self.e = _compress_with_feedback(self.q, t_nodes, self._q_rng, self.k)
         z_nodes = comp._apply(self.q1, self.grad_w - self.h, self._q1_rng)
@@ -243,25 +244,22 @@ class Lsvrg:
 
     def step(self) -> None:
         pr = self.problem
-        n, m, eta = pr.n, pr.m, self.eta
+        n, eta = pr.n, self.eta
         design = pr._design
         smooth = pr.mode == SMOOTH
         x, w = self.x, self.w
         l2_drift = pr.lam2 * (x - w) if smooth else None
 
-        g_sum = np.zeros(pr.d)
-        for tau in range(n):
-            i = int(self._sample[tau].integers(m))
-            j = pr.part.example_index(tau, i)
-            col = design.column(j)
-            b = design.b[j]
-            dc = _coef(design.col_dot(j, x), b) - _coef(design.col_dot(j, w), b)
-            g = dc * col + self.grad_w[tau]
-            if smooth:
-                g = g + l2_drift
-            g_sum += g
+        J = _draw_examples(self._sample, pr.part)
+        dc = np.array(
+            [_coef(design.col_dot(j, x), design.b[j]) - _coef(design.col_dot(j, w), design.b[j])
+             for j in J]
+        )
+        g = dc[:, None] * design.columns(J) + self.grad_w
+        if smooth:
+            g = g + l2_drift
         coin = bool(self._coin.random() < self.p)
-        x_half = x - eta * (g_sum / n)
+        x_half = x - eta * (g.sum(axis=0) / n)
         x_new = x_half if smooth else pr.prox_psi(x_half, eta) if eta > 0 else x_half
         if coin:
             self.w = x.copy()
@@ -328,7 +326,7 @@ class EcGd:
 
 @dataclass
 class DualStepInfo:
-    sampled: np.ndarray
+    sampled: np.ndarray  # global example index drawn by each node
     delta_alpha: np.ndarray
     t_nodes: np.ndarray
     y_nodes: np.ndarray
@@ -396,7 +394,7 @@ class EcDual:
 
     def step(self) -> DualStepInfo:
         pr = self.problem
-        n, m = pr.part.n, pr.part.m
+        m = pr.part.m
         theta, lam = self.theta, pr.lam
 
         if self.variant == QUARTZ:
@@ -404,20 +402,12 @@ class EcDual:
         else:
             x_new = pr.gstar_grad(self.u)
 
-        sampled = np.empty(n, dtype=np.int64)
-        delta_alpha = np.empty(n)
-        t_nodes = np.empty((n, pr.d))
-        for tau in range(n):
-            i = int(self._sample[tau].integers(m))
-            sampled[tau] = i
-            j = pr.part.example_index(tau, i)
-            col = pr._design.column(j)
-            z = float(col @ x_new)
-            dphi = _coef(z, pr.labels[j])
-            da = -theta * m * (self.alpha[j] + dphi)
-            delta_alpha[tau] = da
-            self.alpha[j] += da
-            t_nodes[tau] = (da / (lam * m)) * col + self.e[tau]
+        sampled = _draw_examples(self._sample, pr.part)
+        cols = pr._design.columns(sampled)
+        dphi = np.array([_coef(float(col @ x_new), pr.labels[j]) for col, j in zip(cols, sampled)])
+        delta_alpha = -theta * m * (self.alpha[sampled] + dphi)
+        self.alpha[sampled] += delta_alpha
+        t_nodes = (delta_alpha / (lam * m))[:, None] * cols + self.e
         y_nodes, self.e = _compress_with_feedback(self.q, t_nodes, self._q_rng, self.k)
 
         y_avg = y_nodes.mean(axis=0)
@@ -479,21 +469,18 @@ class VanillaDual:
 
     def step(self) -> None:
         pr = self.problem
-        n, m = pr.part.n, pr.part.m
+        m = pr.part.m
         theta, lam = self.theta, pr.lam
         if self.variant == QUARTZ:
             x_new = (1.0 - theta) * self.x + theta * pr.gstar_grad(self.u)
         else:
             x_new = pr.gstar_grad(self.u)
-        y_nodes = np.empty((n, pr.d))
-        for tau in range(n):
-            i = int(self._sample[tau].integers(m))
-            j = pr.part.example_index(tau, i)
-            col = pr._design.column(j)
-            dphi = _coef(float(col @ x_new), pr.labels[j])
-            da = -theta * m * (self.alpha[j] + dphi)
-            self.alpha[j] += da
-            y_nodes[tau] = (da / (lam * m)) * col
+        J = _draw_examples(self._sample, pr.part)
+        cols = pr._design.columns(J)
+        dphi = np.array([_coef(float(col @ x_new), pr.labels[j]) for col, j in zip(cols, J)])
+        da = -theta * m * (self.alpha[J] + dphi)
+        self.alpha[J] += da
+        y_nodes = (da / (lam * m))[:, None] * cols
         self.u = self.u + y_nodes.mean(axis=0)
         self.x = x_new
         self.k += 1

@@ -25,7 +25,7 @@ def _add_data_args(parser: argparse.ArgumentParser) -> None:
         help="synthetic data as N,d,sparsity (default 200,50,0.3 when --data absent)",
     )
     parser.add_argument("--synth-scale", type=float, default=1.0, help="column norm of synthetic examples")
-    parser.add_argument("--n", type=int, default=4, help="number of simulated nodes")
+    parser.add_argument("--n", type=_positive_int, default=4, help="number of simulated nodes")
     parser.add_argument("--normalize", action="store_true", help="scale examples to unit norm")
     parser.add_argument("--shuffle-seed", type=int, default=None, help="shuffle examples before partitioning")
     parser.add_argument("--lambda1", type=float, default=1e-3)
@@ -34,29 +34,44 @@ def _add_data_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=0, help="master seed (ECVR_SEED overrides)")
 
 
-def _synth(text: str) -> tuple[int, int, float]:
-    try:
-        N, d, sparsity = text.split(",")
-        spec = (int(N), int(d), float(sparsity))
-    except ValueError:
-        spec = None
-    if spec is None or min(spec[:2]) < 1 or not 0 < spec[2] <= 1:
-        raise argparse.ArgumentTypeError(
-            f"expects N,d,sparsity with N, d >= 1 and sparsity in (0, 1]; got {text!r}"
-        )
-    return spec
+def _checked(parse, ok, expects: str):
+    """An argparse type: ``parse(text)``, rejected naming ``expects`` unless ``ok`` holds.
+
+    Either may also reject the text by raising ``ValueError``.
+    """
+
+    def convert(text: str):
+        try:
+            value = parse(text)
+            valid = ok(value)
+        except ValueError:
+            valid = False
+        if not valid:
+            raise argparse.ArgumentTypeError(f"expects {expects}; got {text!r}")
+        return value
+
+    return convert
 
 
-def _eta(text: str) -> float | str:
-    if text == "theory":
-        return text
-    try:
-        eta = float(text)
-    except ValueError:
-        eta = math.nan
-    if not 0 <= eta < math.inf:
-        raise argparse.ArgumentTypeError(f"expects a nonnegative number or 'theory'; got {text!r}")
-    return eta
+def _split_synth(text: str) -> tuple[int, int, float]:
+    N, d, sparsity = text.split(",")
+    return int(N), int(d), float(sparsity)
+
+
+_synth = _checked(
+    _split_synth,
+    lambda spec: min(spec[:2]) >= 1 and 0 < spec[2] <= 1,
+    "N,d,sparsity with N, d >= 1 and sparsity in (0, 1]",
+)
+_eta = _checked(
+    lambda text: text if text == "theory" else float(text),
+    lambda eta: eta == "theory" or 0 <= eta < math.inf,
+    "a nonnegative number or 'theory'",
+)
+_compressor = _checked(str, comp.parse_spec, "a compressor such as top_k:1, rand_k:5, dither or natural")
+_positive_int = _checked(int, lambda v: v >= 1, "an integer >= 1")
+_probability = _checked(float, lambda v: 0 < v <= 1, "a number in (0, 1]")
+_epochs = _checked(float, lambda v: 0 <= v < math.inf, "a nonnegative finite number")
 
 
 def _resolve_seed(args) -> int:
@@ -210,13 +225,17 @@ def build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="run one optimizer trial and emit its trace")
     _add_data_args(run)
     run.add_argument("--algo", choices=list(harness.ALGOS), default="ec_lsvrg")
-    run.add_argument("--compressor", default="identity", help="e.g. top_k:1, rand_k:5, dither, natural")
-    run.add_argument("--compressor-q1", dest="compressor_q1", default=None)
+    run.add_argument(
+        "--compressor", type=_compressor, default="identity", help="e.g. top_k:1, rand_k:5, dither, natural"
+    )
+    run.add_argument("--compressor-q1", dest="compressor_q1", type=_compressor, default=None)
     run.add_argument("--eta", type=_eta, default="theory", help="step size or 'theory'")
     run.add_argument("--theta", type=float, default=None, help="dual step parameter (default: theory)")
-    run.add_argument("--p", type=float, default=None, help="reference refresh probability (default: delta)")
-    run.add_argument("--epochs", type=float, default=10.0)
-    run.add_argument("--cadence", type=int, default=None, help="steps between records")
+    run.add_argument(
+        "--p", type=_probability, default=None, help="reference refresh probability (default: delta)"
+    )
+    run.add_argument("--epochs", type=_epochs, default=10.0)
+    run.add_argument("--cadence", type=_positive_int, default=None, help="steps between records")
     run.add_argument("--gap-target", type=float, default=None)
     run.add_argument("--out", default=None, help="CSV trace path (JSON written alongside)")
     run.set_defaults(func=cmd_run)

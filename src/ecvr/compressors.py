@@ -146,8 +146,8 @@ def parse_spec(text: str) -> CompressorSpec:
     if name == "natural":
         return scaled(natural())
     if name in ("top_k", "rand_k", "ntop_k", "rtop_k", "rand_k_unbiased"):
-        if not arg:
-            raise ValueError(f"compressor {name!r} needs a coordinate count, e.g. {name}:1")
+        if not arg.isdecimal():
+            raise ValueError(f"compressor {name!r} needs a coordinate count, e.g. {name}:1; got {text!r}")
         k = int(arg)
         maker = {
             "top_k": top_k,

@@ -236,7 +236,6 @@ class RunConfig:
     compressor: str = "identity"
     compressor_q1: Optional[str] = None  # defaults to the main compressor
     eta: float | str = "theory"
-    eta_regime: str = COMPOSITE
     theta: Optional[float] = None  # None = theoretical value
     p: Optional[float] = None  # None = delta of the compressor
     lambda1: float = 1e-3
@@ -298,22 +297,18 @@ def build_optimizer(
 ):
     """Construct the configured optimizer with resolved eta/theta/p."""
     spec = comp.parse_spec(config.compressor)
+    q1 = comp.parse_spec(config.compressor_q1 or config.compressor)
     d = primal.d
     delta = comp.delta_of(spec, d)
     p = config.p if config.p is not None else delta
     algo = config.algo
-    if algo in ("ec_lsvrg", "lsvrg", "ec_gd"):
+    if algo in PRIMAL_ALGOS:
         if config.eta == "theory":
-            spec_q1 = comp.parse_spec(config.compressor_q1 or config.compressor)
-            delta1 = comp.delta_of(spec_q1, d)
-            regime = config.eta_regime
-            if config.eta_regime == COMPOSITE and primal.mode == SMOOTH:
-                regime = SMOOTH
-            eta = alg.theoretical_eta(constants, primal.n, delta, delta1, p, regime)
+            regime = SMOOTH if primal.mode == SMOOTH else COMPOSITE
+            eta = alg.theoretical_eta(constants, primal.n, delta, comp.delta_of(q1, d), p, regime)
         else:
             eta = float(config.eta)
     if algo == "ec_lsvrg":
-        q1 = comp.parse_spec(config.compressor_q1 or config.compressor)
         return alg.EcLsvrg(primal, spec, q1, eta=eta, p=p, seed=config.seed), eta, None
     if algo == "lsvrg":
         return alg.Lsvrg(primal, eta=eta, p=p, seed=config.seed), eta, None
@@ -342,6 +337,8 @@ def run_experiment(config: RunConfig, reference: Optional[tuple[np.ndarray, floa
     ``reference`` may carry a precomputed (x_star, p_star) pair to avoid
     re-solving when sweeping configurations on the same problem.
     """
+    if config.epochs < 0:
+        raise ValueError(f"epochs must be >= 0, got {config.epochs}")
     ds = load_dataset(config)
     part = partition(ds, config.n)
     dual_run = config.algo in DUAL_ALGOS

@@ -11,7 +11,7 @@ assumptions hold literally in each regime:
 
 The dual formulation works on the composite objective written as
 ``(1/N) sum phi_j(a_j' x) + lam g(x)`` with ``g(x) = 1/2 ||x||^2 + c ||x||_1``,
-``lam = lam2`` and ``c = lam1/lam2``.
+``lam = lam2``, ``c = lam1/lam2`` and ``phi_j(t) = logistic_loss(t, b_j)``.
 """
 
 from __future__ import annotations
@@ -47,6 +47,16 @@ def soft_threshold(v: np.ndarray, t: float) -> np.ndarray:
     return np.sign(v) * np.maximum(np.abs(v) - t, 0.0)
 
 
+def logistic_loss(t, b):
+    """log(1 + exp(-b t)), the loss of margin t under label b."""
+    return np.logaddexp(0.0, -b * t)
+
+
+def logistic_grad(t, b):
+    """d/dt log(1 + exp(-b t)) = -b * sigmoid(-b t)."""
+    return -b * expit(-b * t)
+
+
 def prox_elastic_net(v: np.ndarray, eta: float, lam1: float, lam2: float) -> np.ndarray:
     """argmin_y 1/2 ||y - v||^2 + eta (lam1 ||y||_1 + lam2/2 ||y||^2)."""
     return soft_threshold(v, eta * lam1) / (1.0 + eta * lam2)
@@ -68,10 +78,11 @@ class _Design:
             return self.A_dense.T @ x
         return self.A.T @ x
 
-    def column(self, j: int) -> np.ndarray:
+    def columns(self, J) -> np.ndarray:
+        """The (len(J), d) block whose row r is the column of example J[r]."""
         if self.A_dense is not None:
-            return self.A_dense[:, j]
-        return self.A[:, [j]].toarray().ravel()
+            return self.A_dense[:, J].T
+        return self.A[:, J].T.toarray()
 
     def col_dot(self, j: int, x: np.ndarray) -> float:
         if self.A_dense is not None:
@@ -121,16 +132,11 @@ class PrimalProblem:
 
     # -- loss derivatives ---------------------------------------------------
 
-    def _loss_coef(self, margins: np.ndarray, b: np.ndarray) -> np.ndarray:
-        # d/dt log(1 + exp(-b t)) = -b * sigmoid(-b t)
-        return -b * expit(-b * margins)
-
     def grad_fi(self, x: np.ndarray, tau: int, i: int) -> np.ndarray:
         """Gradient of one example's loss (plus the l2 term in smooth mode)."""
         j = self.part.example_index(tau, i)
-        dz = self._design.col_dot(j, x)
-        coef = -self._design.b[j] * expit(-self._design.b[j] * dz)
-        g = coef * self._design.column(j)
+        coef = logistic_grad(self._design.col_dot(j, x), self._design.b[j])
+        g = coef * self._design.columns([j])[0]
         if self.mode == SMOOTH:
             g = g + self.lam2 * x
         return g
@@ -140,7 +146,7 @@ class PrimalProblem:
 
         One margins pass serves every node; each node combines its own slice.
         """
-        coef = self._loss_coef(self._design.margins(x), self._design.b) / self.part.m
+        coef = logistic_grad(self._design.margins(x), self._design.b) / self.part.m
         g = np.stack(
             [self._design.combine(coef[sl], sl) for sl in map(self.part.node_slice, range(self.n))]
         )
@@ -149,8 +155,7 @@ class PrimalProblem:
         return g
 
     def grad_f(self, x: np.ndarray) -> np.ndarray:
-        z = self._design.margins(x)
-        coef = self._loss_coef(z, self._design.b) / self._design.N
+        coef = logistic_grad(self._design.margins(x), self._design.b) / self._design.N
         g = self._design.combine(coef)
         if self.mode == SMOOTH:
             g = g + self.lam2 * x
@@ -159,8 +164,7 @@ class PrimalProblem:
     # -- objective values ---------------------------------------------------
 
     def loss_value(self, x: np.ndarray) -> float:
-        z = self._design.margins(x)
-        return float(np.mean(np.logaddexp(0.0, -self._design.b * z)))
+        return float(np.mean(logistic_loss(self._design.margins(x), self._design.b)))
 
     def primal_value(self, x: np.ndarray) -> float:
         # Same total in both modes; only the smooth/prox split differs.
@@ -210,13 +214,7 @@ class DualProblem:
     def labels(self) -> np.ndarray:
         return self._design.b
 
-    # -- smooth losses and their conjugates ----------------------------------
-
-    def phi_value(self, t, b):
-        return np.logaddexp(0.0, -b * t)
-
-    def phi_grad(self, t, b):
-        return -b * expit(-b * t)
+    # -- conjugates of the smooth losses -------------------------------------
 
     def phi_conj_neg(self, alpha: np.ndarray, b: np.ndarray) -> np.ndarray:
         """phi*(-alpha) for feasible blocks, with 0 log 0 = 0."""
@@ -252,7 +250,7 @@ class DualProblem:
 
     def primal_value(self, x: np.ndarray) -> float:
         z = self._design.margins(x)
-        return float(np.mean(self.phi_value(z, self._design.b))) + self.lam * self.g_value(x)
+        return float(np.mean(logistic_loss(z, self._design.b))) + self.lam * self.g_value(x)
 
     def dual_value(self, alpha: np.ndarray) -> float:
         conj = self.phi_conj_neg(np.asarray(alpha, dtype=np.float64), self._design.b)
@@ -277,10 +275,6 @@ class ProblemConstants:
     @property
     def r(self) -> float:
         return self.r_sq**0.5
-
-    @property
-    def r_bar(self) -> float:
-        return self.r_bar_sq**0.5
 
 
 def power_iteration(

@@ -7,6 +7,7 @@ from scipy import sparse
 
 from ecvr import algorithms as alg
 from ecvr import compressors as comp
+from ecvr import problem as problem_module
 from ecvr.dataset import Dataset, partition
 from ecvr.harness import synth_dataset
 from ecvr.problem import (
@@ -16,9 +17,10 @@ from ecvr.problem import (
     PrimalProblem,
     ProblemConstants,
     compute_constants,
+    logistic_grad,
     prox_elastic_net,
 )
-from ecvr.rng import split_rng
+from ecvr.rng import node_streams, split_rng
 
 
 def rng_for(name: str) -> np.random.Generator:
@@ -339,7 +341,7 @@ class TestEcDual:
         dual = DualProblem(PrimalProblem(ds, part, lam1=0.1, lam2=0.5))
         opt = alg.EcDual(dual, comp.identity(), theta=1.0, seed=59, variant=variant)
         info = opt.step()
-        expected = -dual.phi_grad(float(features.toarray()[:, 0] @ info.x_new), 1.0)
+        expected = -logistic_grad(float(features.toarray()[:, 0] @ info.x_new), 1.0)
         assert opt.alpha[0] == pytest.approx(expected, abs=1e-15)
 
     def test_bits_accounting(self, dual, constants):
@@ -451,6 +453,68 @@ class TestWeightedAverage:
         assert alg.contraction_rate(1.0, 0.04, 0.9, 0.9, 0.9) == pytest.approx(0.04 / 3)
         assert alg.contraction_rate(1.0, 0.04, 0.9, 0.9, 0.9, smooth=True) == pytest.approx(0.02)
         assert alg.contraction_rate(1.0, 10.0, 0.2, 0.4, 0.8) == pytest.approx(0.05)
+
+
+class TestSampling:
+    def test_steps_record_the_replayed_global_draws(self, composite, dual, constants):
+        # Node tau draws its local example from stream ("sample", tau); the
+        # step info records the global index that draw maps to.
+        theta = alg.theoretical_theta(constants, dual.part.m, dual.part.n, dual.lam, dual.gamma, 0.2)
+        part = composite.part
+        for opt in (
+            alg.EcLsvrg(composite, comp.top_k(2), eta=0.2, p=0.1, seed=67),
+            alg.EcDual(dual, comp.top_k(2), theta=theta, seed=67),
+        ):
+            streams = node_streams(67, "sample", part.n)
+            for _ in range(50):
+                expected = [
+                    part.example_index(tau, int(streams[tau].integers(part.m)))
+                    for tau in range(part.n)
+                ]
+                assert opt.step().sampled.tolist() == expected
+
+    @pytest.mark.parametrize("dense", [True, False])
+    @pytest.mark.parametrize("mode", [COMPOSITE, SMOOTH])
+    def test_steps_match_per_node_loops(self, fixture, monkeypatch, dense, mode):
+        # Reference: the per-node loops, each fetching its own column, that
+        # the batched steps replaced. The arithmetic is unchanged, so every
+        # per-node vector must agree bit for bit.
+        if not dense:
+            monkeypatch.setattr(problem_module, "_DENSE_LIMIT", 0)
+        ds, part = fixture
+        primal = PrimalProblem(ds, part, lam1=1e-3 if mode == COMPOSITE else 0.0, lam2=1e-3, mode=mode)
+        design = primal._design
+        assert (design.A_dense is not None) == dense
+
+        def column(j):
+            if dense:
+                return design.A_dense[:, j]
+            return design.A[:, [j]].toarray().ravel()
+
+        opt = alg.EcLsvrg(primal, comp.top_k(2), eta=0.5, p=0.3, seed=71)
+        for _ in range(20):
+            x, w, grad_w, h = opt.x, opt.w, opt.grad_w, opt.h.copy()
+            info = opt.step()
+            for tau, j in enumerate(info.sampled):
+                b = design.b[j]
+                dc = alg._coef(design.col_dot(j, x), b) - alg._coef(design.col_dot(j, w), b)
+                g = dc * column(j) + grad_w[tau] - h[tau]
+                if mode == SMOOTH:
+                    g = g + primal.lam2 * (x - w)
+                assert np.array_equal(g, info.g_nodes[tau])
+        if mode == SMOOTH:
+            return
+        dual = DualProblem(primal)
+        opt = alg.EcDual(dual, comp.top_k(2), theta=0.5 / part.m, seed=71)
+        m, lam = part.m, dual.lam
+        for _ in range(200):
+            alpha, e = opt.alpha.copy(), opt.e
+            info = opt.step()
+            for tau, j in enumerate(info.sampled):
+                col = column(j)
+                da = -opt.theta * m * (alpha[j] + alg._coef(float(col @ info.x_new), design.b[j]))
+                assert da == info.delta_alpha[tau]
+                assert np.array_equal((da / (lam * m)) * col + e[tau], info.t_nodes[tau])
 
 
 class TestDeterminism:

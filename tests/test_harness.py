@@ -153,6 +153,10 @@ class TestRunExperiment:
         assert res.records == []
         assert out.read_text().strip() == ",".join(harness.TRACE_COLUMNS)
 
+    def test_negative_epoch_budget_is_rejected(self):
+        with pytest.raises(ValueError, match="epochs"):
+            harness.run_experiment(base_config(epochs=-1))
+
     def test_trace_roundtrip_csv_and_json(self, tmp_path):
         out_csv = tmp_path / "t.csv"
         out_json = tmp_path / "t.json"
@@ -397,6 +401,15 @@ class TestCli:
             ("--synth", "60,12"),
             ("--synth", "60,12,2"),
             ("--synth", "0,12,0.5"),
+            ("--compressor", "top_k:x"),
+            ("--compressor", "bogus"),
+            ("--compressor-q1", "rand_k:0"),
+            ("--n", "0"),
+            ("--p", "0"),
+            ("--p", "1.5"),
+            ("--cadence", "0"),
+            ("--epochs", "-1"),
+            ("--epochs", "nan"),
         ],
     )
     def test_bad_value_names_the_argument(self, capsys, flag, value):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 
+from ecvr import problem as problem_module
 from ecvr.dataset import Dataset, partition
 from ecvr.harness import synth_dataset
 from ecvr.problem import (
@@ -14,6 +15,8 @@ from ecvr.problem import (
     PowerIterationError,
     PrimalProblem,
     compute_constants,
+    logistic_grad,
+    logistic_loss,
     power_iteration,
     prox_elastic_net,
     soft_threshold,
@@ -50,12 +53,27 @@ def dual(composite):
 
 def loss_fi(problem, x, tau, i):
     j = problem.part.example_index(tau, i)
-    a = problem._design.column(j)
+    a = problem._design.columns([j])[0]
     b = problem._design.b[j]
     val = math.log1p(math.exp(-b * float(a @ x)))
     if problem.mode == SMOOTH:
         val += 0.5 * problem.lam2 * float(x @ x)
     return val
+
+
+class TestDesign:
+    @pytest.mark.parametrize("dense", [True, False])
+    def test_columns_gather_examples_in_order(self, small, monkeypatch, dense):
+        ds, part = small
+        if not dense:
+            monkeypatch.setattr(problem_module, "_DENSE_LIMIT", 0)
+        design = PrimalProblem(ds, part, lam1=0.0, lam2=1e-2)._design
+        assert (design.A_dense is not None) == dense
+        full = design.A.toarray()
+        for J in ([7, 0, 33, 12], [5, 5, 2, 5], [39]):
+            got = design.columns(np.array(J))
+            assert got.shape == (len(J), design.d)
+            assert np.array_equal(got, full[:, J].T)
 
 
 class TestGradients:
@@ -81,7 +99,7 @@ class TestGradients:
         x = np.zeros(composite.d)
         for tau, i in [(0, 0), (2, 3)]:
             j = composite.part.example_index(tau, i)
-            a = composite._design.column(j)
+            a = composite._design.columns([j])[0]
             b = composite._design.b[j]
             assert np.allclose(composite.grad_fi(x, tau, i), -b * a / 2.0)
 
@@ -186,18 +204,18 @@ class TestProx:
 
 
 class TestDual:
-    def test_phi_grad_values(self, dual):
-        assert dual.phi_grad(0.0, 1.0) == pytest.approx(-0.5)
-        assert dual.phi_grad(80.0, 1.0) == pytest.approx(0.0, abs=1e-30)
-        assert dual.phi_grad(0.0, -1.0) == pytest.approx(0.5)
+    def test_phi_grad_values(self):
+        assert logistic_grad(0.0, 1.0) == pytest.approx(-0.5)
+        assert logistic_grad(80.0, 1.0) == pytest.approx(0.0, abs=1e-30)
+        assert logistic_grad(0.0, -1.0) == pytest.approx(0.5)
 
-    def test_phi_grad_finite_difference(self, dual):
+    def test_phi_grad_finite_difference(self):
         rng = rng_for("phifd")
         for _ in range(40):
             t = float(rng.uniform(-4, 4))
             b = float(rng.choice([-1.0, 1.0]))
-            fd = (dual.phi_value(t + 1e-6, b) - dual.phi_value(t - 1e-6, b)) / 2e-6
-            assert dual.phi_grad(t, b) == pytest.approx(fd, abs=1e-8)
+            fd = (logistic_loss(t + 1e-6, b) - logistic_loss(t - 1e-6, b)) / 2e-6
+            assert logistic_grad(t, b) == pytest.approx(fd, abs=1e-8)
 
     def test_phi_conjugate_against_grid_oracle(self, dual):
         # phi*(v) = sup_a (v a - phi(a)), scanned densely.
@@ -215,9 +233,9 @@ class TestDual:
         for _ in range(40):
             t = float(rng.uniform(-6, 6))
             b = float(rng.choice([-1.0, 1.0]))
-            v = dual.phi_grad(t, b)
+            v = logistic_grad(t, b)
             conj = dual.phi_conj_neg(np.array([-v]), np.array([b]))[0]
-            assert dual.phi_value(t, b) + conj - v * t == pytest.approx(0.0, abs=1e-10)
+            assert logistic_loss(t, b) + conj - v * t == pytest.approx(0.0, abs=1e-10)
 
     def test_gstar_grad_values(self, dual, small):
         ds, part = small
