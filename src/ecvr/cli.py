@@ -6,14 +6,14 @@ import argparse
 import math
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
 from . import algorithms as alg
 from . import compressors as comp
 from . import harness
-from .dataset import partition
-from .problem import COMPOSITE, SMOOTH, DualProblem, PrimalProblem, compute_constants
+from .problem import COMPOSITE, SMOOTH
 from .rng import split_rng
 
 
@@ -24,12 +24,14 @@ def _add_data_args(parser: argparse.ArgumentParser) -> None:
         type=_synth,
         help="synthetic data as N,d,sparsity (default 200,50,0.3 when --data absent)",
     )
-    parser.add_argument("--synth-scale", type=float, default=1.0, help="column norm of synthetic examples")
+    parser.add_argument(
+        "--synth-scale", type=_positive, default=1.0, help="column norm of synthetic examples"
+    )
     parser.add_argument("--n", type=_positive_int, default=4, help="number of simulated nodes")
     parser.add_argument("--normalize", action="store_true", help="scale examples to unit norm")
     parser.add_argument("--shuffle-seed", type=int, default=None, help="shuffle examples before partitioning")
-    parser.add_argument("--lambda1", type=float, default=1e-3)
-    parser.add_argument("--lambda2", type=float, default=1e-3)
+    parser.add_argument("--lambda1", type=_nonnegative, default=1e-3)
+    parser.add_argument("--lambda2", type=_nonnegative, default=1e-3)
     parser.add_argument("--mode", choices=[COMPOSITE, SMOOTH], default=COMPOSITE)
     parser.add_argument("--seed", type=int, default=0, help="master seed (ECVR_SEED overrides)")
 
@@ -71,7 +73,14 @@ _eta = _checked(
 _compressor = _checked(str, comp.parse_spec, "a compressor such as top_k:1, rand_k:5, dither or natural")
 _positive_int = _checked(int, lambda v: v >= 1, "an integer >= 1")
 _probability = _checked(float, lambda v: 0 < v <= 1, "a number in (0, 1]")
-_epochs = _checked(float, lambda v: 0 <= v < math.inf, "a nonnegative finite number")
+_nonnegative = _checked(float, lambda v: 0 <= v < math.inf, "a nonnegative finite number")
+_positive = _checked(float, lambda v: 0 < v < math.inf, "a positive finite number")
+_finite = _checked(float, math.isfinite, "a finite number")
+
+
+def _flag(field: str) -> str:
+    """The command-line flag that sets ``RunConfig`` field ``field``."""
+    return "--tol" if field == "reference_tol" else "--" + field.replace("_", "-")
 
 
 def _resolve_seed(args) -> int:
@@ -183,18 +192,21 @@ def cmd_verify(args) -> int:
                 f" -> {'ok' if rep.passed else 'FAIL'}"
             )
     elif args.what == "invariants":
-        ds = harness.synth_dataset(80, 20, 0.4, seed, scale=0.5)
-        part = partition(ds, 4)
-        primal = PrimalProblem(ds, part, lam1=1e-3, lam2=1e-3, mode=COMPOSITE)
+        setup = harness.build_setup(
+            harness.RunConfig(
+                algo="ec_quartz", synth=(80, 20, 0.4), synth_scale=0.5, n=4, seed=seed
+            )
+        )
+        primal, dual = setup.primal, setup.dual
         opt = alg.EcLsvrg(
             primal, comp.top_k(1), comp.top_k(1), eta=0.05, p=0.05, seed=seed
         )
         for _ in range(200):
             opt.step()
         print("ec_lsvrg: 200 steps, per-step identities held")
-        dual = DualProblem(primal)
-        c = compute_constants(primal)
-        theta = alg.theoretical_theta(c, part.m, part.n, dual.lam, dual.gamma, 0.05)
+        theta = alg.theoretical_theta(
+            setup.constants, primal.m, primal.n, dual.lam, dual.gamma, 0.05
+        )
         dopt = alg.EcDual(dual, comp.top_k(1), theta=theta, seed=seed)
         for _ in range(200):
             dopt.step()
@@ -206,12 +218,11 @@ def cmd_verify(args) -> int:
 
 
 def cmd_reference(args) -> int:
-    config = _config_from_args(args)
-    ds = harness.load_dataset(config)
-    part = partition(ds, config.n)
-    primal = PrimalProblem(ds, part, lam1=config.lambda1, lam2=config.lambda2, mode=config.mode)
-    x_star, p_star = harness.solve_reference(primal, compute_constants(primal), tol=args.tol)
-    print(f"P* = {p_star!r}  (||x*|| = {np.linalg.norm(x_star):.6f}, d = {primal.d})")
+    setup = harness.build_setup(replace(_config_from_args(args), reference_tol=args.tol))
+    print(
+        f"P* = {setup.p_star!r}  (||x*|| = {np.linalg.norm(setup.x_star):.6f},"
+        f" d = {setup.primal.d})"
+    )
     return 0
 
 
@@ -230,15 +241,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument("--compressor-q1", dest="compressor_q1", type=_compressor, default=None)
     run.add_argument("--eta", type=_eta, default="theory", help="step size or 'theory'")
-    run.add_argument("--theta", type=float, default=None, help="dual step parameter (default: theory)")
+    run.add_argument(
+        "--theta", type=_probability, default=None, help="dual step parameter (default: theory)"
+    )
     run.add_argument(
         "--p", type=_probability, default=None, help="reference refresh probability (default: delta)"
     )
-    run.add_argument("--epochs", type=_epochs, default=10.0)
+    run.add_argument("--epochs", type=_nonnegative, default=10.0)
     run.add_argument("--cadence", type=_positive_int, default=None, help="steps between records")
-    run.add_argument("--gap-target", type=float, default=None)
+    run.add_argument("--gap-target", type=_finite, default=None)
     run.add_argument("--out", default=None, help="CSV trace path (JSON written alongside)")
-    run.set_defaults(func=cmd_run)
+    run.set_defaults(func=cmd_run, parser=run)
 
     verify = sub.add_parser("verify", help="run statistical/invariant verifiers")
     verify.add_argument("what", choices=["compressors", "eso", "invariants"])
@@ -246,18 +259,22 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--trials", type=int, default=10_000)
     verify.add_argument("--instances", type=int, default=20)
     verify.add_argument("--seed", type=int, default=0)
-    verify.set_defaults(func=cmd_verify)
+    verify.set_defaults(func=cmd_verify, parser=verify)
 
     ref = sub.add_parser("reference", help="solve the problem to high accuracy")
     _add_data_args(ref)
-    ref.add_argument("--tol", type=float, default=1e-10)
-    ref.set_defaults(func=cmd_reference)
+    ref.add_argument("--tol", type=_positive, default=1e-10)
+    ref.set_defaults(func=cmd_reference, parser=ref)
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except harness.ConfigError as err:
+        # A value only the data can check: reported like argparse's own errors.
+        args.parser.error(f"argument {_flag(err.field)}: {err}")
 
 
 if __name__ == "__main__":

@@ -6,6 +6,7 @@ import csv
 import json
 import math
 import time
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, replace
 from typing import Optional
 
@@ -25,6 +26,23 @@ from .problem import (
     compute_constants,
 )
 from .rng import split_rng
+
+
+class ConfigError(ValueError):
+    """A ``RunConfig`` value that does not fit the problem; ``field`` names it."""
+
+    def __init__(self, field: str, message: str):
+        super().__init__(message)
+        self.field = field
+
+
+@contextmanager
+def _blame(field: str):
+    """Re-raise a ValueError or OSError from the block as a ConfigError on ``field``."""
+    try:
+        yield
+    except (ValueError, OSError) as err:
+        raise ConfigError(field, str(err)) from err
 
 
 class ConvergenceError(RuntimeError):
@@ -265,7 +283,6 @@ class RunResult:
     best_gap: float
     final_gap: float
     bits_to_target: Optional[float]
-    target: Optional[float]
     steps: int
     design: str  # "dense" or "sparse": the _Design path the run took
     partition: Partition
@@ -276,9 +293,10 @@ class RunResult:
 
 def load_dataset(config: RunConfig) -> Dataset:
     if (config.data is None) == (config.synth is None):
-        raise ValueError("exactly one of data path or synth spec must be set")
+        raise ConfigError("data", "exactly one of data path or synth spec must be set")
     if config.data is not None:
-        ds = parse_libsvm(config.data)
+        with _blame("data"):
+            ds = parse_libsvm(config.data)
     else:
         N, d, sparsity = config.synth
         ds = synth_dataset(int(N), int(d), float(sparsity), config.seed, scale=config.synth_scale)
@@ -289,23 +307,57 @@ def load_dataset(config: RunConfig) -> Dataset:
     return ds
 
 
-def build_optimizer(
-    config: RunConfig,
-    primal: PrimalProblem,
-    dual: Optional[DualProblem],
-    constants: ProblemConstants,
-):
+@dataclass(frozen=True)
+class Setup:
+    """The problem a ``RunConfig`` describes, built once and shared by its runs."""
+
+    primal: PrimalProblem
+    dual: Optional[DualProblem]  # set only for dual algorithms
+    constants: ProblemConstants
+    x_star: np.ndarray
+    p_star: float
+
+
+def build_setup(config: RunConfig) -> Setup:
+    """Load the data; build the problem, its constants and its reference optimum.
+
+    Dual algorithms always solve the composite problem. A value that does
+    not fit the data raises ``ConfigError`` naming its field.
+    """
+    ds = load_dataset(config)
+    with _blame("n"):
+        part = partition(ds, config.n)
+    dual_run = config.algo in DUAL_ALGOS
+    mode = COMPOSITE if dual_run else config.mode
+    # PrimalProblem rejects a negative weight, and lam1 != 0 in smooth mode.
+    with _blame("lambda2" if config.lambda2 < 0 else "lambda1"):
+        primal = PrimalProblem(ds, part, lam1=config.lambda1, lam2=config.lambda2, mode=mode)
+    with _blame("lambda2"):
+        dual = DualProblem(primal) if dual_run else None
+    constants = compute_constants(primal)
+    with _blame("reference_tol"):
+        x_star, p_star = solve_reference(primal, constants, tol=config.reference_tol)
+    return Setup(primal, dual, constants, x_star, p_star)
+
+
+def build_optimizer(config: RunConfig, setup: Setup):
     """Construct the configured optimizer with resolved eta/theta/p."""
-    spec = comp.parse_spec(config.compressor)
-    q1 = comp.parse_spec(config.compressor_q1 or config.compressor)
+    primal, constants = setup.primal, setup.constants
     d = primal.d
-    delta = comp.delta_of(spec, d)
+    with _blame("compressor"):
+        spec = comp.parse_spec(config.compressor)
+        delta = comp.delta_of(spec, d)
+    with _blame("compressor_q1"):
+        q1 = comp.parse_spec(config.compressor_q1 or config.compressor)
+        comp.validate_for_dimension(q1, d)
     p = config.p if config.p is not None else delta
     algo = config.algo
     if algo in PRIMAL_ALGOS:
         if config.eta == "theory":
             regime = SMOOTH if primal.mode == SMOOTH else COMPOSITE
-            eta = alg.theoretical_eta(constants, primal.n, delta, comp.delta_of(q1, d), p, regime)
+            with _blame("compressor_q1"):
+                delta1 = comp.delta_of(q1, d)
+            eta = alg.theoretical_eta(constants, primal.n, delta, delta1, p, regime)
         else:
             eta = float(config.eta)
     if algo == "ec_lsvrg":
@@ -315,7 +367,7 @@ def build_optimizer(
     if algo == "ec_gd":
         return alg.EcGd(primal, spec, eta=eta, seed=config.seed), eta, None
     if algo in DUAL_ALGOS:
-        assert dual is not None
+        dual = setup.dual
         variant = alg.QUARTZ if "quartz" in algo else alg.SDCA
         if config.theta is not None:
             theta = config.theta
@@ -323,35 +375,31 @@ def build_optimizer(
             theta = alg.theoretical_theta(
                 constants, primal.m, primal.n, dual.lam, dual.gamma, delta
             )
-        if algo in ("quartz", "sdca"):
-            opt = alg.VanillaDual(dual, theta=theta, seed=config.seed, variant=variant)
-        else:
-            opt = alg.EcDual(dual, spec, theta=theta, seed=config.seed, variant=variant)
+        with _blame("theta"):
+            if algo in ("quartz", "sdca"):
+                opt = alg.VanillaDual(dual, theta=theta, seed=config.seed, variant=variant)
+            else:
+                opt = alg.EcDual(dual, spec, theta=theta, seed=config.seed, variant=variant)
         return opt, None, theta
-    raise ValueError(f"unknown algorithm {algo!r}; expected one of {ALGOS}")
+    raise ConfigError("algo", f"unknown algorithm {algo!r}; expected one of {ALGOS}")
 
 
-def run_experiment(config: RunConfig, reference: Optional[tuple[np.ndarray, float]] = None) -> RunResult:
-    """Run one trial, recording the trace at the configured cadence.
+def run_experiment(config: RunConfig) -> RunResult:
+    """Build the configured problem and run one trial on it."""
+    return _run(config, build_setup(config))
 
-    ``reference`` may carry a precomputed (x_star, p_star) pair to avoid
-    re-solving when sweeping configurations on the same problem.
+
+def _run(config: RunConfig, setup: Setup) -> RunResult:
+    """Run one trial on ``setup``, recording the trace at the configured cadence.
+
+    ``setup`` must be ``build_setup`` of a config that differs from
+    ``config`` at most in the step size, the budget and the output paths.
     """
     if config.epochs < 0:
-        raise ValueError(f"epochs must be >= 0, got {config.epochs}")
-    ds = load_dataset(config)
-    part = partition(ds, config.n)
-    dual_run = config.algo in DUAL_ALGOS
-    mode = COMPOSITE if dual_run else config.mode
-    primal = PrimalProblem(ds, part, lam1=config.lambda1, lam2=config.lambda2, mode=mode)
-    dual = DualProblem(primal) if dual_run else None
-    constants = compute_constants(primal)
-    if reference is None:
-        _, p_star = solve_reference(primal, constants, tol=config.reference_tol)
-    else:
-        p_star = reference[1]
-
-    opt, eta, theta = build_optimizer(config, primal, dual, constants)
+        raise ConfigError("epochs", f"epochs must be >= 0, got {config.epochs}")
+    primal, dual, p_star = setup.primal, setup.dual, setup.p_star
+    part = primal.part
+    opt, eta, theta = build_optimizer(config, setup)
     N = part.retained
     if opt.passes_per_step_factor == "full_pass":
         epoch_per_step = 1.0
@@ -361,7 +409,7 @@ def run_experiment(config: RunConfig, reference: Optional[tuple[np.ndarray, floa
         default_cadence = part.m
     cadence = config.cadence if config.cadence is not None else default_cadence
     if cadence < 1:
-        raise ValueError("cadence must be >= 1")
+        raise ConfigError("cadence", "cadence must be >= 1")
     total_steps = int(math.ceil(config.epochs / epoch_per_step - 1e-12))
 
     records: list[TrialRecord] = []
@@ -372,7 +420,7 @@ def run_experiment(config: RunConfig, reference: Optional[tuple[np.ndarray, floa
     def record_now() -> TrialRecord:
         gap = primal.primal_value(opt.x) - p_star
         dual_gap = None
-        if dual_run:
+        if dual is not None:
             dual_gap = dual.duality_gap(opt.x, opt.alpha)
             if dual_gap < -1e-10:
                 raise alg.InvariantError(
@@ -395,7 +443,7 @@ def run_experiment(config: RunConfig, reference: Optional[tuple[np.ndarray, floa
                 rec = record_now()
                 records.append(rec)
                 best_gap = min(best_gap, rec.primal_gap)
-                watched = rec.dual_gap if dual_run else rec.primal_gap
+                watched = rec.primal_gap if dual is None else rec.dual_gap
                 if bits_to_target is None and config.gap_target is not None:
                     if watched <= config.gap_target:
                         bits_to_target = rec.bits
@@ -410,7 +458,6 @@ def run_experiment(config: RunConfig, reference: Optional[tuple[np.ndarray, floa
         best_gap=best_gap if records else math.inf,
         final_gap=final_gap,
         bits_to_target=bits_to_target,
-        target=config.gap_target,
         steps=opt.k,
         design="dense" if primal._design.A_dense is not None else "sparse",
         partition=part,
@@ -501,12 +548,13 @@ def grid_search_eta(
     epochs: Optional[float] = None,
     gap_target: Optional[float] = None,
     candidates: Optional[list[float]] = None,
-    reference: Optional[tuple[np.ndarray, float]] = None,
 ) -> tuple[float, dict[float, Optional[RunResult]]]:
     """Run every candidate step size and return the one with the best final gap.
 
-    Diverging candidates (NaN/Inf aborts) are recorded as None.
+    The candidates share one ``build_setup(base)``. Diverging candidates
+    (NaN/Inf aborts) are recorded as None.
     """
+    setup = build_setup(base)
     results: dict[float, Optional[RunResult]] = {}
     best_eta, best = None, math.inf
     for eta in candidates if candidates is not None else eta_grid():
@@ -519,7 +567,7 @@ def grid_search_eta(
             out_json=None,
         )
         try:
-            res = run_experiment(cfg, reference=reference)
+            res = _run(cfg, setup)
         except alg.NumericalError:
             results[eta] = None
             continue

@@ -1,9 +1,9 @@
-"""Session-wide fixtures: the shared synthetic benchmark and its reference solution."""
+"""Session-wide fixtures: the shared synthetic benchmark problem and its constants."""
 
 import pytest
 
 from ecvr.dataset import partition
-from ecvr.harness import solve_reference, synth_dataset
+from ecvr.harness import synth_dataset
 from ecvr.problem import COMPOSITE, DualProblem, PrimalProblem, compute_constants
 
 # One master seed drives the benchmark data and every optimizer stream.
@@ -36,8 +36,3 @@ def bench_dual(bench_primal):
 @pytest.fixture(scope="session")
 def bench_constants(bench_primal):
     return compute_constants(bench_primal)
-
-
-@pytest.fixture(scope="session")
-def bench_reference(bench_primal, bench_constants):
-    return solve_reference(bench_primal, bench_constants, tol=1e-12)

@@ -44,16 +44,12 @@ def bench_config(**kw) -> harness.RunConfig:
 
 
 @pytest.fixture(scope="module")
-def lsvrg_best_run(bench_reference):
+def lsvrg_best_run():
     """Criterion 5's grid-searched run, shared with criterion 6."""
     base = bench_config(algo="ec_lsvrg", compressor="top_k:1", epochs=500)
     started = time.perf_counter()
-    best_eta, _ = harness.grid_search_eta(
-        base, epochs=60, gap_target=1e-8, reference=bench_reference
-    )
-    final = harness.run_experiment(
-        replace(base, eta=best_eta, gap_target=1e-8), reference=bench_reference
-    )
+    best_eta, _ = harness.grid_search_eta(base, epochs=60, gap_target=1e-8)
+    final = harness.run_experiment(replace(base, eta=best_eta, gap_target=1e-8))
     elapsed = time.perf_counter() - started
     return best_eta, final, elapsed
 
@@ -151,9 +147,9 @@ def test_c05_linear_convergence_composite(lsvrg_best_run):
     )
 
 
-def test_c06_ecgd_bias_floor(bench_reference, lsvrg_best_run):
+def test_c06_ecgd_bias_floor(lsvrg_best_run):
     base = bench_config(algo="ec_gd", compressor="top_k:1", epochs=500)
-    best_eta, results = harness.grid_search_eta(base, reference=bench_reference)
+    best_eta, results = harness.grid_search_eta(base)
     run = results[best_eta]
     final_epoch = run.records[-1].epoch
     tail = [r.primal_gap for r in run.records if r.epoch > final_epoch - 100]
@@ -166,12 +162,12 @@ def test_c06_ecgd_bias_floor(bench_reference, lsvrg_best_run):
     )
 
 
-def test_c07_dual_methods_converge(bench_reference):
+def test_c07_dual_methods_converge():
     ok = True
     details = []
     for algo in ("ec_sdca", "ec_quartz"):
         cfg = bench_config(algo=algo, compressor="top_k:1", epochs=2000, gap_target=1e-6)
-        run = harness.run_experiment(cfg, reference=bench_reference)
+        run = harness.run_experiment(cfg)
         gaps = [r.dual_gap for r in run.records]
         ok &= run.records[-1].dual_gap <= 1e-6
         ok &= min(gaps) >= -1e-10
@@ -265,7 +261,7 @@ def test_c10_gradient_correctness(bench_primal, bench_dual):
     assert _report(10, "gradient and conjugate identities", ok, "100 random points")
 
 
-def test_c11_determinism(tmp_path, bench_reference):
+def test_c11_determinism(tmp_path):
     def canonical(path):
         lines = path.read_text().strip().splitlines()
         return "\n".join(",".join(line.split(",")[:-1]) for line in lines)
@@ -278,7 +274,7 @@ def test_c11_determinism(tmp_path, bench_reference):
             cfg = bench_config(
                 algo=algo, compressor=compressor, eta=1.0, epochs=20, out_csv=str(out)
             )
-            harness.run_experiment(cfg, reference=bench_reference)
+            harness.run_experiment(cfg)
             outs.append(out)
         same = canonical(outs[0]) == canonical(outs[1])
         ok &= same and len(canonical(outs[0])) > 0

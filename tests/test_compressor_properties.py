@@ -3,6 +3,8 @@
 Hypothesis runs derandomized, so every run draws the same examples.
 """
 
+import math
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -71,3 +73,20 @@ def test_top_k_contracts_every_row(case):
     lhs = np.sum((x - y) ** 2, axis=1)
     total = np.sum(x**2, axis=1)
     assert np.all(lhs <= (1 - spec.k / d) * total + 1e-12 * total)
+
+
+@PROPERTY
+@given(spec_texts())
+def test_bit_cost_follows_transmitted_coords(case):
+    text, d = case
+    spec = comp.parse_spec(text)
+    kept = comp.transmitted_coords(spec, d)
+    index_bits = math.ceil(math.log2(d))
+    cost = comp.bit_cost(spec, d)
+    if spec.kind in (comp.TOP_K, comp.RAND_K, comp.RAND_K_UNBIASED):
+        assert cost == kept * (64 + index_bits)
+    elif spec.kind == comp.COMPOSE:
+        indices = kept * index_bits if kept < d else 0
+        assert cost == comp.bit_cost(spec.unbiased, kept) + indices
+    else:
+        assert text in PLAIN_NAMES and kept == d

@@ -182,24 +182,20 @@ class TestRunExperiment:
 
     @pytest.mark.parametrize("algo", ["ec_lsvrg", "ec_quartz"])
     def test_one_problem_setup_per_run(self, monkeypatch, algo):
-        constants_calls, problems = [], []
-        real_constants, real_build = harness.compute_constants, harness.build_optimizer
+        calls = count_setup_calls(monkeypatch)
+        setups = []
+        real_build = harness.build_optimizer
 
-        def counting_constants(problem):
-            constants_calls.append(problem)
-            return real_constants(problem)
+        def capturing_build(config, setup):
+            setups.append(setup)
+            return real_build(config, setup)
 
-        def capturing_build(config, primal, dual, constants):
-            problems.append((primal, dual))
-            return real_build(config, primal, dual, constants)
-
-        monkeypatch.setattr(harness, "compute_constants", counting_constants)
         monkeypatch.setattr(harness, "build_optimizer", capturing_build)
         harness.run_experiment(base_config(algo=algo, epochs=1))
-        assert len(constants_calls) == 1
-        [(primal, dual)] = problems
-        assert (dual is None) == (algo == "ec_lsvrg")
-        assert dual is None or dual._design is primal._design
+        assert len(calls["compute_constants"]) == len(calls["solve_reference"]) == 1
+        [setup] = setups
+        assert (setup.dual is None) == (algo == "ec_lsvrg")
+        assert setup.dual is None or setup.dual._design is setup.primal._design
 
     def test_bits_column_is_analytic_and_monotone(self):
         from ecvr import compressors as comp
@@ -278,6 +274,20 @@ class TestDesignPaths:
                 assert (x is None and y is None) or x == pytest.approx(y, rel=1e-12, abs=0.0)
 
 
+def count_setup_calls(monkeypatch) -> dict[str, list]:
+    """Record every call harness makes to its data, constants and reference steps."""
+    calls = {}
+    for name in ("load_dataset", "compute_constants", "solve_reference"):
+        real, calls[name] = getattr(harness, name), []
+
+        def counting(*args, _real=real, _seen=calls[name], **kw):
+            _seen.append(args)
+            return _real(*args, **kw)
+
+        monkeypatch.setattr(harness, name, counting)
+    return calls
+
+
 class TestGridSearch:
     def test_grid_values(self):
         grid = harness.eta_grid()
@@ -291,6 +301,16 @@ class TestGridSearch:
         )
         assert best in (0.3, 1.0)
         assert results[1e-4].final_gap >= results[best].final_gap
+
+    def test_candidates_share_one_setup(self, monkeypatch):
+        calls = count_setup_calls(monkeypatch)
+        _, results = harness.grid_search_eta(base_config(epochs=1), candidates=[0.1, 0.3, 1.0])
+        assert len(results) == 3
+        assert {name: len(seen) for name, seen in calls.items()} == {
+            "load_dataset": 1,
+            "compute_constants": 1,
+            "solve_reference": 1,
+        }
 
 
 class TestDeterminism:
@@ -410,13 +430,54 @@ class TestCli:
             ("--cadence", "0"),
             ("--epochs", "-1"),
             ("--epochs", "nan"),
+            ("--synth-scale", "0"),
+            ("--synth-scale", "inf"),
+            ("--lambda1", "-1"),
+            ("--lambda2", "nan"),
+            ("--theta", "0"),
+            ("--theta", "5"),
+            ("--gap-target", "nan"),
+            ("--tol", "0"),
+            ("--tol", "inf"),
         ],
     )
     def test_bad_value_names_the_argument(self, capsys, flag, value):
+        argv = ["reference", flag, value] if flag == "--tol" else ["run", flag, value, "--epochs", "0"]
         with pytest.raises(SystemExit) as exit_info:
-            cli.main(["run", flag, value, "--epochs", "0"])
+            cli.main(argv)
         assert exit_info.value.code == 2
         assert f"argument {flag}: expects" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["run", "--compressor", "top_k:100"], "--compressor"),
+            (["run", "--compressor-q1", "top_k:51"], "--compressor-q1"),
+            (["run", "--n", "500"], "--n"),
+            (["reference", "--n", "201"], "--n"),
+            (["run", "--algo", "ec_quartz", "--theta", "0.5"], "--theta"),
+            (["run", "--algo", "ec_sdca", "--lambda2", "0"], "--lambda2"),
+            (["run", "--mode", "smooth"], "--lambda1"),
+            (["run", "--data", "{missing}"], "--data"),
+            (["run", "--data", "{malformed}"], "--data"),
+            (["reference", "--data", "{malformed}"], "--data"),
+        ],
+    )
+    def test_value_that_does_not_fit_the_data_names_the_argument(
+        self, tmp_path, capsys, argv, flag
+    ):
+        # The default data is 200 examples of dimension 50 on 4 nodes.
+        (tmp_path / "bad.libsvm").write_text("+1 1:0.5\nyes 2:1\n")
+        paths = {"missing": tmp_path / "absent.libsvm", "malformed": tmp_path / "bad.libsvm"}
+        argv = [arg.format(**paths) for arg in argv]
+        if argv[0] == "run":
+            argv += ["--epochs", "0"]
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(argv)
+        err = capsys.readouterr().err
+        assert exit_info.value.code == 2
+        assert f"argument {flag}: " in err
+        assert "Traceback" not in err
 
     def test_reference_command(self, capsys):
         code = cli.main(["reference", "--synth", "60,12,0.4", "--tol", "1e-8"])
