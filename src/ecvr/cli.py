@@ -80,7 +80,8 @@ _finite = _checked(float, math.isfinite, "a finite number")
 
 def _flag(field: str) -> str:
     """The command-line flag that sets ``RunConfig`` field ``field``."""
-    return "--tol" if field == "reference_tol" else "--" + field.replace("_", "-")
+    renamed = {"reference_tol": "--tol", "out_csv": "--out"}
+    return renamed.get(field, "--" + field.replace("_", "-"))
 
 
 def _resolve_seed(args) -> int:

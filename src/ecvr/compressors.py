@@ -287,9 +287,7 @@ def _apply(spec: CompressorSpec, x: np.ndarray, rngs: Rngs) -> np.ndarray:
     if spec.kind == IDENTITY:
         return x.copy()
     if spec.kind in _K_KINDS:
-        kept = _kept(spec, x, rngs)
-        out = np.zeros_like(x)
-        np.put_along_axis(out, kept, np.take_along_axis(x, kept, axis=1), axis=1)
+        out = np.where(_kept(spec, x, rngs), x, 0.0)
         if spec.kind == RAND_K_UNBIASED:
             out *= d / spec.k
         return out
@@ -300,29 +298,42 @@ def _apply(spec: CompressorSpec, x: np.ndarray, rngs: Rngs) -> np.ndarray:
     if spec.kind == SCALED:
         return _apply(spec.inner, x, rngs) / (omega_of(spec.inner, d) + 1.0)
     if spec.kind == COMPOSE:
-        kept = _kept(spec.contraction, x, rngs)
-        fine = _apply(spec.unbiased, np.take_along_axis(x, kept, axis=1), rngs)
-        fine /= omega_of(spec.unbiased, kept.shape[1]) + 1.0
+        # Boolean indexing walks the mask row by row in index order, so the
+        # unbiased stage sees each row's kept coordinates in ascending order.
+        keep = _kept(spec.contraction, x, rngs)
+        k = transmitted_coords(spec.contraction, d)
+        fine = _apply(spec.unbiased, x[keep].reshape(rows, k), rngs)
+        fine /= omega_of(spec.unbiased, k) + 1.0
         out = np.zeros_like(x)
-        np.put_along_axis(out, kept, fine, axis=1)
+        out[keep] = fine.ravel()
         return out
     raise ValueError(f"unknown spec kind {spec.kind!r}")
 
 
 def _kept(spec: CompressorSpec, x: np.ndarray, rngs: Rngs) -> np.ndarray:
-    """Indices a sparsifier keeps in each row, sorted within the row.
+    """The (rows, d) boolean mask of the coordinates a sparsifier keeps.
 
-    The transmitted support includes kept-but-zero coordinates, so it cannot
-    be recovered from the output alone.
+    Each row keeps the k coordinates of largest score: the magnitude for
+    top-k, minus a uniform draw for rand-k. A tie at the threshold goes to
+    the lowest index. Rows must be finite. The transmitted support includes
+    kept-but-zero coordinates, so it cannot be recovered from the output
+    alone.
     """
     rows, d = x.shape
     if spec.kind == IDENTITY:
-        return np.broadcast_to(np.arange(d), (rows, d))
-    if spec.kind == TOP_K:
-        order = np.argsort(-np.abs(x), axis=1, kind="stable")
-    else:
-        order = _uniform(rngs, rows, d).argsort(axis=1)
-    return np.sort(order[:, : spec.k], axis=1)
+        return np.ones((rows, d), dtype=bool)
+    score = np.abs(x) if spec.kind == TOP_K else -_uniform(rngs, rows, d)
+    k = spec.k
+    kth = np.partition(score, d - k, axis=1)[:, d - k, None]
+    keep = score >= kth
+    crowded = keep.sum(axis=1) > k  # more ties at the threshold than free slots
+    if crowded.any():
+        s, t = score[crowded], kth[crowded]
+        above = s > t
+        tie = s == t
+        free = k - above.sum(axis=1, keepdims=True)
+        keep[crowded] = above | (tie & (np.cumsum(tie, axis=1) <= free))
+    return keep
 
 
 def _uniform(rngs: Rngs, rows: int, d: int) -> np.ndarray:

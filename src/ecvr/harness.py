@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
 import time
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, replace
@@ -385,7 +386,14 @@ def build_optimizer(config: RunConfig, setup: Setup):
 
 
 def run_experiment(config: RunConfig) -> RunResult:
-    """Build the configured problem and run one trial on it."""
+    """Build the configured problem and run one trial on it.
+
+    An output path into a missing directory is rejected before any work.
+    """
+    for name in ("out_csv", "out_json"):
+        folder = os.path.dirname(getattr(config, name) or "")
+        if folder and not os.path.isdir(folder):
+            raise ConfigError(name, f"directory {folder!r} does not exist")
     return _run(config, build_setup(config))
 
 

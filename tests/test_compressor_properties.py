@@ -90,3 +90,59 @@ def test_bit_cost_follows_transmitted_coords(case):
         assert cost == comp.bit_cost(spec.unbiased, kept) + indices
     else:
         assert text in PLAIN_NAMES and kept == d
+
+
+def _argsort_apply(spec, x, seeds):
+    """Reference sparsifier: keep the first k of a stable argsort of each row.
+
+    Top-k sorts by decreasing magnitude and rand-k by increasing uniform, so a
+    tie goes to the lowest index; each row's support is applied in sorted
+    order. Row r draws from ``default_rng(seeds[r])``.
+    """
+    rows, d = x.shape
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    sparsifier = spec.contraction if spec.kind == comp.COMPOSE else spec
+    k = sparsifier.k
+    if sparsifier.kind == comp.TOP_K:
+        order = np.argsort(-np.abs(x), axis=1, kind="stable")
+    else:
+        order = np.stack([g.random(d) for g in rngs]).argsort(axis=1, kind="stable")
+    kept = np.sort(order[:, :k], axis=1)
+    values = np.take_along_axis(x, kept, axis=1)
+    if spec.kind == comp.COMPOSE:
+        values = comp._apply(spec.unbiased, values, rngs) / (comp.omega_of(spec.unbiased, k) + 1)
+    elif spec.kind == comp.RAND_K_UNBIASED:
+        values = values * (d / k)
+    out = np.zeros_like(x)
+    np.put_along_axis(out, kept, values, axis=1)
+    return out
+
+
+TIE_ROWS = {
+    "integer": st.integers(-3, 3).map(float),
+    "one decimal": st.floats(-2, 2).map(lambda v: round(v, 1)),
+    "all zero": st.just(0.0),
+    "signed zero": st.sampled_from([0.0, -0.0]),
+}
+
+
+@st.composite
+def tie_heavy_batches(draw):
+    """(spec, x, seeds): a sparsifier or composition over rows full of ties."""
+    d = draw(st.integers(1, 30))
+    name = draw(st.sampled_from(K_NAMES))
+    spec = comp.parse_spec(f"{name}:{draw(st.integers(1, d))}")
+    rows = draw(st.integers(1, 6))
+    elements = TIE_ROWS[draw(st.sampled_from(sorted(TIE_ROWS)))]
+    x = draw(arrays(np.float64, (rows, d), elements=elements))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return spec, x, [[seed, r] for r in range(rows)]
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(tie_heavy_batches())
+def test_selection_matches_stable_argsort_under_ties(case):
+    spec, x, seeds = case
+    y = comp._apply(spec, x, [np.random.default_rng(seed) for seed in seeds])
+    expected = _argsort_apply(spec, x, seeds)
+    assert y.tobytes() == expected.tobytes()

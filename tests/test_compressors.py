@@ -106,6 +106,15 @@ class TestCompress:
             out = comp._apply(spec, np.zeros((3, 10)), rng_for("zero"))
             assert np.array_equal(out, np.zeros((3, 10)))
 
+    def test_top_k_of_an_all_zero_batch_keeps_the_first_k(self):
+        # Q1's input before the first shift refresh: every magnitude ties.
+        n, d, k = 4, 10, 3
+        zeros = np.zeros((n, d))
+        keep = comp._kept(comp.top_k(k), zeros, rng_for("unused"))
+        assert np.array_equal(keep, np.broadcast_to(np.arange(d) < k, (n, d)))
+        out = comp._apply(comp.top_k(k), zeros, rng_for("unused"))
+        assert out.tobytes() == zeros.tobytes()
+
     def test_support_size_and_zero_outside_support(self):
         rng = rng_for("supp")
         x = rng.standard_normal((4, 12))

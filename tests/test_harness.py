@@ -335,6 +335,25 @@ def strip_wall(text: str) -> str:
     return "\n".join(",".join(line.split(",")[:-1]) for line in lines)
 
 
+# `ecvr verify compressors` at its defaults: seed 0, d=100, 10 000 trials.
+VERIFY_COMPRESSORS_LINES = [
+    "contraction    top_k:1 d=100: mean=0.9229 (se 2.0e-04) max=0.9632 allowed=0.9900 -> ok",
+    "contraction    top_k:5 d=100: mean=0.7284 (se 3.7e-04) max=0.8265 allowed=0.9500 -> ok",
+    "contraction   rand_k:1 d=100: mean=0.9899 (se 1.4e-04) max=1.0000 allowed=0.9900 -> ok",
+    "contraction   rand_k:5 d=100: mean=0.9499 (se 3.1e-04) max=0.9989 allowed=0.9500 -> ok",
+    "contraction     dither d=100: mean=0.2918 (se 2.1e-04) max=0.3690 allowed=0.5000 -> ok",
+    "contraction    natural d=100: mean=0.0770 (se 1.4e-04) max=0.1343 allowed=0.1111 -> ok",
+    "contraction   ntop_k:5 d=100: mean=0.7488 (se 3.4e-04) max=0.8466 allowed=0.9556 -> ok",
+    "contraction   rtop_k:5 d=100: mean=0.8025 (se 3.3e-04) max=0.9099 allowed=0.9750 -> ok",
+    "contraction   identity d=100: mean=0.0000 (se 0.0e+00) max=0.0000 allowed=0.0000 -> ok",
+    "unbiased    dither_raw d=25: mean dev=1.30e-02 second=37.825 <= 63.722 -> ok",
+    "unbiased   natural_raw d=25: mean dev=8.62e-03 second=34.737 <= 35.541 -> ok",
+    "mean scale    rand_k:2 d=25: factor=0.0800 max dev=5.66e-03 -> ok",
+    "mean scale      dither d=25: factor=0.5000 max dev=4.77e-03 -> ok",
+    "all checks passed",
+]
+
+
 class TestCli:
     def test_run_writes_traces(self, tmp_path, capsys):
         out = tmp_path / "run.csv"
@@ -397,11 +416,14 @@ class TestCli:
         assert trace_for("7") == trace_for(None)  # env seed equals cli seed
         assert trace_for("8") != trace_for(None)
 
-    def test_verify_compressors_exit_code(self, capsys):
+    def test_verify_compressors_exit_code(self, monkeypatch, capsys):
+        # Every line is pinned: a change to any sparsifier's selection or to a
+        # compressor's RNG stream shows up here, not only as a failed check.
+        monkeypatch.delenv("ECVR_SEED", raising=False)
         code = cli.main(["verify", "compressors"])
         out = capsys.readouterr().out
         assert code == 0
-        assert "all checks passed" in out
+        assert out.splitlines() == VERIFY_COMPRESSORS_LINES
 
     def test_verify_eso(self, capsys):
         code = cli.main(["verify", "eso", "--trials", "2000", "--instances", "5"])
@@ -461,6 +483,7 @@ class TestCli:
             (["run", "--data", "{missing}"], "--data"),
             (["run", "--data", "{malformed}"], "--data"),
             (["reference", "--data", "{malformed}"], "--data"),
+            (["run", "--out", "{missing_dir}/trace.csv"], "--out"),
         ],
     )
     def test_value_that_does_not_fit_the_data_names_the_argument(
@@ -468,7 +491,11 @@ class TestCli:
     ):
         # The default data is 200 examples of dimension 50 on 4 nodes.
         (tmp_path / "bad.libsvm").write_text("+1 1:0.5\nyes 2:1\n")
-        paths = {"missing": tmp_path / "absent.libsvm", "malformed": tmp_path / "bad.libsvm"}
+        paths = {
+            "missing": tmp_path / "absent.libsvm",
+            "malformed": tmp_path / "bad.libsvm",
+            "missing_dir": tmp_path / "absent",
+        }
         argv = [arg.format(**paths) for arg in argv]
         if argv[0] == "run":
             argv += ["--epochs", "0"]
