@@ -88,12 +88,8 @@ class LsvrgStepInfo:
     g_nodes: np.ndarray  # per-node search directions before compression
     t_nodes: np.ndarray  # compressor inputs eta*g + e
     y_nodes: np.ndarray
-    z_nodes: np.ndarray
-    y_avg: np.ndarray
-    z_avg: np.ndarray
     x_half: np.ndarray
     h_avg_prev: np.ndarray
-    coin: bool
 
 
 class EcLsvrg:
@@ -101,7 +97,8 @@ class EcLsvrg:
 
     Each node compresses its step ``eta * g + e`` with Q, feeding the residual
     back into ``e``, and separately compresses the shift correction with Q1 so
-    that ``h_tau`` learns the node gradient at the reference point. Bits are
+    that ``h_tau`` learns the node gradient at the reference point; the shifts
+    start at the node gradients of the starting point 0. Bits are
     accounted per node per step as cost(Q) + cost(Q1) + 1 (the refresh flag).
     """
 
@@ -116,8 +113,6 @@ class EcLsvrg:
         eta: float,
         p: float,
         seed: int,
-        shift_init: str = "node-gradients",
-        x0: Optional[np.ndarray] = None,
     ):
         if eta < 0:
             raise ValueError("step size must be nonnegative")
@@ -131,16 +126,11 @@ class EcLsvrg:
         self.problem = problem
         self.eta = eta
         self.p = p
-        self.x = np.zeros(d) if x0 is None else np.asarray(x0, dtype=np.float64).copy()
+        self.x = np.zeros(d)
         self.w = self.x.copy()
         self.e = np.zeros((n, d))
         self.grad_w = problem.grad_f_nodes(self.w)
-        if shift_init == "node-gradients":
-            self.h = self.grad_w.copy()
-        elif shift_init == "zero":
-            self.h = np.zeros((n, d))
-        else:
-            raise ValueError(f"unknown shift_init {shift_init!r}")
+        self.h = self.grad_w.copy()
         self.h_avg = self.h.mean(axis=0)
         self.k = 0
         self.bits = 0.0
@@ -197,12 +187,8 @@ class EcLsvrg:
             g_nodes=g_nodes,
             t_nodes=t_nodes,
             y_nodes=y_nodes,
-            z_nodes=z_nodes,
-            y_avg=y_avg,
-            z_avg=z_avg,
             x_half=x_half,
             h_avg_prev=h_avg_prev,
-            coin=coin,
         )
 
     def error_norm(self) -> float:
@@ -225,7 +211,6 @@ class Lsvrg:
         eta: float,
         p: float,
         seed: int,
-        x0: Optional[np.ndarray] = None,
     ):
         if not 0 < p <= 1:
             raise ValueError(f"refresh probability must be in (0, 1], got {p}")
@@ -233,7 +218,7 @@ class Lsvrg:
         self.problem = problem
         self.eta = eta
         self.p = p
-        self.x = np.zeros(d) if x0 is None else np.asarray(x0, dtype=np.float64).copy()
+        self.x = np.zeros(d)
         self.w = self.x.copy()
         self.grad_w = problem.grad_f_nodes(self.w)
         self.k = 0
@@ -273,13 +258,6 @@ class Lsvrg:
         return 0.0
 
 
-@dataclass
-class GdStepInfo:
-    t_nodes: np.ndarray
-    y_nodes: np.ndarray
-    y_avg: np.ndarray
-
-
 class EcGd:
     """Error-feedback full-gradient descent baseline (one full pass per step)."""
 
@@ -292,33 +270,30 @@ class EcGd:
         *,
         eta: float,
         seed: int,
-        x0: Optional[np.ndarray] = None,
     ):
         d, n = problem.d, problem.n
         comp.validate_for_dimension(compressor, d)
         self.problem = problem
         self.q = compressor
         self.eta = eta
-        self.x = np.zeros(d) if x0 is None else np.asarray(x0, dtype=np.float64).copy()
+        self.x = np.zeros(d)
         self.e = np.zeros((n, d))
         self.k = 0
         self.bits = 0.0
         self.bits_per_step = n * comp.bit_cost(compressor, d)
         self._q_rng = node_streams(seed, "compress", n)
 
-    def step(self) -> GdStepInfo:
+    def step(self) -> None:
         pr = self.problem
         eta = self.eta
         smooth = pr.mode == SMOOTH
         t_nodes = eta * pr.grad_f_nodes(self.x) + self.e
         y_nodes, self.e = _compress_with_feedback(self.q, t_nodes, self._q_rng, self.k)
-        y_avg = y_nodes.mean(axis=0)
-        x_half = self.x - y_avg
+        x_half = self.x - y_nodes.mean(axis=0)
         self.x = x_half if smooth else pr.prox_psi(x_half, eta) if eta > 0 else x_half
         self.k += 1
         self.bits += self.bits_per_step
         _require_finite("iterate", self.x, self.k)
-        return GdStepInfo(t_nodes=t_nodes, y_nodes=y_nodes, y_avg=y_avg)
 
     def error_norm(self) -> float:
         return float(np.sqrt(np.sum(self.e**2)))
@@ -329,8 +304,6 @@ class DualStepInfo:
     sampled: np.ndarray  # global example index drawn by each node
     delta_alpha: np.ndarray
     t_nodes: np.ndarray
-    y_nodes: np.ndarray
-    y_avg: np.ndarray
     x_new: np.ndarray
 
 
@@ -357,8 +330,6 @@ class EcDual:
         theta: float,
         seed: int,
         variant: str = QUARTZ,
-        alpha0: Optional[np.ndarray] = None,
-        x0: Optional[np.ndarray] = None,
     ):
         if variant not in (QUARTZ, SDCA):
             raise ValueError(f"unknown variant {variant!r}")
@@ -371,10 +342,8 @@ class EcDual:
         self.q = compressor
         self.theta = theta
         self.variant = variant
-        self.alpha = (
-            np.zeros(problem.N) if alpha0 is None else np.asarray(alpha0, dtype=np.float64).copy()
-        )
-        self.x = np.zeros(d) if x0 is None else np.asarray(x0, dtype=np.float64).copy()
+        self.alpha = np.zeros(problem.N)
+        self.x = np.zeros(d)
         self.u = problem.dual_aggregate(self.alpha)
         self.e = np.zeros((n, d))
         self.k = 0
@@ -410,8 +379,7 @@ class EcDual:
         t_nodes = (delta_alpha / (lam * m))[:, None] * cols + self.e
         y_nodes, self.e = _compress_with_feedback(self.q, t_nodes, self._q_rng, self.k)
 
-        y_avg = y_nodes.mean(axis=0)
-        self.u = self.u + y_avg
+        self.u = self.u + y_nodes.mean(axis=0)
         self.x = x_new
         self.k += 1
         self.bits += self.bits_per_step
@@ -425,8 +393,6 @@ class EcDual:
             sampled=sampled,
             delta_alpha=delta_alpha,
             t_nodes=t_nodes,
-            y_nodes=y_nodes,
-            y_avg=y_avg,
             x_new=x_new,
         )
 
@@ -446,8 +412,6 @@ class VanillaDual:
         theta: float,
         seed: int,
         variant: str = QUARTZ,
-        alpha0: Optional[np.ndarray] = None,
-        x0: Optional[np.ndarray] = None,
     ):
         if variant not in (QUARTZ, SDCA):
             raise ValueError(f"unknown variant {variant!r}")
@@ -457,10 +421,8 @@ class VanillaDual:
         self.problem = problem
         self.theta = theta
         self.variant = variant
-        self.alpha = (
-            np.zeros(problem.N) if alpha0 is None else np.asarray(alpha0, dtype=np.float64).copy()
-        )
-        self.x = np.zeros(problem.d) if x0 is None else np.asarray(x0, dtype=np.float64).copy()
+        self.alpha = np.zeros(problem.N)
+        self.x = np.zeros(problem.d)
         self.u = problem.dual_aggregate(self.alpha)
         self.k = 0
         self.bits = 0.0
@@ -493,11 +455,6 @@ class VanillaDual:
 
 # -- step-size and rate formulas ---------------------------------------------
 
-COMPOSITE_A1 = "composite_A1"
-SMOOTH_A1 = "smooth_A1"
-ETA_REGIMES = (COMPOSITE, COMPOSITE_A1, SMOOTH, SMOOTH_A1)
-
-
 def _ratio(num: float, den: float) -> float:
     return math.inf if den == 0 else num / den
 
@@ -510,11 +467,7 @@ def theoretical_eta(
     p: float,
     regime: str = COMPOSITE,
 ) -> float:
-    """Worst-case admissible step size for the given analysis regime.
-
-    The ``_A1`` regimes assume mean-scaling compressors (E[Q(x)] = delta x)
-    and admit larger steps.
-    """
+    """Worst-case admissible step size for the composite or smooth regime."""
     if not 0 < delta <= 1 or not 0 < delta1 <= 1:
         raise ValueError("contraction parameters must be in (0, 1]")
     if not 0 < p <= 1:
@@ -527,14 +480,6 @@ def theoretical_eta(
             4.0 * lbar / delta + l + (16.0 * lbar * p / (delta * delta1)) * boost
         )
         return 1.0 / (t + 4.0 * lf + 42.0 * l / n)
-    if regime == COMPOSITE_A1:
-        t = (rem / delta) * (
-            418.0 * lf / delta
-            + 3422.0 * lbar / (delta * n)
-            + 1349.0 * l / n
-            + (1671.0 * lf + 20364.0 * lbar / n) * p / (delta * delta1) * boost
-        )
-        return 1.0 / (t + 4.0 * lf + 42.0 * l / n)
     if regime == SMOOTH:
         return min(
             1.0 / (4.0 * lf + 33.0 * l / n),
@@ -545,18 +490,7 @@ def theoretical_eta(
                 120.0 * math.sqrt(rem * lf * lbar * p * boost),
             ),
         )
-    if regime == SMOOTH_A1:
-        return min(
-            1.0 / (4.0 * lf + 33.0 * l / n),
-            _ratio(delta, 60.0 * math.sqrt(rem) * lf),
-            _ratio(math.sqrt(n * delta), 229.0 * math.sqrt(rem * lf * l)),
-            _ratio(math.sqrt(n) * delta, 360.0 * math.sqrt(rem * lf * lbar)),
-            _ratio(
-                delta * math.sqrt(delta1),
-                120.0 * math.sqrt(rem * p * lf * (lf + 12.0 * lbar / n) * boost),
-            ),
-        )
-    raise ValueError(f"unknown regime {regime!r}; expected one of {ETA_REGIMES}")
+    raise ValueError(f"unknown regime {regime!r}; expected {COMPOSITE!r} or {SMOOTH!r}")
 
 
 def theoretical_theta(
@@ -566,7 +500,6 @@ def theoretical_theta(
     lam: float,
     gamma: float,
     delta: float,
-    assumption1: bool = False,
 ) -> float:
     """Dual step parameter from the convergence analysis.
 
@@ -581,10 +514,7 @@ def theoretical_theta(
     v = c.r_m**2 + n * c.r_sq
     if delta == 1.0:
         return N * lam * gamma * p / (v + N * lam * gamma)
-    if assumption1:
-        a = (1.0 - delta) * (2.0 * c.r_sq + 16.0 * c.r_bar_sq / n + 9.0 * delta * c.r_m**2 / n)
-    else:
-        a = (1.0 - delta) * (2.0 * c.r_bar_sq + delta * c.r_m**2)
+    a = (1.0 - delta) * (2.0 * c.r_bar_sq + delta * c.r_m**2)
     dlg = delta * lam * gamma
     first = 2.0 * dlg / (dlg * m + math.sqrt((dlg * m) ** 2 + 48.0 * lam * gamma * a))
     second = N * lam * gamma * p / (3.0 * v + N * lam * gamma)

@@ -29,11 +29,11 @@ def _add_data_args(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument("--n", type=_positive_int, default=4, help="number of simulated nodes")
     parser.add_argument("--normalize", action="store_true", help="scale examples to unit norm")
-    parser.add_argument("--shuffle-seed", type=int, default=None, help="shuffle examples before partitioning")
+    parser.add_argument("--shuffle-seed", type=_seed, default=None, help="shuffle examples before partitioning")
     parser.add_argument("--lambda1", type=_nonnegative, default=1e-3)
     parser.add_argument("--lambda2", type=_nonnegative, default=1e-3)
     parser.add_argument("--mode", choices=[COMPOSITE, SMOOTH], default=COMPOSITE)
-    parser.add_argument("--seed", type=int, default=0, help="master seed (ECVR_SEED overrides)")
+    parser.add_argument("--seed", type=_seed, default=0, help="master seed (ECVR_SEED overrides)")
 
 
 def _checked(parse, ok, expects: str):
@@ -72,6 +72,7 @@ _eta = _checked(
 )
 _compressor = _checked(str, comp.parse_spec, "a compressor such as top_k:1, rand_k:5, dither or natural")
 _positive_int = _checked(int, lambda v: v >= 1, "an integer >= 1")
+_seed = _checked(int, lambda v: v >= 0, "a nonnegative integer")
 _probability = _checked(float, lambda v: 0 < v <= 1, "a number in (0, 1]")
 _nonnegative = _checked(float, lambda v: 0 <= v < math.inf, "a nonnegative finite number")
 _positive = _checked(float, lambda v: 0 < v < math.inf, "a positive finite number")
@@ -86,7 +87,12 @@ def _flag(field: str) -> str:
 
 def _resolve_seed(args) -> int:
     env = os.environ.get("ECVR_SEED")
-    return int(env) if env else args.seed
+    if not env:
+        return args.seed
+    try:
+        return _seed(env)
+    except argparse.ArgumentTypeError as err:
+        args.parser.error(f"environment variable ECVR_SEED: {err}")
 
 
 def _config_from_args(args) -> harness.RunConfig:
@@ -120,8 +126,7 @@ def _config_from_args(args) -> harness.RunConfig:
 def cmd_run(args) -> int:
     config = _config_from_args(args)
     if config.out_csv:
-        stem, _, _ = config.out_csv.rpartition(".")
-        config.out_json = (stem or config.out_csv) + ".json"
+        config.out_json = os.path.splitext(config.out_csv)[0] + ".json"
     result = harness.run_experiment(config)
     for rec in result.records:
         gap = "" if rec.dual_gap is None else f" dual_gap={rec.dual_gap:.3e}"
@@ -256,10 +261,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     verify = sub.add_parser("verify", help="run statistical/invariant verifiers")
     verify.add_argument("what", choices=["compressors", "eso", "invariants"])
-    verify.add_argument("--d", type=int, default=100)
-    verify.add_argument("--trials", type=int, default=10_000)
-    verify.add_argument("--instances", type=int, default=20)
-    verify.add_argument("--seed", type=int, default=0)
+    verify.add_argument("--d", type=_positive_int, default=100)
+    verify.add_argument("--trials", type=_positive_int, default=10_000)
+    verify.add_argument("--instances", type=_positive_int, default=20)
+    verify.add_argument("--seed", type=_seed, default=0)
     verify.set_defaults(func=cmd_verify, parser=verify)
 
     ref = sub.add_parser("reference", help="solve the problem to high accuracy")

@@ -6,8 +6,8 @@ it is communicated. Contraction compressors guarantee
 unbiased compressors guarantee ``E[Q(x)] = x`` with second moment at most
 ``(omega + 1) ||x||^2``. Scaling an unbiased compressor by ``1/(omega + 1)``
 turns it into a contraction compressor, and an unbiased compressor can be
-chained after a sparsifier (restricted to the kept coordinates) to compress
-both the support and the values.
+chained after top-k (restricted to the kept coordinates) to compress both the
+support and the values. Every spec ``parse_spec`` returns is a contraction.
 
 Bit costs are analytic accounting numbers for the simulator, not actual wire
 encodings.
@@ -26,30 +26,25 @@ TOP_K = "top_k"
 RAND_K = "rand_k"
 DITHERING = "dithering"
 NATURAL = "natural"
-RAND_K_UNBIASED = "rand_k_unbiased"
 SCALED = "scaled"
 COMPOSE = "compose"
 
-_UNBIASED_KINDS = frozenset({DITHERING, NATURAL, RAND_K_UNBIASED})
-_K_KINDS = frozenset({TOP_K, RAND_K, RAND_K_UNBIASED})
-# Contractions a composition can run first: they keep a known support.
-_SPARSIFIER_KINDS = frozenset({IDENTITY, TOP_K, RAND_K})
+_UNBIASED_KINDS = frozenset({DITHERING, NATURAL})
+_K_KINDS = frozenset({TOP_K, RAND_K})
 
 
 @dataclass(frozen=True)
 class CompressorSpec:
     """Declarative description of a compressor.
 
-    ``k`` is the coordinate budget of top-k / rand-k kinds, ``s`` the number
-    of dithering levels (``None`` means ``sqrt(dim)`` of whatever vector the
-    compressor is applied to). ``inner`` holds the unbiased compressor of a
-    scaled spec; ``unbiased``/``contraction`` hold the two operands of a
-    composition, where the contraction runs first.
+    ``k`` is the coordinate budget of top-k / rand-k kinds. ``inner`` holds
+    the unbiased compressor of a scaled spec; ``unbiased``/``contraction``
+    hold the two operands of a composition, where the top-k contraction runs
+    first.
     """
 
     kind: str
     k: Optional[int] = None
-    s: Optional[float] = None
     inner: Optional["CompressorSpec"] = None
     unbiased: Optional["CompressorSpec"] = None
     contraction: Optional["CompressorSpec"] = None
@@ -60,11 +55,6 @@ class CompressorSpec:
                 raise ValueError(f"{self.kind} needs k >= 1, got {self.k}")
         elif self.k is not None:
             raise ValueError(f"{self.kind} takes no k")
-        if self.s is not None:
-            if self.kind != DITHERING:
-                raise ValueError(f"{self.kind} takes no dithering level")
-            if self.s <= 0:
-                raise ValueError("dithering level must be positive")
         if self.kind == SCALED:
             if self.inner is None or not is_unbiased_kind(self.inner):
                 raise ValueError("scaled spec needs an unbiased inner compressor")
@@ -74,10 +64,8 @@ class CompressorSpec:
             if self.unbiased is None or not is_unbiased_kind(self.unbiased):
                 raise ValueError("compose needs an unbiased operand")
             kind = getattr(self.contraction, "kind", None)
-            if kind not in _SPARSIFIER_KINDS:
-                raise ValueError(
-                    f"compose needs a top_k, rand_k or identity contraction, got {kind}"
-                )
+            if kind != TOP_K:
+                raise ValueError(f"compose needs a top_k contraction, got {kind}")
         elif self.unbiased is not None or self.contraction is not None:
             raise ValueError(f"{self.kind} takes no composition operands")
 
@@ -94,19 +82,14 @@ def rand_k(k: int) -> CompressorSpec:
     return CompressorSpec(RAND_K, k=k)
 
 
-def dithering(s: Optional[float] = None) -> CompressorSpec:
-    """Stochastic level rounding against the l2 norm; s=None means sqrt(dim)."""
-    return CompressorSpec(DITHERING, s=s)
+def dithering() -> CompressorSpec:
+    """Stochastic rounding to sqrt(dim) levels against the l2 norm."""
+    return CompressorSpec(DITHERING)
 
 
 def natural() -> CompressorSpec:
     """Stochastic rounding of each magnitude to a neighboring power of two."""
     return CompressorSpec(NATURAL)
-
-
-def rand_k_unbiased(k: int) -> CompressorSpec:
-    """rand-k rescaled by d/k, which makes it unbiased."""
-    return CompressorSpec(RAND_K_UNBIASED, k=k)
 
 
 def scaled(inner: CompressorSpec) -> CompressorSpec:
@@ -115,7 +98,7 @@ def scaled(inner: CompressorSpec) -> CompressorSpec:
 
 
 def compose(unbiased: CompressorSpec, contraction: CompressorSpec) -> CompressorSpec:
-    """Contraction first, then the scaled unbiased compressor on its support."""
+    """Top-k first, then the scaled unbiased compressor on its support."""
     return CompressorSpec(COMPOSE, unbiased=unbiased, contraction=contraction)
 
 
@@ -145,45 +128,30 @@ def parse_spec(text: str) -> CompressorSpec:
         return scaled(dithering())
     if name == "natural":
         return scaled(natural())
-    if name in ("top_k", "rand_k", "ntop_k", "rtop_k", "rand_k_unbiased"):
+    if name in ("top_k", "rand_k", "ntop_k", "rtop_k"):
         if not arg.isdecimal():
             raise ValueError(f"compressor {name!r} needs a coordinate count, e.g. {name}:1; got {text!r}")
         k = int(arg)
-        maker = {
-            "top_k": top_k,
-            "rand_k": rand_k,
-            "ntop_k": ntop_k,
-            "rtop_k": rtop_k,
-            "rand_k_unbiased": rand_k_unbiased,
-        }[name]
+        maker = {"top_k": top_k, "rand_k": rand_k, "ntop_k": ntop_k, "rtop_k": rtop_k}[name]
         return maker(k)
     raise ValueError(f"unknown compressor spec {text!r}")
 
 
 def format_spec(spec: CompressorSpec) -> str:
-    """Inverse of parse_spec for the specs it produces; explicit elsewhere."""
+    """Inverse of parse_spec; the raw unbiased kinds get a ``_raw`` name."""
     if spec.kind == IDENTITY:
         return "identity"
     if spec.kind in _K_KINDS:
         return f"{spec.kind}:{spec.k}"
     if spec.kind == DITHERING:
-        return "dither_raw" if spec.s is None else f"dither_raw:{spec.s:g}"
+        return "dither_raw"
     if spec.kind == NATURAL:
         return "natural_raw"
     if spec.kind == SCALED:
-        inner = spec.inner
-        if inner.kind == DITHERING and inner.s is None:
-            return "dither"
-        if inner.kind == NATURAL:
-            return "natural"
-        return f"scaled({format_spec(inner)})"
+        return "dither" if spec.inner.kind == DITHERING else "natural"
     if spec.kind == COMPOSE:
-        if spec.contraction.kind == TOP_K:
-            if spec.unbiased.kind == NATURAL:
-                return f"ntop_k:{spec.contraction.k}"
-            if spec.unbiased.kind == DITHERING and spec.unbiased.s is None:
-                return f"rtop_k:{spec.contraction.k}"
-        return f"compose({format_spec(spec.unbiased)},{format_spec(spec.contraction)})"
+        name = "rtop_k" if spec.unbiased.kind == DITHERING else "ntop_k"
+        return f"{name}:{spec.contraction.k}"
     raise ValueError(f"unknown spec kind {spec.kind!r}")
 
 
@@ -197,7 +165,6 @@ def validate_for_dimension(spec: CompressorSpec, d: int) -> None:
         validate_for_dimension(spec.inner, d)
     if spec.kind == COMPOSE:
         validate_for_dimension(spec.contraction, d)
-        validate_for_dimension(spec.unbiased, transmitted_coords(spec.contraction, d))
 
 
 def transmitted_coords(spec: CompressorSpec, d: int) -> int:
@@ -205,30 +172,19 @@ def transmitted_coords(spec: CompressorSpec, d: int) -> int:
     if spec.kind in _K_KINDS:
         return spec.k
     if spec.kind == COMPOSE:
-        return transmitted_coords(spec.contraction, d)
-    if spec.kind == SCALED:
-        return transmitted_coords(spec.inner, d)
+        return spec.contraction.k
     return d
 
 
 def omega_of(spec: CompressorSpec, dim: int) -> float:
     """Variance parameter of an unbiased compressor applied to ``dim`` coords.
 
-    Dithering is only supported at its default level ``s = sqrt(dim)``, the
-    one configuration whose variance parameter (omega = 1) is known here.
+    Dithering at ``sqrt(dim)`` levels has omega = 1.
     """
     if spec.kind == DITHERING:
-        if spec.s is not None and not math.isclose(spec.s, math.sqrt(dim), rel_tol=1e-9):
-            raise ValueError(
-                f"dithering omega is only known at s=sqrt(dim); got s={spec.s}, dim={dim}"
-            )
         return 1.0
     if spec.kind == NATURAL:
         return 0.125
-    if spec.kind == RAND_K_UNBIASED:
-        if spec.k > dim:
-            raise ValueError(f"rand_k_unbiased k={spec.k} exceeds dim={dim}")
-        return dim / spec.k - 1.0
     raise ValueError(f"{spec.kind} is not an unbiased compressor")
 
 
@@ -242,8 +198,8 @@ def delta_of(spec: CompressorSpec, d: int) -> float:
     if spec.kind == SCALED:
         return 1.0 / (omega_of(spec.inner, d) + 1.0)
     if spec.kind == COMPOSE:
-        inner_dim = transmitted_coords(spec.contraction, d)
-        return delta_of(spec.contraction, d) / (omega_of(spec.unbiased, inner_dim) + 1.0)
+        k = spec.contraction.k
+        return delta_of(spec.contraction, d) / (omega_of(spec.unbiased, k) + 1.0)
     raise ValueError(f"{spec.kind} is not a contraction compressor")
 
 
@@ -262,7 +218,7 @@ def bit_cost(spec: CompressorSpec, d: int) -> float:
     if spec.kind == SCALED:
         return bit_cost(spec.inner, d)
     if spec.kind == COMPOSE:
-        kept = transmitted_coords(spec.contraction, d)
+        kept = spec.contraction.k
         cost = bit_cost(spec.unbiased, kept)
         if kept < d:
             cost += kept * index_bits
@@ -287,12 +243,9 @@ def _apply(spec: CompressorSpec, x: np.ndarray, rngs: Rngs) -> np.ndarray:
     if spec.kind == IDENTITY:
         return x.copy()
     if spec.kind in _K_KINDS:
-        out = np.where(_kept(spec, x, rngs), x, 0.0)
-        if spec.kind == RAND_K_UNBIASED:
-            out *= d / spec.k
-        return out
+        return np.where(_kept(spec, x, rngs), x, 0.0)
     if spec.kind == DITHERING:
-        return _dither_rows(x, spec.s, rngs)
+        return _dither_rows(x, rngs)
     if spec.kind == NATURAL:
         return _natural_rows(x, rngs)
     if spec.kind == SCALED:
@@ -301,7 +254,7 @@ def _apply(spec: CompressorSpec, x: np.ndarray, rngs: Rngs) -> np.ndarray:
         # Boolean indexing walks the mask row by row in index order, so the
         # unbiased stage sees each row's kept coordinates in ascending order.
         keep = _kept(spec.contraction, x, rngs)
-        k = transmitted_coords(spec.contraction, d)
+        k = spec.contraction.k
         fine = _apply(spec.unbiased, x[keep].reshape(rows, k), rngs)
         fine /= omega_of(spec.unbiased, k) + 1.0
         out = np.zeros_like(x)
@@ -320,8 +273,6 @@ def _kept(spec: CompressorSpec, x: np.ndarray, rngs: Rngs) -> np.ndarray:
     alone.
     """
     rows, d = x.shape
-    if spec.kind == IDENTITY:
-        return np.ones((rows, d), dtype=bool)
     score = np.abs(x) if spec.kind == TOP_K else -_uniform(rngs, rows, d)
     k = spec.k
     kth = np.partition(score, d - k, axis=1)[:, d - k, None]
@@ -348,9 +299,9 @@ def _uniform(rngs: Rngs, rows: int, d: int) -> np.ndarray:
     return u
 
 
-def _dither_rows(x: np.ndarray, s: Optional[float], rngs: Rngs) -> np.ndarray:
+def _dither_rows(x: np.ndarray, rngs: Rngs) -> np.ndarray:
     rows, d = x.shape
-    levels = math.sqrt(d) if s is None else s
+    levels = math.sqrt(d)
     norms = np.linalg.norm(x, axis=1, keepdims=True)
     safe = np.where(norms > 0, norms, 1.0)
     scaled_mag = np.abs(x) / safe * levels
@@ -451,8 +402,6 @@ def mean_scaling_factor(spec: CompressorSpec, d: int) -> float:
         return spec.k / d
     if spec.kind == SCALED:
         return 1.0 / (omega_of(spec.inner, d) + 1.0)
-    if spec.kind == COMPOSE and spec.contraction.kind in (RAND_K, IDENTITY):
-        return delta_of(spec, d)
     raise ValueError(f"{format_spec(spec)} does not scale the mean of its input")
 
 

@@ -100,20 +100,6 @@ def parse_libsvm(path: str) -> Dataset:
     return Dataset(features=features, labels=np.array(labels))
 
 
-def write_libsvm(dataset: Dataset, path: str) -> None:
-    """Serialize in the format parse_libsvm reads, round-tripping exactly."""
-    mat = dataset.features.tocsc()
-    with open(path, "w", encoding="utf-8") as fh:
-        for j in range(dataset.n_examples):
-            start, stop = mat.indptr[j], mat.indptr[j + 1]
-            pairs = " ".join(
-                f"{idx + 1}:{float(val)!r}"
-                for idx, val in zip(mat.indices[start:stop], mat.data[start:stop])
-            )
-            label = "+1" if dataset.labels[j] > 0 else "-1"
-            fh.write(f"{label} {pairs}".rstrip() + "\n")
-
-
 @dataclass(frozen=True)
 class Partition:
     """Assignment of the first n*m examples to n nodes, m per node, in order."""

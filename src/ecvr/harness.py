@@ -350,14 +350,12 @@ def build_optimizer(config: RunConfig, setup: Setup):
         delta = comp.delta_of(spec, d)
     with _blame("compressor_q1"):
         q1 = comp.parse_spec(config.compressor_q1 or config.compressor)
-        comp.validate_for_dimension(q1, d)
+        delta1 = comp.delta_of(q1, d)
     p = config.p if config.p is not None else delta
     algo = config.algo
     if algo in PRIMAL_ALGOS:
         if config.eta == "theory":
             regime = SMOOTH if primal.mode == SMOOTH else COMPOSITE
-            with _blame("compressor_q1"):
-                delta1 = comp.delta_of(q1, d)
             eta = alg.theoretical_eta(constants, primal.n, delta, delta1, p, regime)
         else:
             eta = float(config.eta)
@@ -499,27 +497,6 @@ def emit_csv(records: list[TrialRecord], path: str) -> None:
             writer.writerow([_fmt(getattr(rec, col)) for col in TRACE_COLUMNS])
 
 
-def parse_csv(path: str) -> list[TrialRecord]:
-    records = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if tuple(reader.fieldnames or ()) != TRACE_COLUMNS:
-            raise ValueError(f"unexpected trace header in {path}: {reader.fieldnames}")
-        for row in reader:
-            records.append(
-                TrialRecord(
-                    k=int(row["k"]),
-                    epoch=float(row["epoch"]),
-                    bits=float(row["bits"]),
-                    primal_gap=float(row["primal_gap"]),
-                    dual_gap=float(row["dual_gap"]) if row["dual_gap"] else None,
-                    err_norm=float(row["err_norm"]),
-                    wall_ms=float(row["wall_ms"]),
-                )
-            )
-    return records
-
-
 def emit_json(result: RunResult, path: str) -> None:
     payload = {
         "config": result.config.to_metadata(),
@@ -535,12 +512,6 @@ def emit_json(result: RunResult, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=1)
         fh.write("\n")
-
-
-def parse_json(path: str) -> list[TrialRecord]:
-    with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
-    return [TrialRecord(**rec) for rec in payload["records"]]
 
 
 # -- step-size grid search -------------------------------------------------------

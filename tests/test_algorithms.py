@@ -86,22 +86,23 @@ class TestEcLsvrgStep:
         assert np.max(np.abs(ec.x - plain.x)) <= 1e-12
 
     def test_zero_step_size_keeps_iterate(self, composite):
-        opt = alg.EcLsvrg(
-            composite, comp.top_k(1), comp.top_k(1), eta=0.0, p=0.5, seed=5, shift_init="zero"
-        )
+        opt = alg.EcLsvrg(composite, comp.top_k(1), comp.top_k(1), eta=0.0, p=0.5, seed=5)
+        start = opt.h.copy()
         for _ in range(10):
             opt.step()
             assert np.array_equal(opt.x, np.zeros(composite.d))
-        # The shift vectors keep learning even with a frozen iterate.
-        assert np.max(np.abs(opt.h)) > 0.0
+        # The shifts start at the node gradients of the frozen iterate, so
+        # every shift correction Q1(grad_w - h) is zero and they stay there.
+        assert np.array_equal(opt.h, start) and np.array_equal(opt.h, opt.grad_w)
 
     def test_two_hand_executed_steps(self):
-        # Straight-line re-execution of the update rule on a 2x2 problem.
+        # Straight-line re-execution of the update rule on a 2x2 problem. The
+        # shifts start at the node gradients, so Q1 first sends a nonzero
+        # correction on the step after the first refresh: at seed 123 the
+        # coin first lands on step 4, hence five steps.
         problem = tiny_problem()
         eta, p, seed = 0.3, 0.5, 123
-        opt = alg.EcLsvrg(
-            problem, comp.top_k(1), comp.top_k(1), eta=eta, p=p, seed=seed, shift_init="zero"
-        )
+        opt = alg.EcLsvrg(problem, comp.top_k(1), comp.top_k(1), eta=eta, p=p, seed=seed)
 
         sample = split_rng(seed, "sample", 0)
         coin = split_rng(seed, "coin")
@@ -121,10 +122,11 @@ class TestEcLsvrgStep:
         x = np.zeros(2)
         w = np.zeros(2)
         e = np.zeros(2)
-        h = np.zeros(2)
-        h_avg = np.zeros(2)
         grad_w = 0.5 * (grad_i(w, 0) + grad_i(w, 1))
-        for _ in range(2):
+        h = grad_w.copy()
+        h_avg = grad_w.copy()
+        refreshed = learned_after_refresh = False
+        for _ in range(5):
             i = int(sample.integers(2))
             g = grad_i(x, i) - grad_i(w, i) + grad_w - h
             t = eta * g + e
@@ -136,9 +138,11 @@ class TestEcLsvrgStep:
             x_new = prox_elastic_net(x_half, eta, 0.1, 0.1)
             h = h + z
             h_avg = h_avg + z
+            learned_after_refresh |= refreshed and bool(np.any(z != 0))
             if flip:
                 w = x.copy()
                 grad_w = 0.5 * (grad_i(w, 0) + grad_i(w, 1))
+                refreshed = True
             x = x_new
 
             opt.step()
@@ -146,6 +150,7 @@ class TestEcLsvrgStep:
             assert np.allclose(opt.e[0], e, atol=1e-15)
             assert np.allclose(opt.h[0], h, atol=1e-15)
             assert np.array_equal(opt.w, w)
+        assert learned_after_refresh
 
     @pytest.mark.parametrize("q", ["top_k:2", "rand_k:3", "dither"], ids=str)
     def test_error_conservation_recomputed(self, composite, q):
@@ -311,7 +316,7 @@ class TestEcDual:
     def test_initial_surrogate_identity(self, dual, constants):
         theta = self.theta_for(constants, dual, 0.02)
         opt = alg.EcDual(dual, comp.top_k(1), theta=theta, seed=43)
-        # alpha0 = 0 and u0 = aggregate(0) = 0: both sides vanish.
+        # alpha starts at 0 and u0 = aggregate(0) = 0: both sides vanish.
         assert np.array_equal(opt.u, np.zeros(dual.d))
         assert np.array_equal(dual.dual_aggregate(opt.alpha), np.zeros(dual.d))
 
@@ -368,7 +373,7 @@ class TestStepSizeFormulas:
         eta = alg.theoretical_eta(constants, 4, 1.0, 1.0, 0.5, SMOOTH)
         assert eta == pytest.approx(1.0 / (4 * constants.l_f + 33 * constants.l / 4))
 
-    @pytest.mark.parametrize("regime", list(alg.ETA_REGIMES))
+    @pytest.mark.parametrize("regime", [COMPOSITE, SMOOTH])
     def test_monotone_in_delta(self, constants, regime):
         etas = [
             alg.theoretical_eta(constants, 4, delta, delta, delta, regime)
@@ -376,7 +381,7 @@ class TestStepSizeFormulas:
         ]
         assert etas[0] <= etas[1] <= etas[2]
 
-    @pytest.mark.parametrize("regime", list(alg.ETA_REGIMES))
+    @pytest.mark.parametrize("regime", [COMPOSITE, SMOOTH])
     def test_positive_and_rejects_zero_delta(self, constants, regime):
         assert alg.theoretical_eta(constants, 4, 0.05, 0.05, 0.05, regime) > 0
         with pytest.raises(ValueError):
@@ -409,11 +414,10 @@ class TestStepSizeFormulas:
         theta = alg.theoretical_theta(c, m, n, lam=1e6, gamma=4.0, delta=1 - 1e-12)
         assert theta == pytest.approx(1.0 / m, rel=1e-5)
 
-    @pytest.mark.parametrize("assumption1", [False, True])
-    def test_theta_times_m_at_most_one(self, constants, dual, assumption1):
+    def test_theta_times_m_at_most_one(self, constants, dual):
         for delta in np.linspace(0.01, 0.99, 25):
             theta = alg.theoretical_theta(
-                constants, dual.part.m, dual.part.n, dual.lam, dual.gamma, float(delta), assumption1
+                constants, dual.part.m, dual.part.n, dual.lam, dual.gamma, float(delta)
             )
             assert 0 < theta * dual.part.m <= 1.0 + 1e-12
 

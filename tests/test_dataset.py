@@ -9,7 +9,6 @@ from ecvr.dataset import (
     parse_libsvm,
     partition,
     shuffle_examples,
-    write_libsvm,
 )
 from ecvr.harness import synth_dataset
 
@@ -57,17 +56,6 @@ class TestParse:
     def test_empty_file(self, tmp_path):
         with pytest.raises(LibsvmFormatError):
             parse_libsvm(write(tmp_path, ""))
-
-    def test_roundtrip_exact(self, tmp_path):
-        ds = synth_dataset(30, 12, 0.4, seed=5)
-        path = tmp_path / "rt.txt"
-        write_libsvm(ds, str(path))
-        back = parse_libsvm(str(path))
-        assert back.n_examples == ds.n_examples
-        # Dimensions can shrink if trailing features are empty; not here.
-        assert back.d == ds.d
-        assert np.array_equal(back.labels, ds.labels)
-        assert (back.features != ds.features).nnz == 0
 
 
 class TestDatasetInvariants:

@@ -1,6 +1,8 @@
+import csv
 import json
 import math
 import zlib
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -163,9 +165,13 @@ class TestRunExperiment:
         res = harness.run_experiment(
             base_config(out_csv=str(out_csv), out_json=str(out_json), epochs=3)
         )
-        assert harness.parse_csv(str(out_csv)) == res.records
-        assert harness.parse_json(str(out_json)) == res.records
+        with open(out_csv, newline="", encoding="utf-8") as fh:
+            reader = csv.DictReader(fh)
+            rows = [{col: float(v) if v else None for col, v in row.items()} for row in reader]
+        assert tuple(reader.fieldnames) == harness.TRACE_COLUMNS
+        assert rows == [asdict(rec) for rec in res.records]
         meta = json.loads(out_json.read_text())
+        assert [harness.TrialRecord(**rec) for rec in meta["records"]] == res.records
         assert meta["config"]["algo"] == "ec_lsvrg"
 
     def test_json_reports_design_path_and_partition(self, tmp_path, monkeypatch):
@@ -383,10 +389,11 @@ class TestCli:
         assert "final_gap" in capsys.readouterr().out
 
     def test_run_from_libsvm_file(self, tmp_path, capsys):
-        from ecvr.dataset import write_libsvm
-
         data = tmp_path / "toy.libsvm"
-        write_libsvm(harness.synth_dataset(40, 8, 0.5, seed=3), str(data))
+        data.write_text(
+            "+1 1:0.5 3:-1.2\n-1 2:0.8 4:0.3\n+1 1:-0.4 2:0.9 4:1.1\n-1 3:0.7\n"
+            "+1 2:-0.6 3:0.2\n-1 1:1.3 4:-0.5\n+1 1:0.1 2:0.2 3:0.3 4:0.4\n0 4:-0.9\n"
+        )
         code = cli.main(
             [
                 "run", "--data", str(data), "--n", "2", "--algo", "ec_gd",
@@ -415,6 +422,18 @@ class TestCli:
 
         assert trace_for("7") == trace_for(None)  # env seed equals cli seed
         assert trace_for("8") != trace_for(None)
+
+    @pytest.mark.parametrize("out, csv_at", [("../t", "t"), ("../x.d/t", "x.d/t")])
+    def test_json_trace_sits_beside_the_csv(self, tmp_path, monkeypatch, capsys, out, csv_at):
+        # The JSON path swaps only the extension of the file name, however
+        # many dots the directories hold.
+        (tmp_path / "work").mkdir()
+        (tmp_path / "x.d").mkdir()
+        monkeypatch.chdir(tmp_path / "work")
+        code = cli.main(["run", "--synth", "60,12,0.4", "--eta", "0.3", "--epochs", "1", "--out", out])
+        assert code == 0
+        written = {p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*") if p.is_file()}
+        assert written == {csv_at, csv_at + ".json"}
 
     def test_verify_compressors_exit_code(self, monkeypatch, capsys):
         # Every line is pinned: a change to any sparsifier's selection or to a
@@ -461,12 +480,33 @@ class TestCli:
             ("--gap-target", "nan"),
             ("--tol", "0"),
             ("--tol", "inf"),
+            ("--seed", "-1"),
+            ("--shuffle-seed", "-1"),
+            ("ECVR_SEED", "abc"),
         ],
     )
-    def test_bad_value_names_the_argument(self, capsys, flag, value):
-        argv = ["reference", flag, value] if flag == "--tol" else ["run", flag, value, "--epochs", "0"]
+    def test_bad_value_names_the_argument(self, capsys, monkeypatch, flag, value):
+        monkeypatch.delenv("ECVR_SEED", raising=False)
+        named = f"argument {flag}"
+        if flag == "ECVR_SEED":
+            monkeypatch.setenv(flag, value)
+            argv, named = ["run", "--epochs", "0"], f"environment variable {flag}"
+        elif flag == "--tol":
+            argv = ["reference", flag, value]
+        else:
+            argv = ["run", flag, value, "--epochs", "0"]
         with pytest.raises(SystemExit) as exit_info:
             cli.main(argv)
+        assert exit_info.value.code == 2
+        assert f"{named}: expects" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "what, flag, value",
+        [("compressors", "--trials", "0"), ("compressors", "--d", "0"), ("eso", "--instances", "-1")],
+    )
+    def test_verify_rejects_a_count_below_one(self, capsys, what, flag, value):
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["verify", what, flag, value])
         assert exit_info.value.code == 2
         assert f"argument {flag}: expects" in capsys.readouterr().err
 
@@ -484,6 +524,7 @@ class TestCli:
             (["run", "--data", "{malformed}"], "--data"),
             (["reference", "--data", "{malformed}"], "--data"),
             (["run", "--out", "{missing_dir}/trace.csv"], "--out"),
+            (["run", "--compressor-q1", "rand_k_unbiased:2", "--eta", "0.1"], "--compressor-q1"),
         ],
     )
     def test_value_that_does_not_fit_the_data_names_the_argument(
