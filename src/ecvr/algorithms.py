@@ -5,8 +5,11 @@ each compressor then runs once per step on the (n, d) batch of node
 messages, node tau drawing from its own stream. Aggregation sums in fixed
 node order so runs are reproducible bit for bit.
 Each optimizer validates its defining algebraic identities every step (error
-conservation, maintained averages, dual feasibility) and raises on NaN/Inf,
-so a completed run certifies its own internal consistency.
+conservation, maintained averages, dual feasibility) and raises on NaN/Inf.
+``EcDual`` checks its surrogate identity and feasibility incrementally, at the
+cost of its step, and ``EcDual.certify`` runs the full O(N d) checks, which
+the harness calls at every record; the last step is always recorded, so a
+completed run certifies its own internal consistency.
 """
 
 from __future__ import annotations
@@ -316,8 +319,11 @@ class EcDual:
 
     Each node updates one dual coordinate, compresses its contribution to the
     primal surrogate ``u`` with error feedback, and all nodes apply the same
-    averaged update. The identity ``u + mean(e) = (1/(lam N)) sum_j a_j
-    alpha_j`` is checked every step, as is dual feasibility.
+    averaged update. Every step checks the identity ``u + mean(e) = v``, where
+    ``v = (1/(lam N)) sum_j a_j alpha_j`` is kept up to date from the step's
+    own n columns, and the feasibility of the n blocks it changed; so a step
+    costs O(n d). ``certify`` checks the identity against a full
+    ``dual_aggregate(alpha)`` and the feasibility of all N blocks.
     """
 
     passes_per_step_factor = "per_example"
@@ -344,22 +350,34 @@ class EcDual:
         self.variant = variant
         self.alpha = np.zeros(problem.N)
         self.x = np.zeros(d)
-        self.u = problem.dual_aggregate(self.alpha)
+        self.v = problem.dual_aggregate(self.alpha)  # A alpha / (lam N)
+        self.u = self.v.copy()
         self.e = np.zeros((n, d))
         self.k = 0
         self.bits = 0.0
         self.bits_per_step = n * comp.bit_cost(compressor, d)
         self._sample = node_streams(seed, "sample", n)
         self._q_rng = node_streams(seed, "compress", n)
-        self._check_feasible()
 
-    def _check_feasible(self) -> None:
-        u = self.problem.labels * self.alpha
-        if np.any(u < -1e-12) or np.any(u > 1 + 1e-12):
-            bad = int(np.argmax((u < -1e-12) | (u > 1 + 1e-12)))
+    def _check_feasible(self, blocks: np.ndarray) -> None:
+        """Raise unless ``0 <= b_j alpha_j <= 1`` for every global index j in ``blocks``."""
+        u = self.problem.labels[blocks] * self.alpha[blocks]
+        bad = (u < -1e-12) | (u > 1 + 1e-12)
+        if bad.any():
+            i = int(np.argmax(bad))
             raise InvariantError(
-                f"dual feasibility violated at step {self.k}: block {bad} has b*alpha={u[bad]}"
+                f"dual feasibility violated at step {self.k}: block {blocks[i]} has b*alpha={u[i]}"
             )
+
+    def _check_surrogate(self, aggregate: np.ndarray) -> None:
+        lag = self.u + self.e.mean(axis=0) - aggregate
+        if np.max(np.abs(lag), initial=0.0) > 1e-10 * (1.0 + float(np.max(np.abs(self.alpha)))):
+            raise InvariantError(f"compressed surrogate drifted from A alpha at step {self.k}")
+
+    def certify(self) -> None:
+        """Check all N blocks for feasibility and the identity against ``dual_aggregate(alpha)``."""
+        self._check_feasible(np.arange(self.problem.N))
+        self._check_surrogate(self.problem.dual_aggregate(self.alpha))
 
     def step(self) -> DualStepInfo:
         pr = self.problem
@@ -376,19 +394,19 @@ class EcDual:
         dphi = np.array([_coef(float(col @ x_new), pr.labels[j]) for col, j in zip(cols, sampled)])
         delta_alpha = -theta * m * (self.alpha[sampled] + dphi)
         self.alpha[sampled] += delta_alpha
-        t_nodes = (delta_alpha / (lam * m))[:, None] * cols + self.e
+        contrib = (delta_alpha / (lam * m))[:, None] * cols
+        t_nodes = contrib + self.e
         y_nodes, self.e = _compress_with_feedback(self.q, t_nodes, self._q_rng, self.k)
 
         self.u = self.u + y_nodes.mean(axis=0)
+        self.v = self.v + contrib.mean(axis=0)
         self.x = x_new
         self.k += 1
         self.bits += self.bits_per_step
-        _require_finite("dual vector", self.alpha, self.k)
+        _require_finite("dual vector", self.alpha[sampled], self.k)
         _require_finite("primal surrogate", self.u, self.k)
-        self._check_feasible()
-        lag = self.u + self.e.mean(axis=0) - pr.dual_aggregate(self.alpha)
-        if np.max(np.abs(lag), initial=0.0) > 1e-10 * (1.0 + float(np.max(np.abs(self.alpha)))):
-            raise InvariantError(f"compressed surrogate drifted from A alpha at step {self.k}")
+        self._check_feasible(sampled)
+        self._check_surrogate(self.v)
         return DualStepInfo(
             sampled=sampled,
             delta_alpha=delta_alpha,

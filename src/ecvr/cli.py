@@ -72,6 +72,8 @@ _eta = _checked(
 )
 _compressor = _checked(str, comp.parse_spec, "a compressor such as top_k:1, rand_k:5, dither or natural")
 _positive_int = _checked(int, lambda v: v >= 1, "an integer >= 1")
+# `verify compressors` checks fixed specs that keep up to 5 coordinates.
+_verify_d = _checked(int, lambda v: v >= 5, "an integer >= 5")
 _seed = _checked(int, lambda v: v >= 0, "a nonnegative integer")
 _probability = _checked(float, lambda v: 0 < v <= 1, "a number in (0, 1]")
 _nonnegative = _checked(float, lambda v: 0 <= v < math.inf, "a nonnegative finite number")
@@ -216,7 +218,8 @@ def cmd_verify(args) -> int:
         dopt = alg.EcDual(dual, comp.top_k(1), theta=theta, seed=seed)
         for _ in range(200):
             dopt.step()
-        print(f"ec_quartz: 200 steps at theta={theta:.3e}, per-step identities held")
+        dopt.certify()
+        print(f"ec_quartz: 200 steps at theta={theta:.3e}, per-step identities and full check held")
     else:
         raise SystemExit(f"unknown verify target {args.what!r}")
     print("all checks passed" if ok else "FAILURES above")
@@ -261,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     verify = sub.add_parser("verify", help="run statistical/invariant verifiers")
     verify.add_argument("what", choices=["compressors", "eso", "invariants"])
-    verify.add_argument("--d", type=_positive_int, default=100)
+    verify.add_argument("--d", type=_verify_d, default=100)
     verify.add_argument("--trials", type=_positive_int, default=10_000)
     verify.add_argument("--instances", type=_positive_int, default=20)
     verify.add_argument("--seed", type=_seed, default=0)

@@ -59,7 +59,6 @@ def solve_reference(
     problem: PrimalProblem,
     constants: ProblemConstants,
     tol: float = 1e-10,
-    x0: Optional[np.ndarray] = None,
     max_iter: int = 200_000,
 ) -> tuple[np.ndarray, float]:
     """High-accuracy minimizer via accelerated proximal gradient.
@@ -67,9 +66,8 @@ def solve_reference(
     The step is 1 / L with L from ``constants.l_f``. The l2 term is folded
     into the smooth part so the l1 prox is all that remains, and the strong
     convexity it brings (lam2 > 0) selects the constant-momentum accelerated
-    scheme. Stops when the prox-gradient mapping norm drops to ``tol``.
-    Deterministic given ``x0``, and the optimum is unique under strong
-    convexity, so reruns agree to solver accuracy.
+    scheme. Starts at 0 and stops when the prox-gradient mapping norm drops
+    to ``tol``; deterministic.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -96,7 +94,7 @@ def solve_reference(
             moved = np.sign(moved) * np.maximum(np.abs(moved) - eta * lam1, 0.0)
         return moved
 
-    x = np.zeros(problem.d) if x0 is None else np.asarray(x0, dtype=np.float64).copy()
+    x = np.zeros(problem.d)
     y = x.copy()
     residual = math.inf
     for _ in range(max_iter):
@@ -424,6 +422,8 @@ def _run(config: RunConfig, setup: Setup) -> RunResult:
     started = time.perf_counter()
 
     def record_now() -> TrialRecord:
+        if isinstance(opt, alg.EcDual):
+            opt.certify()
         gap = primal.primal_value(opt.x) - p_star
         dual_gap = None
         if dual is not None:

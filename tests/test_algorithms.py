@@ -1,3 +1,4 @@
+import copy
 import math
 import zlib
 
@@ -7,6 +8,7 @@ from scipy import sparse
 
 from ecvr import algorithms as alg
 from ecvr import compressors as comp
+from ecvr import harness
 from ecvr import problem as problem_module
 from ecvr.dataset import Dataset, partition
 from ecvr.harness import synth_dataset
@@ -301,6 +303,12 @@ class TestEcDual:
     def theta_for(self, constants, dual, delta):
         return alg.theoretical_theta(constants, dual.part.m, dual.part.n, dual.lam, dual.gamma, delta)
 
+    def stepped(self, dual, constants, seed):
+        opt = alg.EcDual(dual, comp.top_k(1), theta=self.theta_for(constants, dual, 0.02), seed=seed)
+        for _ in range(20):
+            opt.step()
+        return opt
+
     @pytest.mark.parametrize("variant", [alg.QUARTZ, alg.SDCA])
     def test_identity_reduction(self, dual, constants, variant):
         theta = self.theta_for(constants, dual, 1.0)
@@ -327,6 +335,54 @@ class TestEcDual:
             opt.step()
             lag = opt.u + opt.e.mean(axis=0) - dual.dual_aggregate(opt.alpha)
             assert np.max(np.abs(lag)) <= 1e-10 * (1.0 + np.max(np.abs(opt.alpha)))
+
+    def test_step_check_catches_a_drifted_surrogate(self, dual, constants):
+        opt = self.stepped(dual, constants, seed=71)
+        opt.u = opt.u + 1e-6
+        with pytest.raises(alg.InvariantError, match=rf"compressed surrogate drifted .* step {opt.k + 1}$"):
+            opt.step()
+
+    def test_certify_catches_what_the_step_check_cannot(self, dual, constants):
+        # Moving u and the tracked v together keeps the step's identity; only
+        # the full product sees that neither matches A alpha.
+        opt = self.stepped(dual, constants, seed=73)
+        opt.u = opt.u + 1e-6
+        opt.v = opt.v + 1e-6
+        opt.step()
+        with pytest.raises(alg.InvariantError, match=rf"compressed surrogate drifted .* step {opt.k}$"):
+            opt.certify()
+
+    def test_certify_names_an_infeasible_unsampled_block(self, dual, constants):
+        opt = self.stepped(dual, constants, seed=79)
+        upcoming = copy.deepcopy(opt).step().sampled
+        j = next(i for i in range(dual.N) if i not in upcoming)
+        opt.alpha[j] = 2.0 * dual.labels[j]
+        opt.step()  # the step checks only the blocks it changed
+        with pytest.raises(alg.InvariantError, match=rf"at step {opt.k}: block {j} has b\*alpha=2\.0$"):
+            opt.certify()
+
+    def test_steps_make_no_full_product(self, monkeypatch, dual, constants):
+        opt = self.stepped(dual, constants, seed=83)
+        calls = []
+        full = DualProblem.dual_aggregate
+        monkeypatch.setattr(DualProblem, "dual_aggregate", lambda pr, a: calls.append(1) or full(pr, a))
+        for _ in range(100):
+            opt.step()
+        assert calls == []
+        opt.certify()
+        assert len(calls) == 1
+
+    def test_run_certifies_every_record(self, monkeypatch):
+        # One product when EcDual starts, then two per record: certify and
+        # the duality gap.
+        config = harness.RunConfig(algo="ec_quartz", compressor="top_k:2", epochs=3.0, cadence=7)
+        setup = harness.build_setup(config)
+        calls = []
+        full = DualProblem.dual_aggregate
+        monkeypatch.setattr(DualProblem, "dual_aggregate", lambda pr, a: calls.append(1) or full(pr, a))
+        result = harness._run(config, setup)
+        assert result.records[-1].k == result.steps
+        assert len(calls) == 1 + 2 * len(result.records)
 
     def test_feasibility_throughout(self, dual, constants):
         theta = self.theta_for(constants, dual, 0.02)

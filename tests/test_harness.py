@@ -55,14 +55,19 @@ class TestSolveReference:
             x = rng.standard_normal(problem.d) * rng.uniform(0.1, 10.0)
             assert problem.primal_value(x) >= p_star
 
-    def test_optimum_independent_of_start(self):
+    def test_returns_a_point_within_tol_and_its_value(self):
+        # The prox-gradient mapping at step 1/L, L = l_f + lam2: the l2 term
+        # is smooth and lam1 |x| is the prox part.
         ds = harness.synth_dataset(60, 10, 0.5, seed=22, scale=1.0)
         problem = PrimalProblem(ds, partition(ds, 3), lam1=1e-3, lam2=1e-3, mode=COMPOSITE)
         c = compute_constants(problem)
-        rng = rng_for("start")
-        _, p_a = harness.solve_reference(problem, c, tol=1e-11, x0=rng.standard_normal(10))
-        _, p_b = harness.solve_reference(problem, c, tol=1e-11, x0=rng.standard_normal(10))
-        assert p_a == pytest.approx(p_b, abs=1e-9)
+        tol = 1e-11
+        x_star, p_star = harness.solve_reference(problem, c, tol=tol)
+        eta = 1.0 / (c.l_f + problem.lam2)
+        grad = problem.grad_f(x_star) + problem.lam2 * x_star
+        moved = problem_module.soft_threshold(x_star - eta * grad, eta * problem.lam1)
+        assert np.linalg.norm(x_star - moved) / eta <= tol
+        assert p_star == problem.primal_value(x_star)
 
     def test_budget_exhaustion_reports_residual(self):
         ds = harness.synth_dataset(60, 10, 0.5, seed=23)
@@ -502,7 +507,12 @@ class TestCli:
 
     @pytest.mark.parametrize(
         "what, flag, value",
-        [("compressors", "--trials", "0"), ("compressors", "--d", "0"), ("eso", "--instances", "-1")],
+        [
+            ("compressors", "--trials", "0"),
+            ("compressors", "--d", "0"),
+            ("compressors", "--d", "4"),
+            ("eso", "--instances", "-1"),
+        ],
     )
     def test_verify_rejects_a_count_below_one(self, capsys, what, flag, value):
         with pytest.raises(SystemExit) as exit_info:
