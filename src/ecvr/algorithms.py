@@ -1,15 +1,19 @@
 """Optimizers with compressed, error-compensated node communication.
 
-All nodes live in one process and are stepped sequentially in node order;
-each compressor then runs once per step on the (n, d) batch of node
+All nodes live in one process and each step treats them as one batch: the
+n sampled examples come from per-node streams drawn ahead in blocks, their
+columns are gathered into one (n, d) array, the n margins are one product
+with it, and the loss derivative is evaluated once on the margin vector.
+Each compressor then runs once per step on the (n, d) batch of node
 messages, node tau drawing from its own stream. Aggregation sums in fixed
 node order so runs are reproducible bit for bit.
 Each optimizer validates its defining algebraic identities every step (error
 conservation, maintained averages, dual feasibility) and raises on NaN/Inf.
 ``EcDual`` checks its surrogate identity and feasibility incrementally, at the
 cost of its step, and ``EcDual.certify`` runs the full O(N d) checks, which
-the harness calls at every record; the last step is always recorded, so a
-completed run certifies its own internal consistency.
+the harness calls at every record (reusing the aggregate it returns for the
+duality gap); the last step is always recorded, so a completed run certifies
+its own internal consistency.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ import numpy as np
 
 from . import compressors as comp
 from .dataset import Partition
-from .problem import COMPOSITE, SMOOTH, DualProblem, PrimalProblem, ProblemConstants
+from .problem import COMPOSITE, SMOOTH, DualProblem, PrimalProblem, ProblemConstants, logistic_grad
 from .rng import node_streams, split_rng
 
 
@@ -72,17 +76,33 @@ def _compress_with_feedback(
     return y, e_new
 
 
-def _coef(z: float, b: float) -> float:
-    """-b * sigmoid(-b z), the derivative of log(1 + exp(-b z))."""
-    bz = b * z
-    if bz >= 0:
-        return -b * math.exp(-bz) / (1.0 + math.exp(-bz))
-    return -b / (1.0 + math.exp(bz))
+# Local indices each node draws ahead of the steps that use them.
+_SAMPLE_BLOCK = 64
 
 
-def _draw_examples(streams: list[np.random.Generator], part: Partition) -> np.ndarray:
-    """One step's n global example indices: node tau draws its local index from streams[tau]."""
-    return np.array([part.example_index(tau, int(rng.integers(part.m))) for tau, rng in enumerate(streams)])
+class _ExampleSampler:
+    """Each step's n global example indices, node tau drawing from stream ("sample", tau).
+
+    Every node draws ``_SAMPLE_BLOCK`` local indices at once and the block is
+    refilled when the steps have used it up. ``Generator.integers(m, size=B)``
+    yields the same numbers as B scalar draws, so the indices are those of one
+    ``integers(m)`` call per node per step.
+    """
+
+    def __init__(self, seed: int, part: Partition):
+        self._streams = node_streams(seed, "sample", part.n)
+        self._m = part.m
+        self._offset = np.arange(part.n) * part.m  # node tau's first global index
+        self._block = np.empty((0, part.n), dtype=np.int64)  # row r: one step's indices
+        self._next = 0
+
+    def draw(self) -> np.ndarray:
+        if self._next == len(self._block):
+            local = np.stack([rng.integers(self._m, size=_SAMPLE_BLOCK) for rng in self._streams], axis=1)
+            self._block = local + self._offset
+            self._next = 0
+        self._next += 1
+        return self._block[self._next - 1]
 
 
 @dataclass
@@ -140,7 +160,7 @@ class EcLsvrg:
         self.bits_per_step = problem.n * (
             comp.bit_cost(self.q, d) + comp.bit_cost(self.q1, d) + 1.0
         )
-        self._sample = node_streams(seed, "sample", n)
+        self._sample = _ExampleSampler(seed, problem.part)
         self._q_rng = node_streams(seed, "compress", n)
         self._q1_rng = node_streams(seed, "compress_shift", n)
         self._coin = split_rng(seed, "coin")
@@ -153,12 +173,10 @@ class EcLsvrg:
         x, w = self.x, self.w
         l2_drift = pr.lam2 * (x - w) if smooth else None
 
-        sampled = _draw_examples(self._sample, pr.part)
-        dc = np.array(
-            [_coef(design.col_dot(j, x), design.b[j]) - _coef(design.col_dot(j, w), design.b[j])
-             for j in sampled]
-        )
-        g_nodes = dc[:, None] * design.columns(sampled) + self.grad_w - self.h
+        sampled = self._sample.draw()
+        cols, b = design.columns(sampled), design.b[sampled]
+        dc = logistic_grad(cols @ x, b) - logistic_grad(cols @ w, b)
+        g_nodes = dc[:, None] * cols + self.grad_w - self.h
         if smooth:
             g_nodes = g_nodes + l2_drift
         t_nodes = eta * g_nodes + self.e
@@ -227,7 +245,7 @@ class Lsvrg:
         self.k = 0
         self.bits = 0.0
         self.bits_per_step = problem.n * (comp.bit_cost(comp.identity(), d) * 2 + 1.0)
-        self._sample = node_streams(seed, "sample", n)
+        self._sample = _ExampleSampler(seed, problem.part)
         self._coin = split_rng(seed, "coin")
 
     def step(self) -> None:
@@ -238,12 +256,10 @@ class Lsvrg:
         x, w = self.x, self.w
         l2_drift = pr.lam2 * (x - w) if smooth else None
 
-        J = _draw_examples(self._sample, pr.part)
-        dc = np.array(
-            [_coef(design.col_dot(j, x), design.b[j]) - _coef(design.col_dot(j, w), design.b[j])
-             for j in J]
-        )
-        g = dc[:, None] * design.columns(J) + self.grad_w
+        J = self._sample.draw()
+        cols, b = design.columns(J), design.b[J]
+        dc = logistic_grad(cols @ x, b) - logistic_grad(cols @ w, b)
+        g = dc[:, None] * cols + self.grad_w
         if smooth:
             g = g + l2_drift
         coin = bool(self._coin.random() < self.p)
@@ -356,7 +372,7 @@ class EcDual:
         self.k = 0
         self.bits = 0.0
         self.bits_per_step = n * comp.bit_cost(compressor, d)
-        self._sample = node_streams(seed, "sample", n)
+        self._sample = _ExampleSampler(seed, problem.part)
         self._q_rng = node_streams(seed, "compress", n)
 
     def _check_feasible(self, blocks: np.ndarray) -> None:
@@ -374,10 +390,15 @@ class EcDual:
         if np.max(np.abs(lag), initial=0.0) > 1e-10 * (1.0 + float(np.max(np.abs(self.alpha)))):
             raise InvariantError(f"compressed surrogate drifted from A alpha at step {self.k}")
 
-    def certify(self) -> None:
-        """Check all N blocks for feasibility and the identity against ``dual_aggregate(alpha)``."""
+    def certify(self) -> np.ndarray:
+        """Check all N blocks for feasibility and the identity against ``dual_aggregate(alpha)``.
+
+        Returns the aggregate it checked, so a caller can reuse the O(N d) product.
+        """
         self._check_feasible(np.arange(self.problem.N))
-        self._check_surrogate(self.problem.dual_aggregate(self.alpha))
+        aggregate = self.problem.dual_aggregate(self.alpha)
+        self._check_surrogate(aggregate)
+        return aggregate
 
     def step(self) -> DualStepInfo:
         pr = self.problem
@@ -389,9 +410,9 @@ class EcDual:
         else:
             x_new = pr.gstar_grad(self.u)
 
-        sampled = _draw_examples(self._sample, pr.part)
+        sampled = self._sample.draw()
         cols = pr._design.columns(sampled)
-        dphi = np.array([_coef(float(col @ x_new), pr.labels[j]) for col, j in zip(cols, sampled)])
+        dphi = logistic_grad(cols @ x_new, pr.labels[sampled])
         delta_alpha = -theta * m * (self.alpha[sampled] + dphi)
         self.alpha[sampled] += delta_alpha
         contrib = (delta_alpha / (lam * m))[:, None] * cols
@@ -445,7 +466,7 @@ class VanillaDual:
         self.k = 0
         self.bits = 0.0
         self.bits_per_step = problem.part.n * comp.bit_cost(comp.identity(), problem.d)
-        self._sample = node_streams(seed, "sample", problem.part.n)
+        self._sample = _ExampleSampler(seed, problem.part)
 
     def step(self) -> None:
         pr = self.problem
@@ -455,9 +476,9 @@ class VanillaDual:
             x_new = (1.0 - theta) * self.x + theta * pr.gstar_grad(self.u)
         else:
             x_new = pr.gstar_grad(self.u)
-        J = _draw_examples(self._sample, pr.part)
+        J = self._sample.draw()
         cols = pr._design.columns(J)
-        dphi = np.array([_coef(float(col @ x_new), pr.labels[j]) for col, j in zip(cols, J)])
+        dphi = logistic_grad(cols @ x_new, pr.labels[J])
         da = -theta * m * (self.alpha[J] + dphi)
         self.alpha[J] += da
         y_nodes = (da / (lam * m))[:, None] * cols

@@ -126,6 +126,7 @@ def _config_from_args(args) -> harness.RunConfig:
 
 
 def cmd_run(args) -> int:
+    """Run one trial: per-record progress to stderr, the summary to stdout."""
     config = _config_from_args(args)
     if config.out_csv:
         config.out_json = os.path.splitext(config.out_csv)[0] + ".json"
@@ -134,7 +135,8 @@ def cmd_run(args) -> int:
         gap = "" if rec.dual_gap is None else f" dual_gap={rec.dual_gap:.3e}"
         print(
             f"k={rec.k} epoch={rec.epoch:.2f} bits={rec.bits:.3e}"
-            f" primal_gap={rec.primal_gap:.3e}{gap} err={rec.err_norm:.3e}"
+            f" primal_gap={rec.primal_gap:.3e}{gap} err={rec.err_norm:.3e}",
+            file=sys.stderr,
         )
     target = f" bits_to_target={result.bits_to_target:.3e}" if result.bits_to_target else ""
     print(

@@ -422,12 +422,13 @@ def _run(config: RunConfig, setup: Setup) -> RunResult:
     started = time.perf_counter()
 
     def record_now() -> TrialRecord:
-        if isinstance(opt, alg.EcDual):
-            opt.certify()
-        gap = primal.primal_value(opt.x) - p_star
+        # One margins pass and one dual aggregate serve the whole record.
+        aggregate = opt.certify() if isinstance(opt, alg.EcDual) else None
+        loss = primal.loss_value(opt.x)
+        gap = primal.primal_value(opt.x, loss) - p_star
         dual_gap = None
         if dual is not None:
-            dual_gap = dual.duality_gap(opt.x, opt.alpha)
+            dual_gap = dual.duality_gap(opt.x, opt.alpha, loss=loss, aggregate=aggregate)
             if dual_gap < -1e-10:
                 raise alg.InvariantError(
                     f"duality gap {dual_gap} fell below -1e-10 at step {opt.k}"

@@ -84,12 +84,6 @@ class _Design:
             return self.A_dense[:, J].T
         return self.A[:, J].T.toarray()
 
-    def col_dot(self, j: int, x: np.ndarray) -> float:
-        if self.A_dense is not None:
-            return float(self.A_dense[:, j] @ x)
-        start, stop = self.A.indptr[j], self.A.indptr[j + 1]
-        return float(self.A.data[start:stop] @ x[self.A.indices[start:stop]])
-
     def combine(self, coef: np.ndarray, cols: slice | None = None) -> np.ndarray:
         """Return A[:, cols] @ coef as a dense vector."""
         if self.A_dense is not None:
@@ -135,8 +129,8 @@ class PrimalProblem:
     def grad_fi(self, x: np.ndarray, tau: int, i: int) -> np.ndarray:
         """Gradient of one example's loss (plus the l2 term in smooth mode)."""
         j = self.part.example_index(tau, i)
-        coef = logistic_grad(self._design.col_dot(j, x), self._design.b[j])
-        g = coef * self._design.columns([j])[0]
+        col = self._design.columns([j])[0]
+        g = logistic_grad(col @ x, self._design.b[j]) * col
         if self.mode == SMOOTH:
             g = g + self.lam2 * x
         return g
@@ -166,10 +160,11 @@ class PrimalProblem:
     def loss_value(self, x: np.ndarray) -> float:
         return float(np.mean(logistic_loss(self._design.margins(x), self._design.b)))
 
-    def primal_value(self, x: np.ndarray) -> float:
+    def primal_value(self, x: np.ndarray, loss: float | None = None) -> float:
+        """The objective at x; ``loss`` is ``loss_value(x)`` if the caller already has it."""
         # Same total in both modes; only the smooth/prox split differs.
         return (
-            self.loss_value(x)
+            (self.loss_value(x) if loss is None else loss)
             + self.lam1 * float(np.abs(x).sum())
             + 0.5 * self.lam2 * float(x @ x)
         )
@@ -248,16 +243,29 @@ class DualProblem:
         """(1/(lam N)) sum_j a_j alpha_j, the argument fed to grad g*."""
         return self._design.combine(np.asarray(alpha) / (self.lam * self.N))
 
-    def primal_value(self, x: np.ndarray) -> float:
-        z = self._design.margins(x)
-        return float(np.mean(logistic_loss(z, self._design.b))) + self.lam * self.g_value(x)
+    def primal_value(self, x: np.ndarray, loss: float | None = None) -> float:
+        """The objective at x; ``loss`` is ``primal.loss_value(x)`` if the caller already has it."""
+        if loss is None:
+            loss = self.primal.loss_value(x)
+        return loss + self.lam * self.g_value(x)
 
-    def dual_value(self, alpha: np.ndarray) -> float:
+    def dual_value(self, alpha: np.ndarray, aggregate: np.ndarray | None = None) -> float:
+        """The dual objective; ``aggregate`` is ``dual_aggregate(alpha)`` if the caller already has it."""
         conj = self.phi_conj_neg(np.asarray(alpha, dtype=np.float64), self._design.b)
-        return -self.lam * self.gstar_value(self.dual_aggregate(alpha)) - float(np.mean(conj))
+        if aggregate is None:
+            aggregate = self.dual_aggregate(alpha)
+        return -self.lam * self.gstar_value(aggregate) - float(np.mean(conj))
 
-    def duality_gap(self, x: np.ndarray, alpha: np.ndarray) -> float:
-        return self.primal_value(x) - self.dual_value(alpha)
+    def duality_gap(
+        self,
+        x: np.ndarray,
+        alpha: np.ndarray,
+        *,
+        loss: float | None = None,
+        aggregate: np.ndarray | None = None,
+    ) -> float:
+        """Primal minus dual value; a passed ``loss`` or ``aggregate`` saves its O(N d) product."""
+        return self.primal_value(x, loss) - self.dual_value(alpha, aggregate)
 
 
 @dataclass(frozen=True)

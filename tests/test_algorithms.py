@@ -373,8 +373,8 @@ class TestEcDual:
         assert len(calls) == 1
 
     def test_run_certifies_every_record(self, monkeypatch):
-        # One product when EcDual starts, then two per record: certify and
-        # the duality gap.
+        # One product when EcDual starts, then one per record: certify checks
+        # it and the duality gap reuses it.
         config = harness.RunConfig(algo="ec_quartz", compressor="top_k:2", epochs=3.0, cadence=7)
         setup = harness.build_setup(config)
         calls = []
@@ -382,7 +382,17 @@ class TestEcDual:
         monkeypatch.setattr(DualProblem, "dual_aggregate", lambda pr, a: calls.append(1) or full(pr, a))
         result = harness._run(config, setup)
         assert result.records[-1].k == result.steps
-        assert len(calls) == 1 + 2 * len(result.records)
+        assert len(calls) == 1 + len(result.records)
+
+    def test_run_computes_one_margins_pass_per_record(self, monkeypatch):
+        # The primal gap and the duality gap share the record's loss.
+        config = harness.RunConfig(algo="ec_quartz", compressor="top_k:2", epochs=3.0, cadence=7)
+        setup = harness.build_setup(config)
+        calls = []
+        full = problem_module._Design.margins
+        monkeypatch.setattr(problem_module._Design, "margins", lambda ds, x: calls.append(1) or full(ds, x))
+        result = harness._run(config, setup)
+        assert len(calls) == len(result.records)
 
     def test_feasibility_throughout(self, dual, constants):
         theta = self.theta_for(constants, dual, 0.02)
@@ -533,12 +543,32 @@ class TestSampling:
                 ]
                 assert opt.step().sampled.tolist() == expected
 
+    # (N, n): m = 1, an odd m, and m above the block size.
+    @pytest.mark.parametrize("N, n", [(6, 6), (21, 3), (2 * alg._SAMPLE_BLOCK + 6, 2)])
+    @pytest.mark.parametrize("kind", ["ec_lsvrg", "ec_dual"])
+    def test_block_draws_replay_scalar_draws_across_blocks(self, N, n, kind):
+        ds = synth_dataset(N, 6, 0.5, seed=N, scale=0.5)
+        part = partition(ds, n)
+        assert part.dropped == 0
+        primal = PrimalProblem(ds, part, lam1=1e-3, lam2=1e-2)
+        if kind == "ec_lsvrg":
+            opt = alg.EcLsvrg(primal, comp.top_k(1), eta=0.1, p=0.2, seed=89)
+        else:
+            opt = alg.EcDual(DualProblem(primal), comp.top_k(1), theta=0.5 / part.m, seed=89)
+        streams = node_streams(89, "sample", n)
+        for _ in range(2 * alg._SAMPLE_BLOCK + 7):  # into a third block
+            expected = [
+                part.example_index(tau, int(streams[tau].integers(part.m))) for tau in range(n)
+            ]
+            assert opt.step().sampled.tolist() == expected
+
     @pytest.mark.parametrize("dense", [True, False])
     @pytest.mark.parametrize("mode", [COMPOSITE, SMOOTH])
     def test_steps_match_per_node_loops(self, fixture, monkeypatch, dense, mode):
-        # Reference: the per-node loops, each fetching its own column, that
-        # the batched steps replaced. The arithmetic is unchanged, so every
-        # per-node vector must agree bit for bit.
+        # Reference: per-node loops, each fetching its own column. The
+        # margins are the batched product and one logistic_grad call, as in
+        # the steps; every per-node vector built from them must agree bit for
+        # bit.
         if not dense:
             monkeypatch.setattr(problem_module, "_DENSE_LIMIT", 0)
         ds, part = fixture
@@ -551,14 +581,18 @@ class TestSampling:
                 return design.A_dense[:, j]
             return design.A[:, [j]].toarray().ravel()
 
+        def margins(J, v):
+            cols = np.stack([column(j) for j in J])
+            return cols @ v
+
         opt = alg.EcLsvrg(primal, comp.top_k(2), eta=0.5, p=0.3, seed=71)
         for _ in range(20):
             x, w, grad_w, h = opt.x, opt.w, opt.grad_w, opt.h.copy()
             info = opt.step()
+            b = design.b[info.sampled]
+            dcs = logistic_grad(margins(info.sampled, x), b) - logistic_grad(margins(info.sampled, w), b)
             for tau, j in enumerate(info.sampled):
-                b = design.b[j]
-                dc = alg._coef(design.col_dot(j, x), b) - alg._coef(design.col_dot(j, w), b)
-                g = dc * column(j) + grad_w[tau] - h[tau]
+                g = dcs[tau] * column(j) + grad_w[tau] - h[tau]
                 if mode == SMOOTH:
                     g = g + primal.lam2 * (x - w)
                 assert np.array_equal(g, info.g_nodes[tau])
@@ -570,9 +604,10 @@ class TestSampling:
         for _ in range(200):
             alpha, e = opt.alpha.copy(), opt.e
             info = opt.step()
+            dphi = logistic_grad(margins(info.sampled, info.x_new), design.b[info.sampled])
             for tau, j in enumerate(info.sampled):
                 col = column(j)
-                da = -opt.theta * m * (alpha[j] + alg._coef(float(col @ info.x_new), design.b[j]))
+                da = -opt.theta * m * (alpha[j] + dphi[tau])
                 assert da == info.delta_alpha[tau]
                 assert np.array_equal((da / (lam * m)) * col + e[tau], info.t_nodes[tau])
 

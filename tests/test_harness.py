@@ -393,6 +393,23 @@ class TestCli:
         assert out.exists() and (tmp_path / "run.json").exists()
         assert "final_gap" in capsys.readouterr().out
 
+    def test_run_progress_goes_to_stderr(self, tmp_path, capsys):
+        # Stdout holds only the summary and the trace paths, so it stays parseable.
+        out = tmp_path / "run.csv"
+        argv = ["run", "--synth", "60,12,0.4", "--eta", "0.3", "--epochs", "2", "--cadence", "5"]
+        code = cli.main(argv + ["--out", str(out)])
+        assert code == 0
+        captured = capsys.readouterr()
+        stdout = captured.out.splitlines()
+        assert len(stdout) == 2
+        assert stdout[0].startswith("done algo=ec_lsvrg ")
+        assert stdout[1] == f"trace written to {out} and {tmp_path / 'run.json'}"
+        progress = captured.err.splitlines()
+        records = out.read_text().splitlines()[1:]
+        assert len(progress) == len(records) > 1
+        for line, row in zip(progress, records):
+            assert line.startswith(f"k={row.split(',')[0]} epoch=")
+
     def test_run_from_libsvm_file(self, tmp_path, capsys):
         data = tmp_path / "toy.libsvm"
         data.write_text(

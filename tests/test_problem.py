@@ -1,4 +1,5 @@
 import math
+import warnings
 import zlib
 
 import numpy as np
@@ -216,6 +217,44 @@ class TestDual:
             b = float(rng.choice([-1.0, 1.0]))
             fd = (logistic_loss(t + 1e-6, b) - logistic_loss(t - 1e-6, b)) / 2e-6
             assert logistic_grad(t, b) == pytest.approx(fd, abs=1e-8)
+
+    def test_phi_grad_finite_and_silent_at_extreme_margins(self):
+        # The optimizers evaluate it on raw margins; no size of b*t may warn.
+        t = np.concatenate([np.linspace(-1e4, 1e4, 4001), [-1e4, -745.0, 710.0, 1e4]])
+        for b in (1.0, -1.0):
+            with warnings.catch_warnings(), np.errstate(all="raise"):
+                warnings.simplefilter("error")
+                g = logistic_grad(t, b)
+            assert np.all(np.isfinite(g))
+            assert np.all((-b * g >= 0.0) & (-b * g <= 1.0))
+
+    def test_phi_grad_matches_the_two_branch_exp_formula(self):
+        # The scalar form the per-node steps used: -b sigmoid(-b t) through
+        # math.exp, branching on the sign of b t so exp never overflows.
+        def two_branch(t, b):
+            bt = b * t
+            if bt >= 0:
+                return -b * math.exp(-bt) / (1.0 + math.exp(-bt))
+            return -b / (1.0 + math.exp(bt))
+
+        t = np.concatenate([np.linspace(-700.0, 700.0, 20001), rng_for("branch").uniform(-700, 700, 5000)])
+        for b in (1.0, -1.0):
+            expected = np.array([two_branch(float(v), b) for v in t])
+            rel = np.abs(logistic_grad(t, b) - expected) / np.abs(expected)
+            assert rel.max() <= 1e-15
+
+    def test_values_reuse_the_callers_loss_and_aggregate(self, dual, composite):
+        # A record passes in the loss and aggregate it already has; the values
+        # must be the bytes a fresh evaluation gives.
+        rng = rng_for("reuse")
+        for _ in range(5):
+            x = rng.standard_normal(dual.d)
+            alpha = dual.labels * rng.uniform(0.0, 1.0, size=dual.N)
+            loss, aggregate = composite.loss_value(x), dual.dual_aggregate(alpha)
+            assert composite.primal_value(x, loss) == composite.primal_value(x)
+            assert dual.primal_value(x, loss) == dual.primal_value(x)
+            assert dual.dual_value(alpha, aggregate) == dual.dual_value(alpha)
+            assert dual.duality_gap(x, alpha, loss=loss, aggregate=aggregate) == dual.duality_gap(x, alpha)
 
     def test_phi_conjugate_against_grid_oracle(self, dual):
         # phi*(v) = sup_a (v a - phi(a)), scanned densely.
