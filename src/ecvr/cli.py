@@ -230,10 +230,8 @@ def cmd_verify(args) -> int:
 
 def cmd_reference(args) -> int:
     setup = harness.build_setup(replace(_config_from_args(args), reference_tol=args.tol))
-    print(
-        f"P* = {setup.p_star!r}  (||x*|| = {np.linalg.norm(setup.x_star):.6f},"
-        f" d = {setup.primal.d})"
-    )
+    ref = setup.reference
+    print(f"P* = {ref.value!r}  (||x*|| = {np.linalg.norm(ref.x):.6f}, d = {setup.primal.d})")
     return 0
 
 

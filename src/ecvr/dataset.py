@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,7 +56,9 @@ def parse_libsvm(path: str) -> Dataset:
 
     Any label <= 0 maps to -1, anything else to +1. The feature dimension is
     the largest index seen. Blank lines are skipped; anything else that does
-    not parse raises ``LibsvmFormatError`` with its line number.
+    not parse, a label or value that is not finite, and a file with no
+    feature index at all raise ``LibsvmFormatError`` with a line number
+    (0 for the whole file).
     """
     labels: list[float] = []
     rows: list[int] = []
@@ -73,6 +76,8 @@ def parse_libsvm(path: str) -> Dataset:
                 label = float(tokens[0])
             except ValueError:
                 raise LibsvmFormatError(line_no, f"bad label {tokens[0]!r}") from None
+            if not math.isfinite(label):
+                raise LibsvmFormatError(line_no, f"label {tokens[0]!r} is not finite")
             labels.append(-1.0 if label <= 0 else 1.0)
             seen: set[int] = set()
             for token in tokens[1:]:
@@ -82,6 +87,8 @@ def parse_libsvm(path: str) -> Dataset:
                     val = float(val_str)
                 except ValueError:
                     raise LibsvmFormatError(line_no, f"bad feature token {token!r}") from None
+                if not math.isfinite(val):
+                    raise LibsvmFormatError(line_no, f"feature value in {token!r} is not finite")
                 if idx < 1:
                     raise LibsvmFormatError(line_no, f"feature index {idx} is not 1-based")
                 if idx in seen:
@@ -94,6 +101,8 @@ def parse_libsvm(path: str) -> Dataset:
             col += 1
     if col == 0:
         raise LibsvmFormatError(0, "empty file")
+    if d == 0:
+        raise LibsvmFormatError(0, f"no feature index on any of the {col} examples")
     features = sparse.coo_matrix(
         (vals, (rows, cols)), shape=(d, col), dtype=np.float64
     ).tocsc()

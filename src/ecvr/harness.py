@@ -47,12 +47,33 @@ def _blame(field: str):
 
 
 class ConvergenceError(RuntimeError):
-    def __init__(self, residual: float, budget: int):
-        super().__init__(
-            f"reference solver exhausted {budget} iterations at gradient-mapping"
-            f" norm {residual:.3e}"
-        )
+    """The reference solver spent its budget, or its residual stopped being finite."""
+
+    def __init__(self, residual: float, iterations: int, budget: int):
+        if math.isfinite(residual):
+            message = (
+                f"reference solver exhausted {budget} iterations at gradient-mapping"
+                f" norm {residual:.3e}"
+            )
+        else:
+            message = (
+                f"reference solver's gradient-mapping norm is {residual} at iteration"
+                f" {iterations} of {budget}"
+            )
+        super().__init__(message)
         self.residual = residual
+        self.iterations = iterations
+
+
+@dataclass(frozen=True)
+class Reference:
+    """The reference optimum and how closely the solver reached it."""
+
+    x: np.ndarray
+    value: float  # the objective at x
+    residual: float  # prox-gradient mapping norm at x
+    iterations: int
+    tol: float  # the residual the solver had to reach
 
 
 def solve_reference(
@@ -60,14 +81,15 @@ def solve_reference(
     constants: ProblemConstants,
     tol: float = 1e-10,
     max_iter: int = 200_000,
-) -> tuple[np.ndarray, float]:
+) -> Reference:
     """High-accuracy minimizer via accelerated proximal gradient.
 
     The step is 1 / L with L from ``constants.l_f``. The l2 term is folded
     into the smooth part so the l1 prox is all that remains, and the strong
     convexity it brings (lam2 > 0) selects the constant-momentum accelerated
     scheme. Starts at 0 and stops when the prox-gradient mapping norm drops
-    to ``tol``; deterministic.
+    to ``tol``; deterministic. A non-finite mapping norm raises
+    ``ConvergenceError`` at once.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -97,14 +119,16 @@ def solve_reference(
     x = np.zeros(problem.d)
     y = x.copy()
     residual = math.inf
-    for _ in range(max_iter):
+    for iteration in range(1, max_iter + 1):
         x_new = step_from(y, grad(y))
         residual = float(np.linalg.norm(x_new - step_from(x_new, grad(x_new))) / eta)
         if residual <= tol:
-            return x_new, problem.primal_value(x_new)
+            return Reference(x_new, problem.primal_value(x_new), residual, iteration, tol)
+        if not math.isfinite(residual):
+            raise ConvergenceError(residual, iteration, max_iter)
         y = x_new + beta * (x_new - x)
         x = x_new
-    raise ConvergenceError(residual, max_iter)
+    raise ConvergenceError(residual, max_iter, max_iter)
 
 
 @dataclass
@@ -285,6 +309,7 @@ class RunResult:
     steps: int
     design: str  # "dense" or "sparse": the _Design path the run took
     partition: Partition
+    reference: Reference = field(repr=False)
     eta: Optional[float] = None
     theta: Optional[float] = None
     x: Optional[np.ndarray] = field(default=None, repr=False)
@@ -313,8 +338,7 @@ class Setup:
     primal: PrimalProblem
     dual: Optional[DualProblem]  # set only for dual algorithms
     constants: ProblemConstants
-    x_star: np.ndarray
-    p_star: float
+    reference: Reference
 
 
 def build_setup(config: RunConfig) -> Setup:
@@ -335,8 +359,8 @@ def build_setup(config: RunConfig) -> Setup:
         dual = DualProblem(primal) if dual_run else None
     constants = compute_constants(primal)
     with _blame("reference_tol"):
-        x_star, p_star = solve_reference(primal, constants, tol=config.reference_tol)
-    return Setup(primal, dual, constants, x_star, p_star)
+        reference = solve_reference(primal, constants, tol=config.reference_tol)
+    return Setup(primal, dual, constants, reference)
 
 
 def build_optimizer(config: RunConfig, setup: Setup):
@@ -401,7 +425,7 @@ def _run(config: RunConfig, setup: Setup) -> RunResult:
     """
     if config.epochs < 0:
         raise ConfigError("epochs", f"epochs must be >= 0, got {config.epochs}")
-    primal, dual, p_star = setup.primal, setup.dual, setup.p_star
+    primal, dual, p_star = setup.primal, setup.dual, setup.reference.value
     part = primal.part
     opt, eta, theta = build_optimizer(config, setup)
     N = part.retained
@@ -468,6 +492,7 @@ def _run(config: RunConfig, setup: Setup) -> RunResult:
         steps=opt.k,
         design="dense" if primal._design.A_dense is not None else "sparse",
         partition=part,
+        reference=setup.reference,
         eta=eta,
         theta=theta,
         x=opt.x.copy(),
@@ -499,12 +524,19 @@ def emit_csv(records: list[TrialRecord], path: str) -> None:
 
 
 def emit_json(result: RunResult, path: str) -> None:
+    ref = result.reference
     payload = {
         "config": result.config.to_metadata(),
         "eta": result.eta,
         "theta": result.theta,
         "design": result.design,
         "partition": asdict(result.partition),
+        "reference": {
+            "value": ref.value,
+            "residual": ref.residual,
+            "iterations": ref.iterations,
+            "tol": ref.tol,
+        },
         "best_gap": result.best_gap,
         "final_gap": result.final_gap,
         "bits_to_target": result.bits_to_target,

@@ -16,6 +16,7 @@ The dual formulation works on the composite objective written as
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -28,17 +29,22 @@ from .dataset import Dataset, Partition
 COMPOSITE = "composite"
 SMOOTH = "smooth"
 
-# Feature matrices up to this many entries are densified for fast column math.
+# Feature matrices up to this many entries also keep a dense copy for the column gather.
 _DENSE_LIMIT = 8_000_000
 
 
 class PowerIterationError(RuntimeError):
-    """Leading-eigenvalue iteration did not reach the requested tolerance."""
+    """Leading-eigenvalue iteration stalled, or its estimate stopped being finite."""
 
-    def __init__(self, residual: float, iterations: int):
-        super().__init__(
-            f"power iteration stalled at residual {residual:.3e} after {iterations} iterations"
-        )
+    def __init__(self, residual: float, iterations: int, estimate: float | None = None):
+        if estimate is None:
+            message = f"power iteration stalled at residual {residual:.3e} after {iterations} iterations"
+        else:
+            message = (
+                f"power iteration estimate is {estimate} at iteration {iterations};"
+                " the operator overflows or holds a non-finite entry"
+            )
+        super().__init__(message)
         self.residual = residual
         self.iterations = iterations
 
@@ -63,19 +69,30 @@ def prox_elastic_net(v: np.ndarray, eta: float, lam1: float, lam2: float) -> np.
 
 
 class _Design:
-    """Shared view of the retained examples with fast column access."""
+    """Shared view of the retained examples.
+
+    The CSC matrix ``A`` serves every full pass (margins, combinations and
+    node gradients) at O(nnz) cost. The dense copy ``A_dense``, kept when
+    ``N * d`` is at most ``_DENSE_LIMIT``, serves only the per-step column
+    gather, which is faster from it than from the sparse matrix.
+    """
 
     def __init__(self, dataset: Dataset, part: Partition):
         N = part.retained
         self.N = N
         self.d = dataset.d
+        self.n = part.n
         self.A = sparse.csc_matrix(dataset.features[:, :N])
         self.b = np.asarray(dataset.labels[:N], dtype=np.float64)
         self.A_dense = self.A.toarray() if self.d * N <= _DENSE_LIMIT else None
+        # Stored entries per column, and the node-gradient bin of every entry:
+        # node * d + row, in storage order (a node's entries are contiguous).
+        self._col_nnz = np.diff(self.A.indptr)
+        node_nnz = np.diff(self.A.indptr[:: part.m])
+        self._node_bin = np.repeat(np.arange(self.n, dtype=np.intp) * self.d, node_nnz)
+        self._node_bin += self.A.indices
 
     def margins(self, x: np.ndarray) -> np.ndarray:
-        if self.A_dense is not None:
-            return self.A_dense.T @ x
         return self.A.T @ x
 
     def columns(self, J) -> np.ndarray:
@@ -84,13 +101,20 @@ class _Design:
             return self.A_dense[:, J].T
         return self.A[:, J].T.toarray()
 
-    def combine(self, coef: np.ndarray, cols: slice | None = None) -> np.ndarray:
-        """Return A[:, cols] @ coef as a dense vector."""
-        if self.A_dense is not None:
-            block = self.A_dense if cols is None else self.A_dense[:, cols]
-            return block @ coef
-        block = self.A if cols is None else self.A[:, cols]
-        return np.asarray(block @ coef).ravel()
+    def combine(self, coef: np.ndarray) -> np.ndarray:
+        """Return A @ coef as a dense vector."""
+        return self.A @ coef
+
+    def combine_nodes(self, coef: np.ndarray) -> np.ndarray:
+        """The (n, d) block whose row tau is node tau's columns of A times its coef.
+
+        One pass over the stored entries; each bin accumulates in storage
+        order, so row tau equals ``A[:, node_slice(tau)] @ coef[node_slice(tau)]``
+        bit for bit.
+        """
+        weights = np.repeat(coef, self._col_nnz)
+        weights *= self.A.data
+        return np.bincount(self._node_bin, weights, self.n * self.d).reshape(self.n, self.d)
 
 
 @dataclass
@@ -138,12 +162,10 @@ class PrimalProblem:
     def grad_f_nodes(self, x: np.ndarray) -> np.ndarray:
         """The (n, d) node gradients, row tau the mean over node tau's examples.
 
-        One margins pass serves every node; each node combines its own slice.
+        One margins pass and one pass over the stored entries serve every node.
         """
         coef = logistic_grad(self._design.margins(x), self._design.b) / self.part.m
-        g = np.stack(
-            [self._design.combine(coef[sl], sl) for sl in map(self.part.node_slice, range(self.n))]
-        )
+        g = self._design.combine_nodes(coef)
         if self.mode == SMOOTH:
             g = g + self.lam2 * x
         return g
@@ -296,7 +318,8 @@ def power_iteration(
     """Largest eigenvalue of a symmetric PSD operator given as a matvec.
 
     Deterministic: the start vector comes from a fixed seed, and stagnation
-    triggers restarts from the following seeds before giving up.
+    triggers restarts from the following seeds before giving up. A
+    non-finite estimate raises at once.
     """
     last_residual = np.inf
     total_iters = 0
@@ -313,6 +336,8 @@ def power_iteration(
             if norm_w == 0.0:
                 return 0.0
             lam_new = float(v @ w)
+            if not (math.isfinite(norm_w) and math.isfinite(lam_new)):
+                raise PowerIterationError(residual, total_iters, estimate=lam_new)
             v = w / norm_w
             residual = abs(lam_new - lam)
             lam = lam_new

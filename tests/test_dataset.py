@@ -57,6 +57,20 @@ class TestParse:
         with pytest.raises(LibsvmFormatError):
             parse_libsvm(write(tmp_path, ""))
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN", "1e999"])
+    def test_non_finite_feature_value_reports_line(self, tmp_path, value):
+        with pytest.raises(LibsvmFormatError, match=f"line 3: feature value in '2:{value}' is not finite"):
+            parse_libsvm(write(tmp_path, f"+1 1:1\n-1 2:0.5\n+1 1:2 2:{value}\n-1 1:1\n"))
+
+    @pytest.mark.parametrize("label", ["nan", "inf", "-inf"])
+    def test_non_finite_label_reports_line(self, tmp_path, label):
+        with pytest.raises(LibsvmFormatError, match=f"line 2: label '{label}' is not finite"):
+            parse_libsvm(write(tmp_path, f"+1 1:1\n{label} 2:0.5\n"))
+
+    def test_labels_without_any_feature_index(self, tmp_path):
+        with pytest.raises(LibsvmFormatError, match="no feature index on any of the 3 examples"):
+            parse_libsvm(write(tmp_path, "+1\n-1\n\n+1\n"))
+
 
 class TestDatasetInvariants:
     def test_rejects_bad_labels(self):

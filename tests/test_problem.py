@@ -76,6 +76,32 @@ class TestDesign:
             assert got.shape == (len(J), design.d)
             assert np.array_equal(got, full[:, J].T)
 
+    @pytest.mark.parametrize("mode", [COMPOSITE, SMOOTH])
+    @pytest.mark.parametrize("dense", [True, False])
+    def test_node_gradients_equal_the_per_node_csc_loop(self, monkeypatch, dense, mode):
+        # 43 examples on 4 nodes drop 3; the random pattern leaves some
+        # columns and rows empty and gives the columns unequal entry counts.
+        if not dense:
+            monkeypatch.setattr(problem_module, "_DENSE_LIMIT", 0)
+        features = sparse.random(12, 43, density=0.2, random_state=5, format="csc")
+        labels = np.where(rng_for("node-labels").random(43) < 0.5, -1.0, 1.0)
+        ds = Dataset(features=features, labels=labels)
+        part = partition(ds, 4)
+        problem = PrimalProblem(ds, part, lam1=0.0, lam2=1e-2, mode=mode)
+        design = problem._design
+        assert (design.A_dense is not None) == dense
+        assert np.any(np.diff(design.A.indptr) == 0)
+        rng = rng_for("node-loop")
+        for _ in range(5):
+            x = rng.standard_normal(problem.d)
+            coef = logistic_grad(design.margins(x), design.b) / part.m
+            want = np.stack(
+                [design.A[:, sl] @ coef[sl] for sl in map(part.node_slice, range(part.n))]
+            )
+            if mode == SMOOTH:
+                want = want + problem.lam2 * x
+            assert np.array_equal(problem.grad_f_nodes(x), want)
+
 
 class TestGradients:
     @pytest.mark.parametrize("mode", ["composite", "smooth"])
@@ -394,3 +420,16 @@ class TestConstants:
         with pytest.raises(PowerIterationError) as err:
             power_iteration(lambda v: gram @ v, 2, tol=1e-14, max_iter=4, restarts=2)
         assert err.value.residual > 0
+
+    def test_power_iteration_stops_at_a_non_finite_estimate(self):
+        # Entries of 1e308 overflow the Gram operator in its first product.
+        features = sparse.csc_matrix(
+            np.array([[1e308, 1e308, 0.0, -1e308], [1e308, 0.0, 1e308, 1e308]])
+        )
+        ds = Dataset(features=features, labels=np.array([1.0, -1.0, 1.0, -1.0]))
+        problem = PrimalProblem(ds, partition(ds, 2), lam1=0.0, lam2=1e-3)
+        with pytest.raises(PowerIterationError, match="estimate is nan at iteration 1;") as err:
+            compute_constants(problem)
+        assert err.value.iterations == 1
+        with pytest.raises(PowerIterationError, match="estimate is nan at iteration 1;"):
+            power_iteration(lambda v: np.full_like(v, np.nan), 3)
