@@ -5,8 +5,10 @@ n sampled examples come from per-node streams drawn ahead in blocks, their
 columns are gathered into one (n, d) array, the n margins are one product
 with it, and the loss derivative is evaluated once on the margin vector.
 Each compressor then runs once per step on the (n, d) batch of node
-messages, node tau drawing from its own stream. Aggregation sums in fixed
-node order so runs are reproducible bit for bit.
+messages, node tau drawing from its own stream: a ``NodeUniforms`` draws
+each stream's compressor uniforms ahead in blocks of at most 1 MiB, one
+width per stream. Aggregation sums in fixed node order so runs are
+reproducible bit for bit.
 Each optimizer validates its defining algebraic identities every step (error
 conservation, maintained averages, dual feasibility) and raises on NaN/Inf.
 ``EcDual`` checks its surrogate identity and feasibility incrementally, at the
@@ -50,26 +52,31 @@ def _copies_support(spec: comp.CompressorSpec) -> bool:
 
 
 def _compress_with_feedback(
-    spec: comp.CompressorSpec, t: np.ndarray, rngs: list[np.random.Generator], k: int
+    spec: comp.CompressorSpec, t: np.ndarray, uniforms: comp.NodeUniforms, k: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Compress the (n, d) node messages t in one call; return (output, residual).
 
-    Node tau draws from ``rngs[tau]``. Conservation is verified per node:
-    kinds that copy kept coordinates verbatim must satisfy ``residual +
-    output == t`` bit for bit; quantizing kinds get a 1-ulp allowance per
-    coordinate, relative to that node's largest entry.
+    Node tau draws from stream tau of ``uniforms``. Conservation is verified
+    per node: kinds that copy kept coordinates verbatim must satisfy
+    ``residual + output == t`` bit for bit; quantizing kinds get a 1-ulp
+    allowance per coordinate, relative to that node's largest entry.
     """
-    nonfinite = ~np.isfinite(t).all(axis=1)
+    scratch = np.abs(t)
+    # A row holding NaN or an infinity has a non-finite peak.
+    peak = np.max(scratch, axis=1, initial=0.0)
+    nonfinite = ~np.isfinite(peak)
     if nonfinite.any():
         tau = int(np.argmax(nonfinite))
         raise NumericalError(f"compressor input became non-finite at step {k}, node {tau}")
-    y = comp._apply(spec, t, rngs)
+    y = comp._apply(spec, t, uniforms)
     e_new = t - y
+    np.add(e_new, y, out=scratch)
     if _copies_support(spec):
-        broken = (e_new + y != t).any(axis=1)
+        broken = (scratch != t).any(axis=1)
     else:
-        tol = 1e-12 * (1.0 + np.max(np.abs(t), axis=1, initial=0.0))
-        broken = np.max(np.abs(e_new + y - t), axis=1, initial=0.0) > tol
+        scratch -= t
+        np.abs(scratch, out=scratch)
+        broken = np.max(scratch, axis=1, initial=0.0) > 1e-12 * (1.0 + peak)
     if broken.any():
         tau = int(np.argmax(broken))
         raise InvariantError(f"error conservation broken at step {k}, node {tau}")
@@ -161,8 +168,8 @@ class EcLsvrg:
             comp.bit_cost(self.q, d) + comp.bit_cost(self.q1, d) + 1.0
         )
         self._sample = _ExampleSampler(seed, problem.part)
-        self._q_rng = node_streams(seed, "compress", n)
-        self._q1_rng = node_streams(seed, "compress_shift", n)
+        self._q_uniforms = comp.NodeUniforms(node_streams(seed, "compress", n))
+        self._q1_uniforms = comp.NodeUniforms(node_streams(seed, "compress_shift", n))
         self._coin = split_rng(seed, "coin")
 
     def step(self) -> LsvrgStepInfo:
@@ -180,8 +187,8 @@ class EcLsvrg:
         if smooth:
             g_nodes = g_nodes + l2_drift
         t_nodes = eta * g_nodes + self.e
-        y_nodes, self.e = _compress_with_feedback(self.q, t_nodes, self._q_rng, self.k)
-        z_nodes = comp._apply(self.q1, self.grad_w - self.h, self._q1_rng)
+        y_nodes, self.e = _compress_with_feedback(self.q, t_nodes, self._q_uniforms, self.k)
+        z_nodes = comp._apply(self.q1, self.grad_w - self.h, self._q1_uniforms)
         coin = bool(self._coin.random() < self.p)
 
         y_avg = y_nodes.mean(axis=0)
@@ -300,14 +307,14 @@ class EcGd:
         self.k = 0
         self.bits = 0.0
         self.bits_per_step = n * comp.bit_cost(compressor, d)
-        self._q_rng = node_streams(seed, "compress", n)
+        self._q_uniforms = comp.NodeUniforms(node_streams(seed, "compress", n))
 
     def step(self) -> None:
         pr = self.problem
         eta = self.eta
         smooth = pr.mode == SMOOTH
         t_nodes = eta * pr.grad_f_nodes(self.x) + self.e
-        y_nodes, self.e = _compress_with_feedback(self.q, t_nodes, self._q_rng, self.k)
+        y_nodes, self.e = _compress_with_feedback(self.q, t_nodes, self._q_uniforms, self.k)
         x_half = self.x - y_nodes.mean(axis=0)
         self.x = x_half if smooth else pr.prox_psi(x_half, eta) if eta > 0 else x_half
         self.k += 1
@@ -373,7 +380,7 @@ class EcDual:
         self.bits = 0.0
         self.bits_per_step = n * comp.bit_cost(compressor, d)
         self._sample = _ExampleSampler(seed, problem.part)
-        self._q_rng = node_streams(seed, "compress", n)
+        self._q_uniforms = comp.NodeUniforms(node_streams(seed, "compress", n))
 
     def _check_feasible(self, blocks: np.ndarray) -> None:
         """Raise unless ``0 <= b_j alpha_j <= 1`` for every global index j in ``blocks``."""
@@ -417,7 +424,7 @@ class EcDual:
         self.alpha[sampled] += delta_alpha
         contrib = (delta_alpha / (lam * m))[:, None] * cols
         t_nodes = contrib + self.e
-        y_nodes, self.e = _compress_with_feedback(self.q, t_nodes, self._q_rng, self.k)
+        y_nodes, self.e = _compress_with_feedback(self.q, t_nodes, self._q_uniforms, self.k)
 
         self.u = self.u + y_nodes.mean(axis=0)
         self.v = self.v + contrib.mean(axis=0)

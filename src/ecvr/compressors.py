@@ -226,22 +226,71 @@ def bit_cost(spec: CompressorSpec, d: int) -> float:
     raise ValueError(f"unknown spec kind {spec.kind!r}")
 
 
-Rngs = Union[np.random.Generator, Sequence[np.random.Generator]]
+# The doubles a NodeUniforms buffer holds at most: 1 MiB.
+_UNIFORM_BUFFER_DOUBLES = 2**17
+# Steps a NodeUniforms stream draws at once when the buffer allows it.
+_UNIFORM_BLOCK_STEPS = 64
+
+
+class NodeUniforms:
+    """Each step's (n, width) uniforms, row tau drawn from ``streams[tau]``.
+
+    Every stream draws the uniforms of B steps at once, with
+    ``B = clamp(2**20 // (8 n width), 1, 64)``, so the buffer holds at most
+    1 MiB. ``Generator.random((B, width))`` yields the same numbers as B calls
+    of ``random(width)``, so row tau of each step is one ``random(width)``
+    call of stream tau. A stream serves one width: a second width would take
+    its numbers in a different order, so ``draw`` rejects it. The array
+    ``draw`` returns is a view of the buffer, valid until the next draw.
+    """
+
+    def __init__(self, streams: Sequence[np.random.Generator]):
+        self._streams = list(streams)
+        self._block: Optional[np.ndarray] = None  # (n, B, width): stream tau's next B steps
+        self._next = 0
+
+    def draw(self, rows: int, width: int) -> np.ndarray:
+        n = len(self._streams)
+        if rows != n:
+            raise ValueError(f"need one generator per row: {rows} rows, {n} generators")
+        if self._block is None:
+            steps = min(max(_UNIFORM_BUFFER_DOUBLES // (n * width), 1), _UNIFORM_BLOCK_STEPS)
+            self._block = np.empty((n, steps, width))
+            self._next = steps
+        elif width != self._block.shape[2]:
+            raise ValueError(
+                f"a node stream serves one width: it draws {self._block.shape[2]}, asked for {width}"
+            )
+        if self._next == self._block.shape[1]:
+            for stream, block in zip(self._streams, self._block):
+                stream.random(out=block)
+            self._next = 0
+        self._next += 1
+        return self._block[:, self._next - 1]
+
+
+Rngs = Union[np.random.Generator, NodeUniforms]
 
 
 def _apply(spec: CompressorSpec, x: np.ndarray, rngs: Rngs) -> np.ndarray:
-    """Compress each row of a (rows, d) batch; row r draws from ``rngs[r]``.
+    """Compress each row of a (rows, d) batch.
 
-    ``rngs`` is one generator per row, or a single generator shared by all
-    rows, which gives the same numbers as passing it once per row. Top-k
-    keeps the lowest-index coordinate among equal magnitudes, so it is
-    deterministic and reproducible.
+    ``rngs`` is a ``NodeUniforms``, whose stream r serves row r, or a single
+    generator that draws the whole batch's uniforms at once. Top-k keeps the
+    lowest-index coordinate among equal magnitudes, so it is deterministic
+    and reproducible.
     """
     if x.ndim != 2:
         raise ValueError(f"expected a (rows, d) batch, got shape {x.shape}")
     rows, d = x.shape
     if spec.kind == IDENTITY:
         return x.copy()
+    if spec.kind == TOP_K and not x.any():
+        # Every magnitude ties, so the lowest k indices are kept, signed zeros
+        # included; the shift compressor gets such batches before a refresh.
+        out = np.zeros_like(x)
+        out[:, : spec.k] = x[:, : spec.k]
+        return out
     if spec.kind in _K_KINDS:
         return np.where(_kept(spec, x, rngs), x, 0.0)
     if spec.kind == DITHERING:
@@ -249,7 +298,9 @@ def _apply(spec: CompressorSpec, x: np.ndarray, rngs: Rngs) -> np.ndarray:
     if spec.kind == NATURAL:
         return _natural_rows(x, rngs)
     if spec.kind == SCALED:
-        return _apply(spec.inner, x, rngs) / (omega_of(spec.inner, d) + 1.0)
+        out = _apply(spec.inner, x, rngs)
+        out /= omega_of(spec.inner, d) + 1.0
+        return out
     if spec.kind == COMPOSE:
         # Boolean indexing walks the mask row by row in index order, so the
         # unbiased stage sees each row's kept coordinates in ascending order.
@@ -288,27 +339,37 @@ def _kept(spec: CompressorSpec, x: np.ndarray, rngs: Rngs) -> np.ndarray:
 
 
 def _uniform(rngs: Rngs, rows: int, d: int) -> np.ndarray:
-    """A (rows, d) block of uniforms, row r drawn from its own generator."""
+    """A (rows, d) block of uniforms: one step of a NodeUniforms, or a shared draw."""
     if isinstance(rngs, np.random.Generator):
         return rngs.random((rows, d))
-    if len(rngs) != rows:
-        raise ValueError(f"need one generator per row: {rows} rows, {len(rngs)} generators")
-    u = np.empty((rows, d))
-    for row, g in zip(u, rngs):
-        g.random(out=row)
-    return u
+    return rngs.draw(rows, d)
 
 
 def _dither_rows(x: np.ndarray, rngs: Rngs) -> np.ndarray:
+    # sign(x) * safe * level / levels, with level = floor(s) + (u < s - floor(s))
+    # and s = |x| / safe * levels: the operations of that one expression in its
+    # order, so its bits, in three buffers.
     rows, d = x.shape
     levels = math.sqrt(d)
-    norms = np.linalg.norm(x, axis=1, keepdims=True)
-    safe = np.where(norms > 0, norms, 1.0)
-    scaled_mag = np.abs(x) / safe * levels
-    low = np.floor(scaled_mag)
-    level = low + (_uniform(rngs, rows, d) < scaled_mag - low)
-    out = np.sign(x) * safe * level / levels
-    return np.where(norms > 0, out, 0.0)
+    # np.linalg.norm's arithmetic for real rows, without its conj copy.
+    norms = np.sqrt(np.add.reduce(x * x, axis=1, keepdims=True))
+    live = norms > 0
+    safe = np.where(live, norms, 1.0)
+    frac = np.abs(x)
+    frac /= safe
+    frac *= levels
+    level = np.floor(frac)
+    frac -= level
+    np.less(_uniform(rngs, rows, d), frac, out=frac)
+    level += frac
+    out = np.sign(x)
+    out *= safe
+    out *= level
+    out /= levels
+    # A row whose squares underflow has norm 0 and would give -0.0 for its
+    # negative entries.
+    out[~live[:, 0]] = 0.0
+    return out
 
 
 def _natural_rows(x: np.ndarray, rngs: Rngs) -> np.ndarray:

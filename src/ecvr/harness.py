@@ -22,6 +22,7 @@ from .problem import (
     COMPOSITE,
     SMOOTH,
     DualProblem,
+    PowerIterationError,
     PrimalProblem,
     ProblemConstants,
     compute_constants,
@@ -357,7 +358,11 @@ def build_setup(config: RunConfig) -> Setup:
         primal = PrimalProblem(ds, part, lam1=config.lambda1, lam2=config.lambda2, mode=mode)
     with _blame("lambda2"):
         dual = DualProblem(primal) if dual_run else None
-    constants = compute_constants(primal)
+    try:
+        constants = compute_constants(primal)
+    except PowerIterationError as err:
+        # Power iteration overflowed or stalled on the data's Gram operator.
+        raise ConfigError("data" if config.data is not None else "synth", str(err)) from err
     with _blame("reference_tol"):
         reference = solve_reference(primal, constants, tol=config.reference_tol)
     return Setup(primal, dual, constants, reference)

@@ -227,13 +227,17 @@ class TestEcLsvrgStep:
 
 class TestCompressWithFeedback:
     def streams(self, n):
-        return [rng_for(f"fb{tau}") for tau in range(n)]
+        return comp.NodeUniforms([rng_for(f"fb{tau}") for tau in range(n)])
 
     def test_nonfinite_input_names_the_node(self):
-        t = rng_for("fb").standard_normal((4, 6))
-        t[2, 3] = np.inf
-        with pytest.raises(alg.NumericalError, match="step 5, node 2"):
-            alg._compress_with_feedback(comp.top_k(2), t, self.streams(4), 5)
+        # The first bad node is named, whether the kind copies or quantizes.
+        for q in ("top_k:2", "dither"):
+            for value in (np.nan, np.inf, -np.inf):
+                t = rng_for("fb").standard_normal((4, 6))
+                t[2, 3] = value
+                t[3, 0] = value
+                with pytest.raises(alg.NumericalError, match="step 5, node 2"):
+                    alg._compress_with_feedback(comp.parse_spec(q), t, self.streams(4), 5)
 
     @pytest.mark.parametrize("q", ["top_k:2", "dither"], ids=str)
     def test_lost_message_names_the_node(self, monkeypatch, q):

@@ -30,12 +30,13 @@ def spec_texts(draw, names=K_NAMES + PLAIN_NAMES, max_d=40):
 
 @st.composite
 def batches(draw, names=K_NAMES + PLAIN_NAMES):
-    """(spec, x, rngs): a (rows, d) batch with one generator per row."""
+    """(spec, x, uniforms): a (rows, d) batch with one stream per row."""
     text, d = draw(spec_texts(names))
     rows = draw(st.integers(1, 5))
     x = draw(arrays(np.float64, (rows, d), elements=st.floats(-1e3, 1e3)))
     seed = draw(st.integers(0, 2**32 - 1))
-    return comp.parse_spec(text), x, [np.random.default_rng([seed, r]) for r in range(rows)]
+    streams = [np.random.default_rng([seed, r]) for r in range(rows)]
+    return comp.parse_spec(text), x, comp.NodeUniforms(streams)
 
 
 @PROPERTY
@@ -119,7 +120,8 @@ def _argsort_apply(spec, x, seeds):
     kept = np.sort(order[:, :k], axis=1)
     values = np.take_along_axis(x, kept, axis=1)
     if spec.kind == comp.COMPOSE:
-        values = comp._apply(spec.unbiased, values, rngs) / (comp.omega_of(spec.unbiased, k) + 1)
+        values = comp._apply(spec.unbiased, values, comp.NodeUniforms(rngs))
+        values /= comp.omega_of(spec.unbiased, k) + 1
     out = np.zeros_like(x)
     np.put_along_axis(out, kept, values, axis=1)
     return out
@@ -150,6 +152,6 @@ def tie_heavy_batches(draw):
 @given(tie_heavy_batches())
 def test_selection_matches_stable_argsort_under_ties(case):
     spec, x, seeds = case
-    y = comp._apply(spec, x, [np.random.default_rng(seed) for seed in seeds])
+    y = comp._apply(spec, x, comp.NodeUniforms([np.random.default_rng(seed) for seed in seeds]))
     expected = _argsort_apply(spec, x, seeds)
     assert y.tobytes() == expected.tobytes()

@@ -52,7 +52,7 @@ class TestSpecValidation:
             with pytest.raises(ValueError, match="batch"):
                 comp._apply(comp.identity(), bad, rng_for("shape"))
         with pytest.raises(ValueError, match="one generator per row"):
-            comp._apply(comp.rand_k(1), np.zeros((2, 3)), [rng_for("shape")])
+            comp._apply(comp.rand_k(1), np.zeros((2, 3)), comp.NodeUniforms([rng_for("shape")]))
 
     def test_compose_needs_a_sparsifier_contraction(self):
         # ntop_k and rtop_k are the only compositions: top-k runs first.
@@ -115,6 +115,10 @@ class TestCompress:
         assert np.array_equal(keep, np.broadcast_to(np.arange(d) < k, (n, d)))
         out = comp._apply(comp.top_k(k), zeros, rng_for("unused"))
         assert out.tobytes() == zeros.tobytes()
+        # A kept -0.0 stays -0.0, as the keep-mask would leave it.
+        signed = np.where(np.arange(n * d).reshape(n, d) % 3 == 0, -0.0, 0.0)
+        out = comp._apply(comp.top_k(k), signed, rng_for("unused"))
+        assert out.tobytes() == np.where(keep, signed, 0.0).tobytes()
 
     def test_support_size_and_zero_outside_support(self):
         rng = rng_for("supp")
@@ -156,17 +160,96 @@ class TestCompress:
         assert set(np.flatnonzero(out)).issubset(set(kept))
 
     def test_batch_rows_match_rows_alone(self):
-        # Row r of a batch draws only from rngs[r], so it equals that row
-        # compressed alone; one shared generator is the same as [rng] * rows.
+        # Row r of a batch draws only from stream r, so it equals that row
+        # compressed alone.
         x = rng_for("bm").standard_normal((6, 9))
         for spec in ZOO:
-            batch = comp._apply(spec, x, [rng_for(f"u{r}") for r in range(6)])
+            batch = comp._apply(spec, x, comp.NodeUniforms([rng_for(f"u{r}") for r in range(6)]))
             for r in range(6):
-                alone = comp._apply(spec, x[r : r + 1], [rng_for(f"u{r}")])
+                alone = comp._apply(spec, x[r : r + 1], comp.NodeUniforms([rng_for(f"u{r}")]))
                 assert np.array_equal(batch[r], alone[0])
-            shared = comp._apply(spec, x, rng_for("shared"))
-            one = rng_for("shared")
-            assert np.array_equal(shared, comp._apply(spec, x, [one] * 6))
+
+
+class TestNodeUniforms:
+    @pytest.mark.parametrize(
+        "n, width",
+        [(3, 7), (20, 500), (2, 2**16 + 1)],
+        ids=["B=64", "B=13", "B=1"],
+    )
+    def test_each_step_is_one_random_call_per_fresh_stream(self, n, width):
+        uniforms = comp.NodeUniforms([rng_for(f"nu{tau}") for tau in range(n)])
+        fresh = [rng_for(f"nu{tau}") for tau in range(n)]
+        block = min(max(2**17 // (n * width), 1), 64)
+        for _ in range(3 * block + 1):  # across three refills
+            got = uniforms.draw(n, width)
+            expected = np.stack([g.random(width) for g in fresh])
+            assert got.tobytes() == expected.tobytes()
+
+    def test_a_stream_serves_one_width(self):
+        uniforms = comp.NodeUniforms([rng_for("w0"), rng_for("w1")])
+        uniforms.draw(2, 5)
+        with pytest.raises(ValueError, match="serves one width"):
+            uniforms.draw(2, 6)
+
+    def test_one_stream_per_row(self):
+        uniforms = comp.NodeUniforms([rng_for("r0"), rng_for("r1")])
+        with pytest.raises(ValueError, match="one generator per row"):
+            uniforms.draw(3, 5)
+
+
+def _dither_formula(x, gens):
+    """Scaled dithering as one expression: np.linalg.norm, np.where and a draw per row."""
+    rows, d = x.shape
+    levels = math.sqrt(d)
+    norms = np.linalg.norm(x, axis=1, keepdims=True)
+    safe = np.where(norms > 0, norms, 1.0)
+    scaled_mag = np.abs(x) / safe * levels
+    low = np.floor(scaled_mag)
+    level = low + (np.stack([g.random(d) for g in gens]) < scaled_mag - low)
+    out = np.sign(x) * safe * level / levels
+    return np.where(norms > 0, out, 0.0) / 2.0
+
+
+def _natural_formula(x, gens):
+    mag = np.abs(x)
+    mant, exp = np.frexp(mag)
+    round_up = np.stack([g.random(x.shape[1]) for g in gens]) < 2.0 * mant - 1.0
+    chosen = np.ldexp(np.where(round_up, 1.0, 0.5), exp)
+    return np.where(mag > 0, np.sign(x) * chosen, 0.0) / 1.125
+
+
+def _rtop_k_formula(x, gens, k):
+    keep = comp._kept(comp.top_k(k), x, None)
+    out = np.zeros_like(x)
+    out[keep] = _dither_formula(x[keep].reshape(len(x), k), gens).ravel()
+    return out
+
+
+@pytest.mark.parametrize(
+    "text, formula",
+    [
+        ("dither", _dither_formula),
+        ("natural", _natural_formula),
+        ("rtop_k:4", lambda x, gens: _rtop_k_formula(x, gens, 4)),
+    ],
+    ids=["dither", "natural", "rtop_k"],
+)
+def test_quantizers_through_node_uniforms_match_their_formula_bit_for_bit(text, formula):
+    # Steps across several buffer refills; rows that are zero, hold -0.0
+    # entries, are so small that their norm underflows to 0, or mix scales.
+    n, d, steps = 6, 9, 40
+    spec = comp.parse_spec(text)
+    uniforms = comp.NodeUniforms([rng_for(f"q{tau}") for tau in range(n)])
+    fresh = [rng_for(f"q{tau}") for tau in range(n)]
+    data = rng_for("qx")
+    for step in range(steps):
+        x = data.standard_normal((n, d)) * 10.0 ** data.integers(-3, 4, size=(n, 1))
+        x[step % n] = 0.0
+        x[(step + 1) % n, ::3] = -0.0
+        x[(step + 2) % n] = np.where(np.arange(d) % 2 == 0, -0.0, 0.0)
+        x[(step + 3) % n] = data.standard_normal(d) * 1e-170
+        got = comp._apply(spec, x, uniforms)
+        assert got.tobytes() == formula(x, fresh).tobytes()
 
 
 class TestParameters:

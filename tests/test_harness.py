@@ -583,6 +583,8 @@ class TestCli:
             (["run", "--data", "{nan_value}"], "--data"),
             (["run", "--data", "{inf_label}"], "--data"),
             (["reference", "--data", "{no_features}"], "--data"),
+            (["run", "--data", "{overflow}"], "--data"),
+            (["reference", "--data", "{overflow}"], "--data"),
         ],
     )
     def test_value_that_does_not_fit_the_data_names_the_argument(
@@ -593,6 +595,10 @@ class TestCli:
         (tmp_path / "nan.libsvm").write_text("+1 1:0.5\n-1 2:1\n+1 1:nan\n-1 2:2\n")
         (tmp_path / "inf.libsvm").write_text("+1 1:0.5\ninf 2:1\n")
         (tmp_path / "empty.libsvm").write_text("+1\n-1\n+1\n-1\n")
+        # Finite values whose Gram operator overflows in power iteration.
+        (tmp_path / "big.libsvm").write_text(
+            "+1 1:1e308 2:1e308\n-1 1:-1e308 2:1e308\n+1 1:1e308 2:-1e308\n-1 1:-1e308 2:-1e308\n"
+        )
         # The line each data file is rejected at; 0 names the whole file.
         data_lines = {"malformed": 2, "nan_value": 3, "inf_label": 2, "no_features": 0}
         paths = {
@@ -601,6 +607,7 @@ class TestCli:
             "nan_value": tmp_path / "nan.libsvm",
             "inf_label": tmp_path / "inf.libsvm",
             "no_features": tmp_path / "empty.libsvm",
+            "overflow": tmp_path / "big.libsvm",
             "missing_dir": tmp_path / "absent",
         }
         argv = [arg.format(**paths) for arg in argv]
@@ -615,6 +622,8 @@ class TestCli:
         assert "Traceback" not in err
         if data_line is not None:
             assert f"argument --data: line {data_line}: " in err
+        if str(paths["overflow"]) in argv:
+            assert "argument --data: power iteration " in err
 
     def test_reference_command(self, capsys):
         code = cli.main(["reference", "--synth", "60,12,0.4", "--tol", "1e-8"])
