@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,6 +52,30 @@ class Dataset:
         return np.sqrt(sq)
 
 
+CHUNK_BYTES = 256 * 1024  # characters of whole lines that one parsing step gathers
+
+# Byte classes of the fast path's grammar; class 0 refuses the chunk.
+_DIGIT, _MARK, _COLON, _BLANK, _NEWLINE = 1, 2, 3, 4, 5
+_BYTE_CLASS = np.zeros(256, dtype=np.uint8)
+_BYTE_CLASS[list(b"0123456789")] = _DIGIT
+_BYTE_CLASS[list(b"+-.eE")] = _MARK
+_BYTE_CLASS[ord(":")] = _COLON
+_BYTE_CLASS[list(b" \t")] = _BLANK
+_BYTE_CLASS[ord("\n")] = _NEWLINE
+_MAX_INDEX = 2**31 - 1  # a digits-only index below this parses exactly
+
+
+@dataclass
+class _Chunk:
+    """The examples parsed from one run of whole lines."""
+
+    labels: np.ndarray  # +-1 per example
+    counts: np.ndarray  # stored entries per example
+    rows: np.ndarray  # 0-based feature index per entry, example by example
+    vals: np.ndarray  # value per entry
+    ascending: bool  # every example's indices strictly ascend
+
+
 def parse_libsvm(path: str) -> Dataset:
     """Read ``label idx:val idx:val ...`` lines with 1-based feature indices.
 
@@ -59,54 +84,168 @@ def parse_libsvm(path: str) -> Dataset:
     not parse, a label or value that is not finite, and a file with no
     feature index at all raise ``LibsvmFormatError`` with a line number
     (0 for the whole file).
+
+    The file is read in runs of whole lines, each line added until the run
+    passes ``CHUNK_BYTES`` characters. ``_parse_fast`` parses a run with
+    array operations, and accepts only runs that ``_parse_loop``, the
+    per-token reference, reads the same way. A run it refuses, valid or
+    not, goes to ``_parse_loop``, which parses it or raises the error with
+    the absolute line number.
     """
-    labels: list[float] = []
-    rows: list[int] = []
-    cols: list[int] = []
-    vals: list[float] = []
-    d = 0
-    col = 0
+    chunks: list[_Chunk] = []
+    line_no = 1
     with open(path, "r", encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            tokens = line.split()
-            try:
-                label = float(tokens[0])
-            except ValueError:
-                raise LibsvmFormatError(line_no, f"bad label {tokens[0]!r}") from None
-            if not math.isfinite(label):
-                raise LibsvmFormatError(line_no, f"label {tokens[0]!r} is not finite")
-            labels.append(-1.0 if label <= 0 else 1.0)
-            seen: set[int] = set()
-            for token in tokens[1:]:
-                idx_str, _, val_str = token.partition(":")
-                try:
-                    idx = int(idx_str)
-                    val = float(val_str)
-                except ValueError:
-                    raise LibsvmFormatError(line_no, f"bad feature token {token!r}") from None
-                if not math.isfinite(val):
-                    raise LibsvmFormatError(line_no, f"feature value in {token!r} is not finite")
-                if idx < 1:
-                    raise LibsvmFormatError(line_no, f"feature index {idx} is not 1-based")
-                if idx in seen:
-                    raise LibsvmFormatError(line_no, f"duplicate feature index {idx}")
-                seen.add(idx)
-                rows.append(idx - 1)
-                cols.append(col)
-                vals.append(val)
-                d = max(d, idx)
-            col += 1
+        while lines := fh.readlines(CHUNK_BYTES):
+            chunk = _parse_fast(lines)
+            chunks.append(chunk if chunk is not None else _parse_loop(lines, line_no))
+            line_no += len(lines)
+    labels = np.concatenate([c.labels for c in chunks]) if chunks else np.empty(0)
+    col = labels.size
     if col == 0:
         raise LibsvmFormatError(0, "empty file")
+    counts = np.concatenate([c.counts for c in chunks])
+    rows = np.concatenate([c.rows for c in chunks])
+    vals = np.concatenate([c.vals for c in chunks])
+    d = int(rows.max()) + 1 if rows.size else 0
     if d == 0:
         raise LibsvmFormatError(0, f"no feature index on any of the {col} examples")
-    features = sparse.coo_matrix(
-        (vals, (rows, cols)), shape=(d, col), dtype=np.float64
-    ).tocsc()
-    return Dataset(features=features, labels=np.array(labels))
+    if all(c.ascending for c in chunks):
+        # Each example's entries are already in CSC order.
+        indptr = np.zeros(col + 1, dtype=np.int64)
+        np.cumsum(counts, out=indptr[1:])
+        features = sparse.csc_matrix((vals, rows, indptr), shape=(d, col))
+    else:
+        cols = np.repeat(np.arange(col), counts)
+        features = sparse.coo_matrix(
+            (vals, (rows, cols)), shape=(d, col), dtype=np.float64
+        ).tocsc()
+    return Dataset(features=features, labels=labels)
+
+
+def _parse_loop(lines: list[str], first_line_no: int) -> _Chunk:
+    """Parse ``lines`` token by token; the first of them is line ``first_line_no``."""
+    labels: list[float] = []
+    counts: list[int] = []
+    rows: list[int] = []
+    vals: list[float] = []
+    ascending = True
+    for line_no, raw in enumerate(lines, start=first_line_no):
+        line = raw.strip()
+        if not line:
+            continue
+        tokens = line.split()
+        try:
+            label = float(tokens[0])
+        except ValueError:
+            raise LibsvmFormatError(line_no, f"bad label {tokens[0]!r}") from None
+        if not math.isfinite(label):
+            raise LibsvmFormatError(line_no, f"label {tokens[0]!r} is not finite")
+        labels.append(-1.0 if label <= 0 else 1.0)
+        seen: set[int] = set()
+        last = 0
+        for token in tokens[1:]:
+            idx_str, _, val_str = token.partition(":")
+            try:
+                idx = int(idx_str)
+                val = float(val_str)
+            except ValueError:
+                raise LibsvmFormatError(line_no, f"bad feature token {token!r}") from None
+            if not math.isfinite(val):
+                raise LibsvmFormatError(line_no, f"feature value in {token!r} is not finite")
+            if idx < 1:
+                raise LibsvmFormatError(line_no, f"feature index {idx} is not 1-based")
+            if idx in seen:
+                raise LibsvmFormatError(line_no, f"duplicate feature index {idx}")
+            seen.add(idx)
+            ascending = ascending and idx > last
+            last = idx
+            rows.append(idx - 1)
+            vals.append(val)
+        counts.append(len(seen))
+    return _Chunk(
+        labels=np.array(labels),
+        counts=np.array(counts, dtype=np.int64),
+        rows=np.array(rows, dtype=np.int64),
+        vals=np.array(vals, dtype=np.float64),
+        ascending=ascending,
+    )
+
+
+def _parse_fast(lines: list[str]) -> _Chunk | None:
+    """Parse ``lines`` with array operations, or return None to refuse them.
+
+    It accepts only ASCII lines of digits, ``+-.eE:``, spaces and tabs, in
+    which a line's first token has no colon, every other token is
+    ``digits:value`` with a nonempty value, every number parses, labels and
+    values are finite, and indices are at least 1 and strictly ascend on
+    each line. ``_parse_loop`` reads every such line the same way; anything
+    else, valid or not, is refused and left to it.
+    """
+    text = "".join(lines)
+    if not text.isascii():
+        return None
+    cls = _BYTE_CLASS[np.frombuffer(text.encode("ascii"), dtype=np.uint8)]
+    if not cls.all():
+        return None
+    # Token edges alternate start, end (exclusive), start, end, ...
+    edges = np.flatnonzero(np.diff(cls >= _BLANK, prepend=True, append=True))
+    starts = edges[0::2]
+    T = starts.size
+    if T == 0:  # blank lines only
+        empty = np.empty(0, dtype=np.int64)
+        return _Chunk(np.empty(0), empty, empty, np.empty(0), ascending=True)
+    line_of = np.searchsorted(np.flatnonzero(cls == _NEWLINE), starts)
+    first = np.empty(T, dtype=bool)  # the token opens its line: a label
+    first[0] = True
+    np.not_equal(line_of[1:], line_of[:-1], out=first[1:])
+    heads = np.flatnonzero(first)
+    E = heads.size
+
+    # One colon in each feature token and none in a label.
+    colons = np.flatnonzero(cls == _COLON)
+    colon_tok = np.searchsorted(starts, colons, side="right") - 1
+    if colons.size != T - E or first[colon_tok].any() or (np.diff(colon_tok) <= 0).any():
+        return None
+    # Digits-only indices: every sign, point or exponent sits after its
+    # token's colon (a label's "colon" sits before the token).
+    colon_at = np.full(T, -1, dtype=np.int64)
+    colon_at[colon_tok] = colons
+    marks = np.flatnonzero(cls == _MARK)
+    if (marks < colon_at[np.searchsorted(starts, marks, side="right") - 1]).any():
+        return None
+
+    with warnings.catch_warnings():
+        # Older numpy warns on text it cannot read, where numpy 2.4 raises.
+        warnings.simplefilter("error", DeprecationWarning)
+        try:
+            numbers = np.fromstring(text.replace(":", " "), sep=" ")
+        except (ValueError, DeprecationWarning):
+            return None
+    # numpy reads a nonempty run of these bytes as one number or raises,
+    # and an empty one as none: the count proves that every index and value
+    # is nonempty, so the numbers are a label, or an index then a value.
+    if numbers.size != 2 * T - E:
+        return None
+    label_at = 2 * heads - np.arange(E)
+    is_label = np.zeros(numbers.size, dtype=bool)
+    is_label[label_at] = True
+    labels = numbers[label_at]
+    pairs = numbers[~is_label]
+    idx, vals = pairs[0::2], pairs[1::2]
+    if not (np.isfinite(labels).all() and np.isfinite(vals).all()):
+        return None
+    if idx.size and not (idx.min() >= 1 and idx.max() <= _MAX_INDEX):
+        return None
+    # Strictly ascending within a line; a line's first feature follows its label.
+    if not (np.diff(idx) > 0)[~first[np.flatnonzero(~first)[1:] - 1]].all():
+        return None
+    return _Chunk(
+        labels=np.where(labels <= 0, -1.0, 1.0),
+        counts=np.diff(heads, append=T) - 1,
+        rows=idx.astype(np.int64) - 1,
+        vals=vals,
+        ascending=True,
+    )
 
 
 @dataclass(frozen=True)

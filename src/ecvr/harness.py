@@ -6,15 +6,18 @@ import csv
 import json
 import math
 import os
+import platform
 import time
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, replace
 from typing import Optional
 
 import numpy as np
+import scipy
 from scipy import sparse
 from scipy.special import expit
 
+from . import __version__
 from . import algorithms as alg
 from . import compressors as comp
 from .dataset import Dataset, Partition, normalize_examples, parse_libsvm, partition, shuffle_examples
@@ -300,6 +303,27 @@ class RunConfig:
         return meta
 
 
+@dataclass(frozen=True)
+class Resolved:
+    """The step and compressor parameters a run resolved from its config.
+
+    ``eta`` and ``eta_theory`` are set for primal algorithms, ``theta`` and
+    ``theta_theory`` for dual ones; the theory value is the one the
+    analysis admits, whether or not the run used it. ``p`` and ``delta1``
+    enter only the primal step, and ``omega`` exists only for a scaled
+    unbiased compressor.
+    """
+
+    delta: float
+    delta1: Optional[float]
+    omega: Optional[float]
+    p: Optional[float]
+    eta: Optional[float] = None
+    eta_theory: Optional[float] = None
+    theta: Optional[float] = None
+    theta_theory: Optional[float] = None
+
+
 @dataclass
 class RunResult:
     config: RunConfig
@@ -311,9 +335,19 @@ class RunResult:
     design: str  # "dense" or "sparse": the _Design path the run took
     partition: Partition
     reference: Reference = field(repr=False)
-    eta: Optional[float] = None
-    theta: Optional[float] = None
+    resolved: Resolved
+    constants: ProblemConstants
+    bits_per_step: float
+    setup_ms: dict[str, float]  # build_setup's layers: load, design, constants, reference
     x: Optional[np.ndarray] = field(default=None, repr=False)
+
+    @property
+    def eta(self) -> Optional[float]:
+        return self.resolved.eta
+
+    @property
+    def theta(self) -> Optional[float]:
+        return self.resolved.theta
 
 
 def load_dataset(config: RunConfig) -> Dataset:
@@ -340,6 +374,7 @@ class Setup:
     dual: Optional[DualProblem]  # set only for dual algorithms
     constants: ProblemConstants
     reference: Reference
+    setup_ms: dict[str, float]  # wall time of each layer: load, design, constants, reference
 
 
 def build_setup(config: RunConfig) -> Setup:
@@ -348,7 +383,9 @@ def build_setup(config: RunConfig) -> Setup:
     Dual algorithms always solve the composite problem. A value that does
     not fit the data raises ``ConfigError`` naming its field.
     """
+    marks = [time.perf_counter()]
     ds = load_dataset(config)
+    marks.append(time.perf_counter())
     with _blame("n"):
         part = partition(ds, config.n)
     dual_run = config.algo in DUAL_ALGOS
@@ -358,55 +395,59 @@ def build_setup(config: RunConfig) -> Setup:
         primal = PrimalProblem(ds, part, lam1=config.lambda1, lam2=config.lambda2, mode=mode)
     with _blame("lambda2"):
         dual = DualProblem(primal) if dual_run else None
+    marks.append(time.perf_counter())
     try:
         constants = compute_constants(primal)
     except PowerIterationError as err:
         # Power iteration overflowed or stalled on the data's Gram operator.
         raise ConfigError("data" if config.data is not None else "synth", str(err)) from err
+    marks.append(time.perf_counter())
     with _blame("reference_tol"):
         reference = solve_reference(primal, constants, tol=config.reference_tol)
-    return Setup(primal, dual, constants, reference)
+    marks.append(time.perf_counter())
+    layers = ("load", "design", "constants", "reference")
+    setup_ms = {name: (b - a) * 1e3 for name, a, b in zip(layers, marks, marks[1:])}
+    return Setup(primal, dual, constants, reference, setup_ms)
 
 
 def build_optimizer(config: RunConfig, setup: Setup):
-    """Construct the configured optimizer with resolved eta/theta/p."""
+    """Construct the configured optimizer; return it and its ``Resolved`` parameters."""
     primal, constants = setup.primal, setup.constants
     d = primal.d
     with _blame("compressor"):
         spec = comp.parse_spec(config.compressor)
         delta = comp.delta_of(spec, d)
+    omega = comp.omega_of(spec.inner, d) if spec.kind == comp.SCALED else None
     with _blame("compressor_q1"):
         q1 = comp.parse_spec(config.compressor_q1 or config.compressor)
         delta1 = comp.delta_of(q1, d)
-    p = config.p if config.p is not None else delta
     algo = config.algo
     if algo in PRIMAL_ALGOS:
-        if config.eta == "theory":
-            regime = SMOOTH if primal.mode == SMOOTH else COMPOSITE
-            eta = alg.theoretical_eta(constants, primal.n, delta, delta1, p, regime)
-        else:
-            eta = float(config.eta)
+        p = config.p if config.p is not None else delta
+        regime = SMOOTH if primal.mode == SMOOTH else COMPOSITE
+        with _blame("p"):
+            eta_theory = alg.theoretical_eta(constants, primal.n, delta, delta1, p, regime)
+        eta = eta_theory if config.eta == "theory" else float(config.eta)
+        resolved = Resolved(delta, delta1, omega, p, eta=eta, eta_theory=eta_theory)
     if algo == "ec_lsvrg":
-        return alg.EcLsvrg(primal, spec, q1, eta=eta, p=p, seed=config.seed), eta, None
+        return alg.EcLsvrg(primal, spec, q1, eta=eta, p=p, seed=config.seed), resolved
     if algo == "lsvrg":
-        return alg.Lsvrg(primal, eta=eta, p=p, seed=config.seed), eta, None
+        return alg.Lsvrg(primal, eta=eta, p=p, seed=config.seed), resolved
     if algo == "ec_gd":
-        return alg.EcGd(primal, spec, eta=eta, seed=config.seed), eta, None
+        return alg.EcGd(primal, spec, eta=eta, seed=config.seed), resolved
     if algo in DUAL_ALGOS:
         dual = setup.dual
         variant = alg.QUARTZ if "quartz" in algo else alg.SDCA
-        if config.theta is not None:
-            theta = config.theta
-        else:
-            theta = alg.theoretical_theta(
-                constants, primal.m, primal.n, dual.lam, dual.gamma, delta
-            )
+        theta_theory = alg.theoretical_theta(
+            constants, primal.m, primal.n, dual.lam, dual.gamma, delta
+        )
+        theta = config.theta if config.theta is not None else theta_theory
         with _blame("theta"):
             if algo in ("quartz", "sdca"):
                 opt = alg.VanillaDual(dual, theta=theta, seed=config.seed, variant=variant)
             else:
                 opt = alg.EcDual(dual, spec, theta=theta, seed=config.seed, variant=variant)
-        return opt, None, theta
+        return opt, Resolved(delta, None, omega, None, theta=theta, theta_theory=theta_theory)
     raise ConfigError("algo", f"unknown algorithm {algo!r}; expected one of {ALGOS}")
 
 
@@ -432,7 +473,8 @@ def _run(config: RunConfig, setup: Setup) -> RunResult:
         raise ConfigError("epochs", f"epochs must be >= 0, got {config.epochs}")
     primal, dual, p_star = setup.primal, setup.dual, setup.reference.value
     part = primal.part
-    opt, eta, theta = build_optimizer(config, setup)
+    opt, resolved = build_optimizer(config, setup)
+    eta, theta = resolved.eta, resolved.theta
     N = part.retained
     if opt.passes_per_step_factor == "full_pass":
         epoch_per_step = 1.0
@@ -498,8 +540,10 @@ def _run(config: RunConfig, setup: Setup) -> RunResult:
         design="dense" if primal._design.A_dense is not None else "sparse",
         partition=part,
         reference=setup.reference,
-        eta=eta,
-        theta=theta,
+        resolved=resolved,
+        constants=setup.constants,
+        bits_per_step=opt.bits_per_step,
+        setup_ms=setup.setup_ms,
         x=opt.x.copy(),
     )
     if config.out_csv:
@@ -532,8 +576,9 @@ def emit_json(result: RunResult, path: str) -> None:
     ref = result.reference
     payload = {
         "config": result.config.to_metadata(),
-        "eta": result.eta,
-        "theta": result.theta,
+        **asdict(result.resolved),
+        "constants": asdict(result.constants),
+        "bits_per_step": result.bits_per_step,
         "design": result.design,
         "partition": asdict(result.partition),
         "reference": {
@@ -541,6 +586,13 @@ def emit_json(result: RunResult, path: str) -> None:
             "residual": ref.residual,
             "iterations": ref.iterations,
             "tol": ref.tol,
+        },
+        "setup_ms": result.setup_ms,
+        "versions": {
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "scipy": scipy.__version__,
+            "ecvr": __version__,
         },
         "best_gap": result.best_gap,
         "final_gap": result.final_gap,

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import sparse
 
+from ecvr import dataset as dataset_module
 from ecvr.dataset import (
     Dataset,
     LibsvmFormatError,
@@ -70,6 +73,181 @@ class TestParse:
     def test_labels_without_any_feature_index(self, tmp_path):
         with pytest.raises(LibsvmFormatError, match="no feature index on any of the 3 examples"):
             parse_libsvm(write(tmp_path, "+1\n-1\n\n+1\n"))
+
+
+def outcome(path):
+    """What parse_libsvm makes of a file: its arrays bit for bit, or its error."""
+    try:
+        ds = parse_libsvm(path)
+    except LibsvmFormatError as err:
+        return ("error", str(err), err.line_no)
+    f = ds.features
+    arrays = (f.indptr, f.indices, f.data, ds.labels)
+    return ("ok", f.shape, *((a.dtype.str, a.tobytes()) for a in arrays))
+
+
+def loop_outcome(path):
+    """The per-token loop's reading of the whole file: the fast path refuses every chunk."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dataset_module, "_parse_fast", lambda lines: None)
+        return outcome(path)
+
+
+def chunked_outcome(path, chunk_bytes):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dataset_module, "CHUNK_BYTES", chunk_bytes)
+        return outcome(path)
+
+
+class TestChunkedParse:
+    """Each case expects what the per-token loop gives, through the chunked fast path."""
+
+    @pytest.mark.parametrize(
+        "text, entries",
+        [
+            ("+1 +5:1\n", {(4, 0): 1.0}),  # a signed index
+            ("+1 007:1\n", {(6, 0): 1.0}),  # leading zeros
+            ("+1 2:1_0\n", {(1, 0): 10.0}),  # an underscore in a value
+            ("+1 3:1 1:2\n-1 2:4\n", {(0, 0): 2.0, (2, 0): 1.0, (1, 1): 4.0}),  # unsorted
+            ("+1 1:1\r\n-1 2:3\r\n", {(0, 0): 1.0, (1, 1): 3.0}),  # CRLF
+            ("+1\t1:1\t 2:3\n", {(0, 0): 1.0, (1, 0): 3.0}),  # tabs
+            ("+1\n-1 2:3\n+1\n", {(1, 1): 3.0}),  # label-only lines
+            ("+1 1:1\n-1 2:3\n\n \n\t\n", {(0, 0): 1.0, (1, 1): 3.0}),  # trailing blank lines
+            ("+1\u00a01:1\u00a02:3\n", {(0, 0): 1.0, (1, 0): 3.0}),  # a no-break space
+        ],
+    )
+    def test_accepted(self, tmp_path, text, entries):
+        path = tmp_path / "data.txt"
+        path.write_text(text, encoding="utf-8", newline="")
+        ds = parse_libsvm(str(path))
+        got = ds.features.todok()
+        assert dict(got.items()) == entries
+        assert ds.features.has_sorted_indices
+        assert outcome(str(path)) == loop_outcome(str(path))
+
+    def test_underflowing_value_is_a_stored_zero(self, tmp_path):
+        ds = parse_libsvm(write(tmp_path, "+1 2:1e-400 3:1\n"))
+        assert ds.d == 3
+        assert ds.features.indices.tolist() == [1, 2]
+        assert ds.features.data.tolist() == [0.0, 1.0]
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("+1 1.0:1", "bad feature token '1.0:1'"),
+            ("+1 1e1:1", "bad feature token '1e1:1'"),
+            ("+1 :1", "bad feature token ':1'"),
+            ("+1 1:", "bad feature token '1:'"),
+            # As many numbers as a well-formed line, in the wrong tokens.
+            ("+1 1:2:3 4", "bad feature token '1:2:3'"),
+            ("1:2 3", "bad label '1:2'"),
+        ],
+    )
+    def test_rejected(self, tmp_path, line, message):
+        with pytest.raises(LibsvmFormatError, match=f"^line 2: {message}$"):
+            parse_libsvm(write(tmp_path, f"-1 1:1\n{line}\n"))
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [("2:1 2:3", "duplicate feature index 2"), ("2:nan", "feature value in '2:nan' is not finite")],
+    )
+    def test_error_in_third_chunk_names_its_line(self, tmp_path, monkeypatch, bad, message):
+        # At 8 bytes a chunk is "+1 1:1 2:1", then "\n" and "-1 1:1 2:1", then line 4.
+        monkeypatch.setattr(dataset_module, "CHUNK_BYTES", 8)
+        chunks = []
+        real_fast = dataset_module._parse_fast
+
+        def counting_fast(lines):
+            chunks.append(lines)
+            return real_fast(lines)
+
+        monkeypatch.setattr(dataset_module, "_parse_fast", counting_fast)
+        path = write(tmp_path, f"+1 1:1 2:1\n\n-1 1:1 2:1\n+1 {bad}\n-1 1:1\n")
+        with pytest.raises(LibsvmFormatError, match=f"^line 4: {message}$") as err:
+            parse_libsvm(path)
+        assert err.value.line_no == 4
+        assert len(chunks) == 3
+
+    def test_well_formed_file_never_reaches_the_loop(self, tmp_path, monkeypatch):
+        # The grammar the fast path takes: spaces and tabs, blank lines,
+        # signed and exponent values, label-only lines.
+        rng = np.random.default_rng(5)
+        lines = []
+        for _ in range(300):
+            idx = np.sort(rng.choice(60, size=rng.integers(0, 8), replace=False)) + 1
+            vals = (rng.standard_normal(idx.size) * 10.0 ** rng.integers(-9, 9, idx.size)).tolist()
+            tokens = [str(rng.choice(["+1", "-1", "0", "1.0"]))]
+            tokens += [f"{i}:{v!r}" for i, v in zip(idx.tolist(), vals)]
+            lines.append(rng.choice([" ", "\t", " \t "]).join(tokens) + rng.choice(["\n", " \n\n"]))
+        path = write(tmp_path, "".join(lines))
+        expected = loop_outcome(path)
+
+        def no_loop(lines, first_line_no):
+            raise AssertionError(f"fast path refused the chunk at line {first_line_no}")
+
+        monkeypatch.setattr(dataset_module, "_parse_loop", no_loop)
+        assert chunked_outcome(path, 256) == expected
+        assert chunked_outcome(path, dataset_module.CHUNK_BYTES) == expected
+
+
+PROPERTY = settings(derandomize=True, max_examples=300, deadline=None)
+
+# Pieces a corruption inserts or substitutes: separators the fast path
+# refuses, non-finite and out-of-grammar numbers, stray colons and digits.
+DEBRIS = (
+    ":", "::", " ", "\t", "\n", "\r", "\r\n", "\u00a0", "\x0b", "\x1f", "é", "_",
+    "e", "E", "+", "-", ".", "0", "7", "x", "nan", "inf", "1e400", "1e-400", "0:1", "3:2",
+)
+
+
+@st.composite
+def libsvm_texts(draw):
+    """A LIBSVM text, most lines well formed, then up to three corruptions.
+
+    A few lines repeat an index or use index 0; the corruptions splice in
+    ``DEBRIS`` at random places.
+    """
+    label = st.sampled_from(["+1", "-1", "0", "1", "2.5", "-0", "1e0", "+.5"])
+    value = st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False).map(repr),
+        st.sampled_from(["1", ".5", "5.", "1e-3", "-0", "1E+2", "007", "-2.50"]),
+    )
+    sep = st.sampled_from([" ", " ", "  ", "\t", " \t"])
+    lines = []
+    for _ in range(draw(st.integers(0, 8))):
+        if draw(st.integers(0, 9)) == 0:
+            lines.append(draw(st.sampled_from(["", " ", "\t"])))
+            continue
+        idx = sorted(draw(st.sets(st.integers(1, 40), max_size=6)))
+        if draw(st.integers(0, 14)) == 0:
+            idx.append(draw(st.sampled_from(idx or [0])))  # a duplicate, or index 0
+        if draw(st.integers(0, 4)) == 0:
+            idx = draw(st.permutations(idx))
+        tokens = [draw(label)] + [f"{i}:{draw(value)}" for i in idx]
+        line = tokens[0]
+        for token in tokens[1:]:
+            line += draw(sep) + token
+        lines.append(line + draw(st.sampled_from(["", " ", "\t"])))
+    ends = [draw(st.sampled_from(["\n", "\n", "\r\n"])) for _ in lines]
+    text = "".join(line + end for line, end in zip(lines, ends))
+    if text and draw(st.booleans()):
+        text = text[: -len(ends[-1])]  # no newline at the end
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2, 3]))):
+        at = draw(st.integers(0, len(text)))
+        cut = draw(st.integers(0, 2))
+        text = text[:at] + draw(st.sampled_from(DEBRIS)) + text[at + cut :]
+    return text
+
+
+class TestChunkedParseProperties:
+    @PROPERTY
+    @given(text=libsvm_texts(), small=st.integers(1, 24))
+    def test_chunked_parse_matches_the_loop(self, tmp_path_factory, text, small):
+        path = tmp_path_factory.mktemp("libsvm") / "data.txt"
+        path.write_text(text, encoding="utf-8", newline="")
+        expected = loop_outcome(str(path))
+        assert chunked_outcome(str(path), small) == expected
+        assert chunked_outcome(str(path), 256 * 1024) == expected
 
 
 class TestDatasetInvariants:

@@ -1,14 +1,20 @@
 import csv
 import json
 import math
+import platform
+import time
 import zlib
 from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
+import scipy
 from scipy import sparse
 
+import ecvr
+from ecvr import algorithms as alg
 from ecvr import cli
+from ecvr import compressors as comp
 from ecvr import harness
 from ecvr import problem as problem_module
 from ecvr.algorithms import NumericalError
@@ -218,6 +224,70 @@ class TestRunExperiment:
         }
         assert 0 < reported["residual"] <= reported["tol"]
         assert reported["iterations"] >= 1
+
+    def test_json_reports_setup_timings_and_versions(self, tmp_path):
+        out = tmp_path / "run.json"
+        started = time.perf_counter()
+        harness.run_experiment(base_config(epochs=1, out_json=str(out)))
+        wall_ms = (time.perf_counter() - started) * 1e3
+        meta = json.loads(out.read_text())
+        setup_ms = meta["setup_ms"]
+        assert list(setup_ms) == ["load", "design", "constants", "reference"]
+        assert all(ms >= 0 for ms in setup_ms.values())
+        assert sum(setup_ms.values()) <= wall_ms
+        assert meta["versions"] == {
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "scipy": scipy.__version__,
+            "ecvr": ecvr.__version__,
+        }
+
+    @pytest.mark.parametrize(
+        "algo, compressor, q1, eta, p",
+        [
+            ("ec_lsvrg", "top_k:2", "top_k:1", 0.3, 0.2),
+            ("ec_lsvrg", "dither", None, "theory", None),
+            ("ec_quartz", "dither", None, 0.3, None),  # eta is the primal step: unused
+            ("ec_sdca", "top_k:3", None, 0.3, None),
+        ],
+    )
+    def test_json_reports_resolved_parameters(self, tmp_path, algo, compressor, q1, eta, p):
+        out = tmp_path / "run.json"
+        config = base_config(
+            algo=algo, compressor=compressor, compressor_q1=q1, eta=eta, p=p, epochs=1,
+            out_json=str(out),
+        )
+        res = harness.run_experiment(config)
+        meta = json.loads(out.read_text())
+        setup = harness.build_setup(config)
+        primal = setup.primal
+        constants = compute_constants(primal)
+        spec = comp.parse_spec(compressor)
+        delta = comp.delta_of(spec, primal.d)
+        assert meta["delta"] == delta
+        assert meta["omega"] == (1.0 if compressor == "dither" else None)
+        assert meta["constants"] == asdict(constants)
+        assert meta["bits_per_step"] == res.bits_per_step
+        if algo == "ec_lsvrg":
+            q1_spec = comp.parse_spec(q1 or compressor)
+            delta1 = comp.delta_of(q1_spec, primal.d)
+            p_used = p if p is not None else delta
+            eta_theory = alg.theoretical_eta(constants, primal.n, delta, delta1, p_used, COMPOSITE)
+            assert (meta["delta1"], meta["p"]) == (delta1, p_used)
+            assert meta["eta_theory"] == eta_theory
+            assert meta["eta"] == (eta_theory if eta == "theory" else eta)
+            assert (meta["theta"], meta["theta_theory"]) == (None, None)
+            assert meta["bits_per_step"] == primal.n * (
+                comp.bit_cost(spec, primal.d) + comp.bit_cost(q1_spec, primal.d) + 1.0
+            )
+        else:
+            dual = setup.dual
+            theta_theory = alg.theoretical_theta(
+                constants, primal.m, primal.n, dual.lam, dual.gamma, delta
+            )
+            assert meta["theta"] == meta["theta_theory"] == theta_theory
+            assert (meta["eta"], meta["eta_theory"], meta["p"], meta["delta1"]) == (None,) * 4
+            assert meta["bits_per_step"] == primal.n * comp.bit_cost(spec, primal.d)
 
     @pytest.mark.parametrize("algo", ["ec_lsvrg", "ec_quartz"])
     def test_one_problem_setup_per_run(self, monkeypatch, algo):
