@@ -73,7 +73,6 @@ class _Chunk:
     counts: np.ndarray  # stored entries per example
     rows: np.ndarray  # 0-based feature index per entry, example by example
     vals: np.ndarray  # value per entry
-    ascending: bool  # every example's indices strictly ascend
 
 
 def parse_libsvm(path: str) -> Dataset:
@@ -109,16 +108,10 @@ def parse_libsvm(path: str) -> Dataset:
     d = int(rows.max()) + 1 if rows.size else 0
     if d == 0:
         raise LibsvmFormatError(0, f"no feature index on any of the {col} examples")
-    if all(c.ascending for c in chunks):
-        # Each example's entries are already in CSC order.
-        indptr = np.zeros(col + 1, dtype=np.int64)
-        np.cumsum(counts, out=indptr[1:])
-        features = sparse.csc_matrix((vals, rows, indptr), shape=(d, col))
-    else:
-        cols = np.repeat(np.arange(col), counts)
-        features = sparse.coo_matrix(
-            (vals, (rows, cols)), shape=(d, col), dtype=np.float64
-        ).tocsc()
+    indptr = np.zeros(col + 1, dtype=np.int64)
+    np.cumsum(counts, out=indptr[1:])
+    features = sparse.csc_matrix((vals, rows, indptr), shape=(d, col))
+    features.sort_indices()  # a line's indices may come in any order
     return Dataset(features=features, labels=labels)
 
 
@@ -128,7 +121,6 @@ def _parse_loop(lines: list[str], first_line_no: int) -> _Chunk:
     counts: list[int] = []
     rows: list[int] = []
     vals: list[float] = []
-    ascending = True
     for line_no, raw in enumerate(lines, start=first_line_no):
         line = raw.strip()
         if not line:
@@ -142,7 +134,6 @@ def _parse_loop(lines: list[str], first_line_no: int) -> _Chunk:
             raise LibsvmFormatError(line_no, f"label {tokens[0]!r} is not finite")
         labels.append(-1.0 if label <= 0 else 1.0)
         seen: set[int] = set()
-        last = 0
         for token in tokens[1:]:
             idx_str, _, val_str = token.partition(":")
             try:
@@ -157,8 +148,6 @@ def _parse_loop(lines: list[str], first_line_no: int) -> _Chunk:
             if idx in seen:
                 raise LibsvmFormatError(line_no, f"duplicate feature index {idx}")
             seen.add(idx)
-            ascending = ascending and idx > last
-            last = idx
             rows.append(idx - 1)
             vals.append(val)
         counts.append(len(seen))
@@ -167,7 +156,6 @@ def _parse_loop(lines: list[str], first_line_no: int) -> _Chunk:
         counts=np.array(counts, dtype=np.int64),
         rows=np.array(rows, dtype=np.int64),
         vals=np.array(vals, dtype=np.float64),
-        ascending=ascending,
     )
 
 
@@ -177,8 +165,8 @@ def _parse_fast(lines: list[str]) -> _Chunk | None:
     It accepts only ASCII lines of digits, ``+-.eE:``, spaces and tabs, in
     which a line's first token has no colon, every other token is
     ``digits:value`` with a nonempty value, every number parses, labels and
-    values are finite, and indices are at least 1 and strictly ascend on
-    each line. ``_parse_loop`` reads every such line the same way; anything
+    values are finite, and indices are at least 1 and differ on each line.
+    ``_parse_loop`` reads every such line the same way; anything
     else, valid or not, is refused and left to it.
     """
     text = "".join(lines)
@@ -193,7 +181,7 @@ def _parse_fast(lines: list[str]) -> _Chunk | None:
     T = starts.size
     if T == 0:  # blank lines only
         empty = np.empty(0, dtype=np.int64)
-        return _Chunk(np.empty(0), empty, empty, np.empty(0), ascending=True)
+        return _Chunk(np.empty(0), empty, empty, np.empty(0))
     line_of = np.searchsorted(np.flatnonzero(cls == _NEWLINE), starts)
     first = np.empty(T, dtype=bool)  # the token opens its line: a label
     first[0] = True
@@ -236,15 +224,18 @@ def _parse_fast(lines: list[str]) -> _Chunk | None:
         return None
     if idx.size and not (idx.min() >= 1 and idx.max() <= _MAX_INDEX):
         return None
-    # Strictly ascending within a line; a line's first feature follows its label.
-    if not (np.diff(idx) > 0)[~first[np.flatnonzero(~first)[1:] - 1]].all():
-        return None
+    # No index twice on a line. Lines usually ascend, which proves it;
+    # otherwise sort each line's indices (lexsort keeps the lines in order).
+    feature_line = line_of[~first]
+    same_line = feature_line[1:] == feature_line[:-1]
+    if not (np.diff(idx) > 0)[same_line].all():
+        if (np.diff(idx[np.lexsort((idx, feature_line))]) == 0)[same_line].any():
+            return None
     return _Chunk(
         labels=np.where(labels <= 0, -1.0, 1.0),
         counts=np.diff(heads, append=T) - 1,
         rows=idx.astype(np.int64) - 1,
         vals=vals,
-        ascending=True,
     )
 
 

@@ -149,7 +149,11 @@ class TestChunkedParse:
 
     @pytest.mark.parametrize(
         "bad, message",
-        [("2:1 2:3", "duplicate feature index 2"), ("2:nan", "feature value in '2:nan' is not finite")],
+        [
+            ("2:1 2:3", "duplicate feature index 2"),
+            ("3:1 1:1 3:2", "duplicate feature index 3"),
+            ("2:nan", "feature value in '2:nan' is not finite"),
+        ],
     )
     def test_error_in_third_chunk_names_its_line(self, tmp_path, monkeypatch, bad, message):
         # At 8 bytes a chunk is "+1 1:1 2:1", then "\n" and "-1 1:1 2:1", then line 4.
@@ -170,11 +174,13 @@ class TestChunkedParse:
 
     def test_well_formed_file_never_reaches_the_loop(self, tmp_path, monkeypatch):
         # The grammar the fast path takes: spaces and tabs, blank lines,
-        # signed and exponent values, label-only lines.
+        # signed and exponent values, label-only lines, indices in any order.
         rng = np.random.default_rng(5)
         lines = []
         for _ in range(300):
-            idx = np.sort(rng.choice(60, size=rng.integers(0, 8), replace=False)) + 1
+            idx = rng.choice(60, size=rng.integers(0, 8), replace=False) + 1
+            if rng.random() < 0.5:
+                idx.sort()
             vals = (rng.standard_normal(idx.size) * 10.0 ** rng.integers(-9, 9, idx.size)).tolist()
             tokens = [str(rng.choice(["+1", "-1", "0", "1.0"]))]
             tokens += [f"{i}:{v!r}" for i, v in zip(idx.tolist(), vals)]
