@@ -63,6 +63,7 @@ _BYTE_CLASS[ord(":")] = _COLON
 _BYTE_CLASS[list(b" \t")] = _BLANK
 _BYTE_CLASS[ord("\n")] = _NEWLINE
 _MAX_INDEX = 2**31 - 1  # a digits-only index below this parses exactly
+_INDEX_DIGITS = 15  # an index this long, leading zeros included, sums exactly in float64
 
 
 @dataclass
@@ -164,15 +165,18 @@ def _parse_fast(lines: list[str]) -> _Chunk | None:
 
     It accepts only ASCII lines of digits, ``+-.eE:``, spaces and tabs, in
     which a line's first token has no colon, every other token is
-    ``digits:value`` with a nonempty value, every number parses, labels and
-    values are finite, and indices are at least 1 and differ on each line.
+    ``digits:value`` with 1 to 15 digits and a nonempty value, every number
+    parses, labels and values are finite, and indices are at least 1 and
+    differ on each line. Indices are read from their digit bytes, labels
+    and values by one ``np.fromstring`` call.
     ``_parse_loop`` reads every such line the same way; anything
     else, valid or not, is refused and left to it.
     """
     text = "".join(lines)
     if not text.isascii():
         return None
-    cls = _BYTE_CLASS[np.frombuffer(text.encode("ascii"), dtype=np.uint8)]
+    raw = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+    cls = _BYTE_CLASS[raw]
     if not cls.all():
         return None
     # Token edges alternate start, end (exclusive), start, end, ...
@@ -202,24 +206,39 @@ def _parse_fast(lines: list[str]) -> _Chunk | None:
     if (marks < colon_at[np.searchsorted(starts, marks, side="right") - 1]).any():
         return None
 
+    # Every feature token is digits:value with 1 to _INDEX_DIGITS digits.
+    width = colons - starts[~first]
+    if width.size and not (width.min() >= 1 and width.max() <= _INDEX_DIGITS):
+        return None
+    # Each index is the sum of its digits, the r-th back from the colon
+    # weighing 10**r. ``rest``, what np.fromstring reads, is the text with
+    # every index and colon blanked out: each label, then its line's values.
+    idx = np.zeros(width.size)
+    rest = raw.copy()
+    rest[colons] = ord(" ")
+    for r in range(int(width.max(initial=0))):
+        # A shorter index has no r-th digit: its ``at`` lies before the
+        # token, or wraps (by at most r + 1 < len(raw)), and is dropped.
+        at = colons - 1 - r
+        digit = raw[at] - 48.0
+        past = width <= r
+        digit[past] = 0.0
+        idx += digit * 10.0**r
+        rest[at[~past]] = ord(" ")
     with warnings.catch_warnings():
         # Older numpy warns on text it cannot read, where numpy 2.4 raises.
         warnings.simplefilter("error", DeprecationWarning)
         try:
-            numbers = np.fromstring(text.replace(":", " "), sep=" ")
+            numbers = np.fromstring(rest.tobytes(), sep=" ")
         except (ValueError, DeprecationWarning):
             return None
     # numpy reads a nonempty run of these bytes as one number or raises,
-    # and an empty one as none: the count proves that every index and value
-    # is nonempty, so the numbers are a label, or an index then a value.
-    if numbers.size != 2 * T - E:
+    # and an empty one as none: the count proves that every value is
+    # nonempty, so the numbers are the tokens' labels and values in order.
+    if numbers.size != T:
         return None
-    label_at = 2 * heads - np.arange(E)
-    is_label = np.zeros(numbers.size, dtype=bool)
-    is_label[label_at] = True
-    labels = numbers[label_at]
-    pairs = numbers[~is_label]
-    idx, vals = pairs[0::2], pairs[1::2]
+    labels = numbers[heads]
+    vals = numbers[~first]
     if not (np.isfinite(labels).all() and np.isfinite(vals).all()):
         return None
     if idx.size and not (idx.min() >= 1 and idx.max() <= _MAX_INDEX):

@@ -399,7 +399,7 @@ def build_setup(config: RunConfig) -> Setup:
     try:
         constants = compute_constants(primal)
     except PowerIterationError as err:
-        # Power iteration overflowed or stalled on the data's Gram operator.
+        # Lanczos overflowed or stalled on the data's Gram operator.
         raise ConfigError("data" if config.data is not None else "synth", str(err)) from err
     marks.append(time.perf_counter())
     with _blame("reference_tol"):
@@ -572,12 +572,27 @@ def emit_csv(records: list[TrialRecord], path: str) -> None:
             writer.writerow([_fmt(getattr(rec, col)) for col in TRACE_COLUMNS])
 
 
+def _json_safe(value):
+    """``value`` with every non-finite float replaced by None, which JSON writes as null."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {key: _json_safe(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_json_safe(item) for item in value]
+    return value
+
+
 def emit_json(result: RunResult, path: str) -> None:
+    """Write the run manifest; a non-finite float, such as a gap with no record, is null."""
     ref = result.reference
+    constants = asdict(result.constants)
+    spectral_solves = constants.pop("spectral_solves")
     payload = {
         "config": result.config.to_metadata(),
         **asdict(result.resolved),
-        "constants": asdict(result.constants),
+        "constants": constants,
+        "spectral_solves": spectral_solves,
         "bits_per_step": result.bits_per_step,
         "design": result.design,
         "partition": asdict(result.partition),
@@ -600,7 +615,7 @@ def emit_json(result: RunResult, path: str) -> None:
         "records": [asdict(rec) for rec in result.records],
     }
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=1)
+        json.dump(_json_safe(payload), fh, indent=1, allow_nan=False)
         fh.write("\n")
 
 

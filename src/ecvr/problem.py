@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from scipy import sparse
@@ -34,11 +34,17 @@ _DENSE_LIMIT = 8_000_000
 
 
 class PowerIterationError(RuntimeError):
-    """Leading-eigenvalue iteration stalled, or its estimate stopped being finite."""
+    """``lanczos`` spent its budget, or its estimate stopped being finite.
+
+    ``residual`` is the estimate's last relative change.
+    """
 
     def __init__(self, residual: float, iterations: int, estimate: float | None = None):
         if estimate is None:
-            message = f"power iteration stalled at residual {residual:.3e} after {iterations} iterations"
+            message = (
+                f"power iteration stalled at relative change {residual:.3e}"
+                f" after {iterations} iterations"
+            )
         else:
             message = (
                 f"power iteration estimate is {estimate} at iteration {iterations};"
@@ -96,10 +102,23 @@ class _Design:
         return self.A.T @ x
 
     def columns(self, J) -> np.ndarray:
-        """The (len(J), d) block whose row r is the column of example J[r]."""
+        """The (len(J), d) block whose row r is the column of example J[r].
+
+        Without the dense copy, the stored entries of the J columns are
+        gathered from ``indptr``/``indices``/``data`` and accumulated into a
+        zeroed block in storage order, which gives the bytes of
+        ``A[:, J].T.toarray()``.
+        """
         if self.A_dense is not None:
             return self.A_dense[:, J].T
-        return self.A[:, J].T.toarray()
+        counts = self._col_nnz[J]
+        rows = np.repeat(np.arange(len(counts)), counts)
+        # Position of each gathered entry in A.data: its column's start plus its rank there.
+        shift = self.A.indptr[J] - (np.cumsum(counts) - counts)
+        pos = np.arange(rows.size) + np.repeat(shift, counts)
+        bins = rows * self.d + self.A.indices[pos]
+        block = np.bincount(bins, self.A.data[pos], len(counts) * self.d)
+        return block.reshape(len(counts), self.d)
 
     def combine(self, coef: np.ndarray) -> np.ndarray:
         """Return A @ coef as a dense vector."""
@@ -301,77 +320,101 @@ class ProblemConstants:
     l_bar: float  # per-node smoothness
     l_f: float  # full-objective smoothness
     mu: float  # strong convexity
+    # How the spectral radii were computed (see compute_constants); not a constant.
+    spectral_solves: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def r(self) -> float:
         return self.r_sq**0.5
 
 
-def power_iteration(
+@dataclass(frozen=True)
+class EigenSolve:
+    """A largest-eigenvalue estimate and how the iteration reached it."""
+
+    value: float
+    steps: int  # operator products taken
+    rel_change: float  # the estimate's last relative change; 0 at breakdown, where it is exact
+
+
+def lanczos(
     matvec,
     dim: int,
-    tol: float = 1e-8,
-    max_iter: int = 10_000,
+    tol: float = 1e-12,
+    max_iter: int = 1_000,
     seed: int = 0,
-    restarts: int = 3,
-) -> float:
+) -> EigenSolve:
     """Largest eigenvalue of a symmetric PSD operator given as a matvec.
 
-    Deterministic: the start vector comes from a fixed seed, and stagnation
-    triggers restarts from the following seeds before giving up. A
-    non-finite estimate raises at once.
+    The Lanczos three-term recurrence, without reorthogonalization, from a
+    start vector drawn from a fixed seed; it keeps two vectors of ``dim``.
+    The estimate after k steps is the largest eigenvalue of the k x k
+    tridiagonal, which is at least what k steps of power iteration from the
+    same vector give. It stops when the estimate changes by at most ``tol``
+    relative, or on breakdown (the Krylov space is invariant, so the
+    estimate is exact). A non-finite estimate raises at once, and so does
+    a budget of ``max_iter`` steps spent; each step solves its tridiagonal
+    afresh, at O(k^3), which the budget bounds.
     """
-    last_residual = np.inf
-    total_iters = 0
-    for attempt in range(restarts):
-        rng = np.random.default_rng(seed + attempt)
-        v = rng.standard_normal(dim)
-        v /= np.linalg.norm(v)
-        lam = 0.0
-        residual = np.inf
-        for _ in range(max_iter):
-            total_iters += 1
-            w = matvec(v)
-            norm_w = np.linalg.norm(w)
-            if norm_w == 0.0:
-                return 0.0
-            lam_new = float(v @ w)
-            if not (math.isfinite(norm_w) and math.isfinite(lam_new)):
-                raise PowerIterationError(residual, total_iters, estimate=lam_new)
-            v = w / norm_w
-            residual = abs(lam_new - lam)
-            lam = lam_new
-            if residual <= tol * max(abs(lam), 1e-30):
-                return lam
-        last_residual = residual
-    raise PowerIterationError(last_residual, total_iters)
+    v = np.random.default_rng(seed).standard_normal(dim)
+    v /= np.linalg.norm(v)
+    v_prev = np.zeros(dim)
+    alphas: list[float] = []
+    betas: list[float] = []
+    beta = 0.0
+    estimate = -math.inf
+    rel_change = math.inf
+    for step in range(1, max_iter + 1):
+        w = matvec(v) - beta * v_prev
+        alpha = float(v @ w)
+        w -= alpha * v
+        beta = float(np.linalg.norm(w))
+        if not (math.isfinite(alpha) and math.isfinite(beta)):
+            raise PowerIterationError(rel_change, step, estimate=alpha)
+        alphas.append(alpha)
+        # numpy's eigvalsh reads the lower triangle. scipy.linalg has a
+        # tridiagonal solver, but importing it costs the process about 6 MB.
+        tridiagonal = np.diag(alphas) + np.diag(betas, -1)
+        last, estimate = estimate, float(np.linalg.eigvalsh(tridiagonal)[-1])
+        rel_change = abs(estimate - last) / max(abs(estimate), 1e-300)
+        if beta == 0.0:
+            return EigenSolve(estimate, step, 0.0)
+        if rel_change <= tol:
+            return EigenSolve(estimate, step, rel_change)
+        betas.append(beta)
+        v_prev, v = v, w / beta
+    raise PowerIterationError(rel_change, max_iter)
 
 
 def compute_constants(problem: PrimalProblem) -> ProblemConstants:
     """Column-norm and Gram-spectrum constants for step-size formulas.
 
-    ``r_m`` comes from an exact column scan; the spectral radii use power
-    iteration on the Gram operators A A' (full and per node).
+    ``r_m`` comes from an exact column scan. The spectral radii come from
+    ``lanczos`` on each Gram operator's smaller side: B'B when B, the full
+    design or a node's columns, has fewer columns than rows, and B B'
+    otherwise; both have the same nonzero spectrum. ``spectral_solves``
+    records the full Gram's solve and that of the node which took the most
+    steps.
     """
     design = problem._design
     part = problem.part
-    A, d, N, m = design.A, design.d, design.N, part.m
+    A, m = design.A, part.m
 
     col_sq = np.asarray(A.multiply(A).sum(axis=0)).ravel()
     r_m = float(np.sqrt(col_sq.max()))
 
-    def gram(block):
-        bt = block.T.tocsr() if sparse.issparse(block) else block.T
+    def top_gram_eigenvalue(block) -> EigenSolve:
+        rows, cols = block.shape
+        block_t = block.T  # built once: each ``.T`` is a new CSR object
+        if cols < rows:
+            return lanczos(lambda v: block_t @ (block @ v), cols)
+        return lanczos(lambda v: block @ (block_t @ v), rows)
 
-        def matvec(v):
-            return block @ (bt @ v)
-
-        return matvec
-
-    r_sq = power_iteration(gram(A), d) / N
-    r_bar_sq = max(
-        power_iteration(gram(A[:, part.node_slice(tau)]), d) / m for tau in range(part.n)
-    )
+    full = top_gram_eigenvalue(A)
+    nodes = [top_gram_eigenvalue(A[:, part.node_slice(tau)]) for tau in range(part.n)]
+    worst = max(range(part.n), key=lambda tau: nodes[tau].steps)
+    r_sq = full.value / design.N
+    r_bar_sq = max(node.value for node in nodes) / m
 
     smooth_shift = problem.lam2 if problem.mode == SMOOTH else 0.0
 
@@ -383,4 +426,8 @@ def compute_constants(problem: PrimalProblem) -> ProblemConstants:
         l_bar=r_bar_sq / 4.0 + smooth_shift,
         l_f=r_sq / 4.0 + smooth_shift,
         mu=problem.lam2,
+        spectral_solves={
+            "full": asdict(full),
+            "worst_node": {"node": worst, **asdict(nodes[worst])},
+        },
     )

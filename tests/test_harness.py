@@ -172,12 +172,28 @@ def base_config(**kw) -> harness.RunConfig:
     return harness.RunConfig(**defaults)
 
 
+def strict_json(path):
+    """Parse a JSON file, rejecting the NaN and Infinity that Python's json writes by default."""
+
+    def reject(constant):
+        raise ValueError(f"{path.name} holds {constant}, which JSON does not allow")
+
+    return json.loads(path.read_text(), parse_constant=reject)
+
+
 class TestRunExperiment:
     def test_zero_epoch_budget_header_only(self, tmp_path):
         out = tmp_path / "empty.csv"
         res = harness.run_experiment(base_config(epochs=0, out_csv=str(out)))
         assert res.records == []
         assert out.read_text().strip() == ",".join(harness.TRACE_COLUMNS)
+
+    def test_run_with_no_record_writes_its_infinite_gaps_as_null(self, tmp_path):
+        out = tmp_path / "empty.json"
+        res = harness.run_experiment(base_config(epochs=0, out_json=str(out)))
+        assert res.best_gap == res.final_gap == math.inf
+        meta = strict_json(out)
+        assert (meta["best_gap"], meta["final_gap"], meta["records"]) == (None, None, [])
 
     def test_negative_epoch_budget_is_rejected(self):
         with pytest.raises(ValueError, match="epochs"):
@@ -194,7 +210,7 @@ class TestRunExperiment:
             rows = [{col: float(v) if v else None for col, v in row.items()} for row in reader]
         assert tuple(reader.fieldnames) == harness.TRACE_COLUMNS
         assert rows == [asdict(rec) for rec in res.records]
-        meta = json.loads(out_json.read_text())
+        meta = strict_json(out_json)
         assert [harness.TrialRecord(**rec) for rec in meta["records"]] == res.records
         assert meta["config"]["algo"] == "ec_lsvrg"
 
@@ -202,7 +218,7 @@ class TestRunExperiment:
         def manifest(name):
             out = tmp_path / name
             harness.run_experiment(base_config(synth=(82, 16, 0.4), epochs=1, out_json=str(out)))
-            return json.loads(out.read_text())
+            return strict_json(out)
 
         dense = manifest("dense.json")
         assert dense["design"] == "dense"
@@ -214,7 +230,7 @@ class TestRunExperiment:
         out = tmp_path / "run.json"
         config = base_config(epochs=1, out_json=str(out), reference_tol=1e-11)
         harness.run_experiment(config)
-        reported = json.loads(out.read_text())["reference"]
+        reported = strict_json(out)["reference"]
         ref = harness.build_setup(config).reference
         assert reported == {
             "value": ref.value,
@@ -230,7 +246,7 @@ class TestRunExperiment:
         started = time.perf_counter()
         harness.run_experiment(base_config(epochs=1, out_json=str(out)))
         wall_ms = (time.perf_counter() - started) * 1e3
-        meta = json.loads(out.read_text())
+        meta = strict_json(out)
         setup_ms = meta["setup_ms"]
         assert list(setup_ms) == ["load", "design", "constants", "reference"]
         assert all(ms >= 0 for ms in setup_ms.values())
@@ -258,7 +274,7 @@ class TestRunExperiment:
             out_json=str(out),
         )
         res = harness.run_experiment(config)
-        meta = json.loads(out.read_text())
+        meta = strict_json(out)
         setup = harness.build_setup(config)
         primal = setup.primal
         constants = compute_constants(primal)
@@ -266,7 +282,10 @@ class TestRunExperiment:
         delta = comp.delta_of(spec, primal.d)
         assert meta["delta"] == delta
         assert meta["omega"] == (1.0 if compressor == "dither" else None)
-        assert meta["constants"] == asdict(constants)
+        expected = asdict(constants)
+        assert meta["spectral_solves"] == expected.pop("spectral_solves")
+        assert meta["constants"] == expected
+        assert list(meta["spectral_solves"]) == ["full", "worst_node"]
         assert meta["bits_per_step"] == res.bits_per_step
         if algo == "ec_lsvrg":
             q1_spec = comp.parse_spec(q1 or compressor)
@@ -665,7 +684,7 @@ class TestCli:
         (tmp_path / "nan.libsvm").write_text("+1 1:0.5\n-1 2:1\n+1 1:nan\n-1 2:2\n")
         (tmp_path / "inf.libsvm").write_text("+1 1:0.5\ninf 2:1\n")
         (tmp_path / "empty.libsvm").write_text("+1\n-1\n+1\n-1\n")
-        # Finite values whose Gram operator overflows in power iteration.
+        # Finite values whose Gram operator overflows in the Lanczos recurrence.
         (tmp_path / "big.libsvm").write_text(
             "+1 1:1e308 2:1e308\n-1 1:-1e308 2:1e308\n+1 1:1e308 2:-1e308\n-1 1:-1e308 2:-1e308\n"
         )

@@ -13,12 +13,13 @@ from ecvr.problem import (
     COMPOSITE,
     SMOOTH,
     DualProblem,
+    EigenSolve,
     PowerIterationError,
     PrimalProblem,
     compute_constants,
+    lanczos,
     logistic_grad,
     logistic_loss,
-    power_iteration,
     prox_elastic_net,
     soft_threshold,
 )
@@ -356,31 +357,50 @@ class TestConstants:
         ds = Dataset(features=sparse.csc_matrix(a[:, None]), labels=np.array([1.0]))
         c = compute_constants(PrimalProblem(ds, partition(ds, 1), lam1=0.0, lam2=0.1))
         assert c.r_m == pytest.approx(1.0)
-        assert c.r_bar_sq == pytest.approx(1.0, rel=1e-7)
-        assert c.r_sq == pytest.approx(1.0, rel=1e-7)
+        assert c.r_bar_sq == pytest.approx(1.0, rel=1e-12)
+        assert c.r_sq == pytest.approx(1.0, rel=1e-12)
         assert c.mu == 0.1
 
     def test_identity_features(self):
         ds = Dataset(features=sparse.eye(2, format="csc"), labels=np.array([1.0, -1.0]))
         c = compute_constants(PrimalProblem(ds, partition(ds, 1), lam1=0.0, lam2=0.1))
-        assert c.r_sq == pytest.approx(0.5, rel=1e-7)  # eigenvalues of I/2
-        assert c.r_bar_sq == pytest.approx(0.5, rel=1e-7)
+        assert c.r_sq == pytest.approx(0.5, rel=1e-12)  # eigenvalues of I/2
+        assert c.r_bar_sq == pytest.approx(0.5, rel=1e-12)
         assert c.r_m == 1.0
 
     def test_spectra_match_dense_eigensolver(self, composite):
+        # The fixture has more examples than features; the second problem has
+        # fewer, so each Gram runs on the other side.
+        wide = synth_dataset(20, 30, 0.5, seed=11, scale=1.0)
+        for problem in (composite, PrimalProblem(wide, partition(wide, 2), lam1=1e-2, lam2=1e-2)):
+            c = compute_constants(problem)
+            a = problem._design.A.toarray()
+            part = problem.part
+            r_sq = np.linalg.eigvalsh(a @ a.T).max() / part.retained
+            per_node = max(
+                np.linalg.eigvalsh(
+                    a[:, part.node_slice(t)] @ a[:, part.node_slice(t)].T
+                ).max()
+                for t in range(part.n)
+            ) / part.m
+            assert c.r_sq == pytest.approx(r_sq, rel=1e-12)
+            assert c.r_bar_sq == pytest.approx(per_node, rel=1e-12)
+            assert c.r_m == pytest.approx(problem.dataset.column_norms()[: part.retained].max())
+
+    def test_spectral_solves_record_the_full_gram_and_the_slowest_node(self, composite):
         c = compute_constants(composite)
-        a = composite._design.A.toarray()
         part = composite.part
-        r_sq = np.linalg.eigvalsh(a @ a.T).max() / part.retained
-        per_node = max(
-            np.linalg.eigvalsh(
-                a[:, part.node_slice(t)] @ a[:, part.node_slice(t)].T
-            ).max()
-            for t in range(part.n)
-        ) / part.m
-        assert c.r_sq == pytest.approx(r_sq, rel=1e-7)
-        assert c.r_bar_sq == pytest.approx(per_node, rel=1e-7)
-        assert c.r_m == pytest.approx(composite.dataset.column_norms()[: part.retained].max())
+        a = composite._design.A.toarray()
+        steps = []
+        for t in range(part.n):
+            block = a[:, part.node_slice(t)]  # 12 x 10: the node runs on block' block
+            steps.append(lanczos(lambda v: block.T @ (block @ v), part.m).steps)
+        full, worst = c.spectral_solves["full"], c.spectral_solves["worst_node"]
+        assert full["value"] / part.retained == c.r_sq
+        assert 1 <= full["steps"] and 0 <= full["rel_change"] <= 1e-12
+        assert worst["node"] == int(np.argmax(steps)) and worst["steps"] == max(steps)
+        assert 0 <= worst["rel_change"] <= 1e-12
+        assert worst["value"] / part.m <= c.r_bar_sq
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_ordering_invariants(self, seed):
@@ -401,27 +421,64 @@ class TestConstants:
         assert shifted.l_f == pytest.approx(base.l_f + 0.5)
         assert shifted.l == pytest.approx(base.l + 0.5)
 
-    def test_power_iteration_against_eigh(self):
+    def test_lanczos_against_eigh(self):
         rng = rng_for("pi")
         for _ in range(10):
             mat = rng.standard_normal((15, 15))
             gram = mat @ mat.T
 
-            top = power_iteration(lambda v: gram @ v, 15)
-            assert top == pytest.approx(np.linalg.eigvalsh(gram).max(), rel=1e-6)
+            top = lanczos(lambda v: gram @ v, 15).value
+            assert top == pytest.approx(np.linalg.eigvalsh(gram).max(), rel=1e-12)
 
-    def test_power_iteration_zero_matrix(self):
-        assert power_iteration(lambda v: np.zeros_like(v), 6) == 0.0
+    def test_lanczos_resolves_a_clustered_top_spectrum(self):
+        # Top eigenvalues 1 and 1 - 1e-4: power iteration from the same start
+        # stops at a change of 1e-8 while still 1e-5 away; Lanczos does not.
+        rng = rng_for("cluster")
+        q, _ = np.linalg.qr(rng.standard_normal((60, 60)))
+        gram = (q * np.concatenate([[1.0, 1.0 - 1e-4], rng.uniform(0.0, 0.9, 58)])) @ q.T
+        top = np.linalg.eigvalsh(gram).max()
 
-    def test_power_iteration_reports_nonconvergence(self):
+        v = np.random.default_rng(0).standard_normal(60)
+        v /= np.linalg.norm(v)
+        estimate, last = 0.0, -1.0
+        while abs(estimate - last) > 1e-8 * estimate:
+            w = gram @ v
+            last, estimate = estimate, float(v @ w)
+            v = w / np.linalg.norm(w)
+        assert abs(estimate - top) > 1e-8 * top
+
+        solve = lanczos(lambda v: gram @ v, 60)
+        assert solve.value == pytest.approx(top, rel=1e-12)
+        assert solve.steps < 60 and solve.rel_change <= 1e-12
+
+    def test_lanczos_zero_matrix(self):
+        assert lanczos(lambda v: np.zeros_like(v), 6) == EigenSolve(0.0, 1, 0.0)
+
+    def test_lanczos_breaks_down_exactly_on_low_rank_and_dim_one(self):
+        assert lanczos(lambda v: 3.0 * v, 1) == EigenSolve(3.0, 1, 0.0)
+        u = rng_for("rank1").standard_normal(20)
+        solve = lanczos(lambda v: u * (u @ v), 20)
+        assert solve.value == pytest.approx(u @ u, rel=1e-12)
+        assert solve.steps <= 3
+
+    def test_lanczos_reports_nonconvergence(self):
         # Tiny eigengap with a tiny budget: the estimate is still moving.
-        gram = np.diag([1.0, 1.0 - 1e-4])
+        gram = np.diag([1.0, 1.0 - 1e-4, 0.5])
 
         with pytest.raises(PowerIterationError) as err:
-            power_iteration(lambda v: gram @ v, 2, tol=1e-14, max_iter=4, restarts=2)
-        assert err.value.residual > 0
+            lanczos(lambda v: gram @ v, 3, tol=1e-14, max_iter=2)
+        assert 0 < err.value.residual < math.inf
 
-    def test_power_iteration_stops_at_a_non_finite_estimate(self):
+    def test_lanczos_budget_below_dim_raises_with_its_residual(self):
+        mat = rng_for("budget").standard_normal((15, 15))
+        gram = mat @ mat.T
+        with pytest.raises(PowerIterationError, match="stalled at relative change") as err:
+            lanczos(lambda v: gram @ v, 15, max_iter=3)
+        assert err.value.iterations == 3
+        assert err.value.residual > 1e-12
+        assert f"{err.value.residual:.3e}" in str(err.value)
+
+    def test_lanczos_stops_at_a_non_finite_estimate(self):
         # Entries of 1e308 overflow the Gram operator in its first product.
         features = sparse.csc_matrix(
             np.array([[1e308, 1e308, 0.0, -1e308], [1e308, 0.0, 1e308, 1e308]])
@@ -432,4 +489,4 @@ class TestConstants:
             compute_constants(problem)
         assert err.value.iterations == 1
         with pytest.raises(PowerIterationError, match="estimate is nan at iteration 1;"):
-            power_iteration(lambda v: np.full_like(v, np.nan), 3)
+            lanczos(lambda v: np.full_like(v, np.nan), 3)
