@@ -7,15 +7,22 @@ with it, and the loss derivative is evaluated once on the margin vector.
 Each compressor then runs once per step on the (n, d) batch of node
 messages, node tau drawing from its own stream: a ``NodeUniforms`` draws
 each stream's compressor uniforms ahead in blocks of at most 1 MiB, one
-width per stream. Aggregation sums in fixed node order so runs are
-reproducible bit for bit.
+width per stream. A sparsifier's result is its kept flat positions and
+their values, and error feedback rewrites the residual only there.
+Aggregation sums in fixed node order so runs are reproducible bit for bit.
+``EcLsvrg`` keeps the shift residual ``r = grad_w - h`` and ``eta * r`` up
+to date where Q1 changed ``h``, so between refreshes its step touches the
+sampled columns' stored entries and the compressors' kept coordinates, plus
+the whole-array passes of the compressors and its checks.
 Each optimizer validates its defining algebraic identities every step (error
 conservation, maintained averages, dual feasibility) and raises on NaN/Inf.
-``EcDual`` checks its surrogate identity and feasibility incrementally, at the
-cost of its step, and ``EcDual.certify`` runs the full O(N d) checks, which
-the harness calls at every record (reusing the aggregate it returns for the
-duality gap); the last step is always recorded, so a completed run certifies
-its own internal consistency.
+What a step maintains incrementally, ``certify`` checks in full, and the
+harness calls it at every record: ``EcLsvrg.certify`` compares ``r`` and
+``eta * r`` with ``grad_w - h`` and checks ``h`` for NaN/Inf over all n d
+entries, and ``EcDual.certify`` runs the O(N d) surrogate and feasibility
+checks (returning the aggregate, which the record reuses for the duality
+gap). The last step is always recorded, so a completed run certifies its
+own internal consistency.
 """
 
 from __future__ import annotations
@@ -53,34 +60,58 @@ def _copies_support(spec: comp.CompressorSpec) -> bool:
 
 def _compress_with_feedback(
     spec: comp.CompressorSpec, t: np.ndarray, uniforms: comp.NodeUniforms, k: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Compress the (n, d) node messages t in one call; return (output, residual).
+) -> tuple[Optional[np.ndarray], np.ndarray, np.ndarray]:
+    """Compress the (n, d) node messages t in one call; return (kept, values, residual).
 
-    Node tau draws from stream tau of ``uniforms``. Conservation is verified
-    per node: kinds that copy kept coordinates verbatim must satisfy
+    ``kept`` and ``values`` are ``comp._compress``'s result. Node tau draws
+    from stream tau of ``uniforms``. For a sparsifier the residual
+    ``t - Q(t)`` is t itself, rewritten at the kept positions only: off them
+    Q(t) is +0 and ``t - 0 == t``. Conservation is verified per node where Q
+    wrote: kinds that copy kept coordinates verbatim must satisfy
     ``residual + output == t`` bit for bit; quantizing kinds get a 1-ulp
     allowance per coordinate, relative to that node's largest entry.
     """
-    scratch = np.abs(t)
+    magnitude = np.abs(t)
     # A row holding NaN or an infinity has a non-finite peak.
-    peak = np.max(scratch, axis=1, initial=0.0)
+    peak = np.max(magnitude, axis=1, initial=0.0)
     nonfinite = ~np.isfinite(peak)
     if nonfinite.any():
         tau = int(np.argmax(nonfinite))
         raise NumericalError(f"compressor input became non-finite at step {k}, node {tau}")
-    y = comp._apply(spec, t, uniforms)
-    e_new = t - y
-    np.add(e_new, y, out=scratch)
-    if _copies_support(spec):
-        broken = (scratch != t).any(axis=1)
+    kept, y = comp._compress(spec, t, uniforms, magnitude)
+    if kept is None:
+        sent, residual = t, t - y
+        total = np.add(residual, y, out=magnitude)
     else:
-        scratch -= t
-        np.abs(scratch, out=scratch)
-        broken = np.max(scratch, axis=1, initial=0.0) > 1e-12 * (1.0 + peak)
+        sent = t.take(kept)
+        e_kept = sent - y
+        total = e_kept + y
+        np.put(t, kept, e_kept)
+        residual = t
+    if _copies_support(spec):
+        broken = total != sent
+    else:
+        total -= sent
+        np.abs(total, out=total)
+        tol = 1e-12 * (1.0 + (peak[:, None] if kept is None else peak[kept // t.shape[1]]))
+        broken = total > tol
     if broken.any():
-        tau = int(np.argmax(broken))
+        first = int(np.argmax(broken.ravel()))
+        tau = first // t.shape[1] if kept is None else int(kept[first]) // t.shape[1]
         raise InvariantError(f"error conservation broken at step {k}, node {tau}")
-    return y, e_new
+    return kept, y, residual
+
+
+def _node_mean(kept: Optional[np.ndarray], values: np.ndarray, shape: tuple) -> np.ndarray:
+    """The mean over nodes of a ``comp._compress`` result on an (n, d) batch.
+
+    Either way each coordinate sums its nodes in node order and divides by
+    n, as ``mean(axis=0)`` of the dense output does.
+    """
+    if kept is None:
+        return values.mean(axis=0)
+    n, d = shape
+    return np.bincount(kept % d, values, d) / n
 
 
 # Local indices each node draws ahead of the steps that use them.
@@ -115,9 +146,8 @@ class _ExampleSampler:
 @dataclass
 class LsvrgStepInfo:
     sampled: np.ndarray  # global example index drawn by each node
-    g_nodes: np.ndarray  # per-node search directions before compression
-    t_nodes: np.ndarray  # compressor inputs eta*g + e
-    y_nodes: np.ndarray
+    y_kept: Optional[np.ndarray]  # flat positions Q kept in the (n, d) messages; None for a dense Q
+    y_values: np.ndarray  # Q's output at y_kept, or its dense (n, d) output
     x_half: np.ndarray
     h_avg_prev: np.ndarray
 
@@ -130,6 +160,15 @@ class EcLsvrg:
     that ``h_tau`` learns the node gradient at the reference point; the shifts
     start at the node gradients of the starting point 0. Bits are
     accounted per node per step as cost(Q) + cost(Q1) + 1 (the refresh flag).
+
+    The step keeps the shift residual ``r = grad_w - h``, Q1's input, and
+    ``eta_r = eta * r``. Both are formed in full at the start and on a
+    refresh; otherwise they change only where Q1 kept coordinates. Off the
+    sampled columns' stored entries ``g`` is ``r`` (plus the l2 drift in
+    smooth mode), so ``t = eta * g + e`` is formed in place in ``e`` and
+    re-formed at those entries; a sparsifying Q then rewrites ``e`` only at
+    the k coordinates it keeps. ``certify`` checks the maintained copies
+    against ``grad_w - h`` in full.
     """
 
     passes_per_step_factor = "per_example"  # epoch accounting: k * n / N
@@ -162,6 +201,9 @@ class EcLsvrg:
         self.grad_w = problem.grad_f_nodes(self.w)
         self.h = self.grad_w.copy()
         self.h_avg = self.h.mean(axis=0)
+        self.r = np.empty((n, d))
+        self.eta_r = np.empty((n, d))
+        self._form_residual()
         self.k = 0
         self.bits = 0.0
         self.bits_per_step = problem.n * (
@@ -172,49 +214,92 @@ class EcLsvrg:
         self._q1_uniforms = comp.NodeUniforms(node_streams(seed, "compress_shift", n))
         self._coin = split_rng(seed, "coin")
 
+    def _form_residual(self) -> None:
+        np.subtract(self.grad_w, self.h, out=self.r)
+        np.multiply(self.eta, self.r, out=self.eta_r)
+
+    def certify(self) -> None:
+        """Check over all n d entries that h is finite and that the maintained
+        ``r`` and ``eta_r`` equal ``grad_w - h`` and ``eta * r`` exactly.
+
+        Between refreshes the step writes h and r only where Q1 kept
+        coordinates and checks h only there; the harness calls this at every
+        record.
+        """
+        expected = self.grad_w - self.h
+        r_held = expected == self.r
+        expected *= self.eta  # eta * r wherever r_held
+        for name, held, error in (
+            ("shift vectors became non-finite", np.isfinite(self.h), NumericalError),
+            ("shift residual r drifted from grad_w - h", r_held, InvariantError),
+            ("scaled residual drifted from eta * r", expected == self.eta_r, InvariantError),
+        ):
+            broken = ~held.all(axis=1)
+            if broken.any():
+                raise error(f"{name} at step {self.k}, node {int(np.argmax(broken))}")
+
     def step(self) -> LsvrgStepInfo:
         pr = self.problem
         eta = self.eta
         design = pr._design
         smooth = pr.mode == SMOOTH
-        x, w = self.x, self.w
-        l2_drift = pr.lam2 * (x - w) if smooth else None
+        x, w, e = self.x, self.w, self.e
+        shape = e.shape
 
         sampled = self._sample.draw()
         cols, b = design.columns(sampled), design.b[sampled]
         dc = logistic_grad(cols @ x, b) - logistic_grad(cols @ w, b)
-        g_nodes = dc[:, None] * cols + self.grad_w - self.h
+        # g = dc * col + grad_w - h, which off a column's stored entries is r
+        # bit for bit (dc * 0 + grad_w == grad_w): form t = eta * g + e in e
+        # from r, then re-form it at the entries in that order.
+        node, at, a = design.column_entries(sampled)
+        g_at = dc[node] * a + self.grad_w.take(at) - self.h.take(at)
+        t_at = e.take(at)
         if smooth:
-            g_nodes = g_nodes + l2_drift
-        t_nodes = eta * g_nodes + self.e
-        y_nodes, self.e = _compress_with_feedback(self.q, t_nodes, self._q_uniforms, self.k)
-        z_nodes = comp._apply(self.q1, self.grad_w - self.h, self._q1_uniforms)
+            l2_drift = pr.lam2 * (x - w)
+            g_at += l2_drift[at % shape[1]]
+            e += eta * (self.r + l2_drift)
+        else:
+            e += self.eta_r
+        t_at += eta * g_at
+        np.put(e, at, t_at)
+        y_kept, y, self.e = _compress_with_feedback(self.q, e, self._q_uniforms, self.k)
+        z_kept, z = comp._compress(self.q1, self.r, self._q1_uniforms)
         coin = bool(self._coin.random() < self.p)
 
-        y_avg = y_nodes.mean(axis=0)
-        z_avg = z_nodes.mean(axis=0)
+        y_avg = _node_mean(y_kept, y, shape)
+        z_avg = _node_mean(z_kept, z, shape)
         h_avg_prev = self.h_avg
         x_half = x - (y_avg + eta * self.h_avg)
         x_new = x_half if smooth else pr.prox_psi(x_half, eta) if eta > 0 else x_half.copy()
 
-        self.h += z_nodes
+        if z_kept is None:
+            self.h += z
+            _require_finite("shift vectors", self.h, self.k)
+            self._form_residual()
+        else:
+            h_kept = self.h.take(z_kept) + z
+            _require_finite("shift vectors", h_kept, self.k)
+            np.put(self.h, z_kept, h_kept)
+            r_kept = self.grad_w.take(z_kept) - h_kept
+            np.put(self.r, z_kept, r_kept)
+            np.put(self.eta_r, z_kept, eta * r_kept)
         self.h_avg = h_avg_prev + z_avg
-        _require_finite("shift vectors", self.h, self.k)
         drift_tol = 1e-12 * max(1.0, float(np.max(np.abs(self.h))))
         if np.max(np.abs(self.h_avg - self.h.mean(axis=0)), initial=0.0) > drift_tol:
             raise InvariantError(f"shift average drifted at step {self.k}")
         if coin:
             self.w = x.copy()
             self.grad_w = pr.grad_f_nodes(self.w)
+            self._form_residual()
         self.x = x_new
         self.k += 1
         self.bits += self.bits_per_step
         _require_finite("iterate", self.x, self.k)
         return LsvrgStepInfo(
             sampled=sampled,
-            g_nodes=g_nodes,
-            t_nodes=t_nodes,
-            y_nodes=y_nodes,
+            y_kept=y_kept,
+            y_values=y,
             x_half=x_half,
             h_avg_prev=h_avg_prev,
         )
@@ -314,8 +399,8 @@ class EcGd:
         eta = self.eta
         smooth = pr.mode == SMOOTH
         t_nodes = eta * pr.grad_f_nodes(self.x) + self.e
-        y_nodes, self.e = _compress_with_feedback(self.q, t_nodes, self._q_uniforms, self.k)
-        x_half = self.x - y_nodes.mean(axis=0)
+        kept, y, self.e = _compress_with_feedback(self.q, t_nodes, self._q_uniforms, self.k)
+        x_half = self.x - _node_mean(kept, y, t_nodes.shape)
         self.x = x_half if smooth else pr.prox_psi(x_half, eta) if eta > 0 else x_half
         self.k += 1
         self.bits += self.bits_per_step
@@ -329,7 +414,8 @@ class EcGd:
 class DualStepInfo:
     sampled: np.ndarray  # global example index drawn by each node
     delta_alpha: np.ndarray
-    t_nodes: np.ndarray
+    y_kept: Optional[np.ndarray]  # flat positions Q kept in the (n, d) messages; None for a dense Q
+    y_values: np.ndarray  # Q's output at y_kept, or its dense (n, d) output
     x_new: np.ndarray
 
 
@@ -424,9 +510,9 @@ class EcDual:
         self.alpha[sampled] += delta_alpha
         contrib = (delta_alpha / (lam * m))[:, None] * cols
         t_nodes = contrib + self.e
-        y_nodes, self.e = _compress_with_feedback(self.q, t_nodes, self._q_uniforms, self.k)
+        kept, y, self.e = _compress_with_feedback(self.q, t_nodes, self._q_uniforms, self.k)
 
-        self.u = self.u + y_nodes.mean(axis=0)
+        self.u = self.u + _node_mean(kept, y, t_nodes.shape)
         self.v = self.v + contrib.mean(axis=0)
         self.x = x_new
         self.k += 1
@@ -438,7 +524,8 @@ class EcDual:
         return DualStepInfo(
             sampled=sampled,
             delta_alpha=delta_alpha,
-            t_nodes=t_nodes,
+            y_kept=kept,
+            y_values=y,
             x_new=x_new,
         )
 

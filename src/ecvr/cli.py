@@ -213,7 +213,8 @@ def cmd_verify(args) -> int:
         )
         for _ in range(200):
             opt.step()
-        print("ec_lsvrg: 200 steps, per-step identities held")
+        opt.certify()
+        print("ec_lsvrg: 200 steps, per-step identities and full check held")
         theta = alg.theoretical_theta(
             setup.constants, primal.m, primal.n, dual.lam, dual.gamma, 0.05
         )

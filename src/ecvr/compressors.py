@@ -273,58 +273,81 @@ Rngs = Union[np.random.Generator, NodeUniforms]
 
 
 def _apply(spec: CompressorSpec, x: np.ndarray, rngs: Rngs) -> np.ndarray:
-    """Compress each row of a (rows, d) batch.
+    """The dense (rows, d) output of ``_compress``; see there."""
+    return _dense(*_compress(spec, x, rngs), x.shape)
 
-    ``rngs`` is a ``NodeUniforms``, whose stream r serves row r, or a single
-    generator that draws the whole batch's uniforms at once. Top-k keeps the
-    lowest-index coordinate among equal magnitudes, so it is deterministic
-    and reproducible.
+
+def _dense(kept: Optional[np.ndarray], values: np.ndarray, shape: tuple) -> np.ndarray:
+    """The dense output of a ``_compress`` result: ``values`` at ``kept``, +0 elsewhere."""
+    if kept is None:
+        return values
+    out = np.zeros(shape, dtype=values.dtype)
+    np.put(out, kept, values)
+    return out
+
+
+def _compress(
+    spec: CompressorSpec, x: np.ndarray, rngs: Rngs, magnitude: Optional[np.ndarray] = None
+) -> tuple[Optional[np.ndarray], np.ndarray]:
+    """Compress each row of a (rows, d) batch; return ``(kept, values)``.
+
+    A sparsifier (top-k, rand-k and their compositions) gives in ``kept`` the
+    flat positions of the coordinates it keeps, row by row in index order, k
+    to a row, and in ``values`` its output there; its output is +0 at every
+    other coordinate. Any other kind gives ``kept = None`` and its dense
+    (rows, d) output in ``values``. ``rngs`` is a ``NodeUniforms``, whose
+    stream r serves row r, or a single generator that draws the whole
+    batch's uniforms at once. ``magnitude``, if given, is ``np.abs(x)``,
+    which top-k then scores by. Top-k keeps the lowest-index coordinate among
+    equal magnitudes, so it is deterministic and reproducible.
     """
     if x.ndim != 2:
         raise ValueError(f"expected a (rows, d) batch, got shape {x.shape}")
     rows, d = x.shape
     if spec.kind == IDENTITY:
-        return x.copy()
-    if spec.kind == TOP_K and not x.any():
-        # Every magnitude ties, so the lowest k indices are kept, signed zeros
-        # included; the shift compressor gets such batches before a refresh.
-        out = np.zeros_like(x)
-        out[:, : spec.k] = x[:, : spec.k]
-        return out
-    if spec.kind in _K_KINDS:
-        return np.where(_kept(spec, x, rngs), x, 0.0)
+        return None, x.copy()
     if spec.kind == DITHERING:
-        return _dither_rows(x, rngs)
+        return None, _dither_rows(x, rngs)
     if spec.kind == NATURAL:
-        return _natural_rows(x, rngs)
+        return None, _natural_rows(x, rngs)
     if spec.kind == SCALED:
         out = _apply(spec.inner, x, rngs)
         out /= omega_of(spec.inner, d) + 1.0
-        return out
+        return None, out
+    if spec.kind not in _K_KINDS and spec.kind != COMPOSE:
+        raise ValueError(f"unknown spec kind {spec.kind!r}")
+    if spec.kind == TOP_K and not x.any():
+        # Every magnitude ties, so the lowest k indices are kept, signed zeros
+        # included; the shift compressor gets such batches before a refresh.
+        kept = (np.arange(0, rows * d, d)[:, None] + np.arange(spec.k)).ravel()
+    else:
+        sparsifier = spec.contraction if spec.kind == COMPOSE else spec
+        kept = np.flatnonzero(_kept(sparsifier, x, rngs, magnitude))
+    values = x.take(kept)
     if spec.kind == COMPOSE:
-        # Boolean indexing walks the mask row by row in index order, so the
-        # unbiased stage sees each row's kept coordinates in ascending order.
-        keep = _kept(spec.contraction, x, rngs)
+        # The unbiased stage sees each row's kept coordinates in ascending order.
         k = spec.contraction.k
-        fine = _apply(spec.unbiased, x[keep].reshape(rows, k), rngs)
-        fine /= omega_of(spec.unbiased, k) + 1.0
-        out = np.zeros_like(x)
-        out[keep] = fine.ravel()
-        return out
-    raise ValueError(f"unknown spec kind {spec.kind!r}")
+        values = _apply(spec.unbiased, values.reshape(rows, k), rngs).ravel()
+        values /= omega_of(spec.unbiased, k) + 1.0
+    return kept, values
 
 
-def _kept(spec: CompressorSpec, x: np.ndarray, rngs: Rngs) -> np.ndarray:
+def _kept(
+    spec: CompressorSpec, x: np.ndarray, rngs: Rngs, magnitude: Optional[np.ndarray] = None
+) -> np.ndarray:
     """The (rows, d) boolean mask of the coordinates a sparsifier keeps.
 
     Each row keeps the k coordinates of largest score: the magnitude for
-    top-k, minus a uniform draw for rand-k. A tie at the threshold goes to
-    the lowest index. Rows must be finite. The transmitted support includes
-    kept-but-zero coordinates, so it cannot be recovered from the output
-    alone.
+    top-k (``magnitude`` if given, else ``np.abs(x)``), minus a uniform draw
+    for rand-k. A tie at the threshold goes to the lowest index. Rows must
+    be finite. The transmitted support includes kept-but-zero coordinates,
+    so it cannot be recovered from the output alone.
     """
     rows, d = x.shape
-    score = np.abs(x) if spec.kind == TOP_K else -_uniform(rngs, rows, d)
+    if spec.kind == TOP_K:
+        score = np.abs(x) if magnitude is None else magnitude
+    else:
+        score = -_uniform(rngs, rows, d)
     k = spec.k
     kth = np.partition(score, d - k, axis=1)[:, d - k, None]
     keep = score >= kth

@@ -493,8 +493,9 @@ def _run(config: RunConfig, setup: Setup) -> RunResult:
     started = time.perf_counter()
 
     def record_now() -> TrialRecord:
-        # One margins pass and one dual aggregate serve the whole record.
-        aggregate = opt.certify() if isinstance(opt, alg.EcDual) else None
+        # One margins pass and one dual aggregate serve the whole record. The
+        # full self-check runs first; EcDual's returns the aggregate.
+        aggregate = opt.certify() if isinstance(opt, (alg.EcLsvrg, alg.EcDual)) else None
         loss = primal.loss_value(opt.x)
         gap = primal.primal_value(opt.x, loss) - p_star
         dual_gap = None

@@ -42,12 +42,12 @@ class PowerIterationError(RuntimeError):
     def __init__(self, residual: float, iterations: int, estimate: float | None = None):
         if estimate is None:
             message = (
-                f"power iteration stalled at relative change {residual:.3e}"
+                f"Lanczos stalled at relative change {residual:.3e}"
                 f" after {iterations} iterations"
             )
         else:
             message = (
-                f"power iteration estimate is {estimate} at iteration {iterations};"
+                f"Lanczos estimate is {estimate} at iteration {iterations};"
                 " the operator overflows or holds a non-finite entry"
             )
         super().__init__(message)
@@ -89,6 +89,9 @@ class _Design:
         self.d = dataset.d
         self.n = part.n
         self.A = sparse.csc_matrix(dataset.features[:, :N])
+        # One stored entry per coordinate: the EC-LSVRG step re-forms its
+        # message at each stored entry of a sampled column.
+        self.A.sum_duplicates()
         self.b = np.asarray(dataset.labels[:N], dtype=np.float64)
         self.A_dense = self.A.toarray() if self.d * N <= _DENSE_LIMIT else None
         # Stored entries per column, and the node-gradient bin of every entry:
@@ -111,14 +114,22 @@ class _Design:
         """
         if self.A_dense is not None:
             return self.A_dense[:, J].T
+        _, flat, values = self.column_entries(J)
+        return np.bincount(flat, values, len(J) * self.d).reshape(len(J), self.d)
+
+    def column_entries(self, J) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The stored entries of the J columns, column by column in storage order.
+
+        Returns, per entry, the r with J[r] its column, its flat position
+        ``r * d + row`` in the (len(J), d) block of ``columns(J)``, and its value.
+        """
         counts = self._col_nnz[J]
-        rows = np.repeat(np.arange(len(counts)), counts)
+        node = np.repeat(np.arange(len(counts)), counts)
         # Position of each gathered entry in A.data: its column's start plus its rank there.
         shift = self.A.indptr[J] - (np.cumsum(counts) - counts)
-        pos = np.arange(rows.size) + np.repeat(shift, counts)
-        bins = rows * self.d + self.A.indices[pos]
-        block = np.bincount(bins, self.A.data[pos], len(counts) * self.d)
-        return block.reshape(len(counts), self.d)
+        pos = np.arange(node.size) + np.repeat(shift, counts)
+        flat = node * self.d + self.A.indices[pos]
+        return node, flat, self.A.data[pos]
 
     def combine(self, coef: np.ndarray) -> np.ndarray:
         """Return A @ coef as a dense vector."""

@@ -2,9 +2,10 @@
 
 import pytest
 
+from ecvr import compressors as comp
 from ecvr.dataset import partition
 from ecvr.harness import synth_dataset
-from ecvr.problem import COMPOSITE, DualProblem, PrimalProblem, compute_constants
+from ecvr.problem import COMPOSITE, SMOOTH, DualProblem, PrimalProblem, compute_constants, logistic_grad
 
 # One master seed drives the benchmark data and every optimizer stream.
 BENCH_SEED = 20240613
@@ -36,3 +37,23 @@ def bench_dual(bench_primal):
 @pytest.fixture(scope="session")
 def bench_constants(bench_primal):
     return compute_constants(bench_primal)
+
+
+def lsvrg_step_messages(opt):
+    """Take one ``EcLsvrg`` step; return its info and the dense (n, d) g, t and y.
+
+    The step never forms g or t as arrays. Here they come from copies of the
+    state before the step, by the dense formulas
+    ``g = dc * col + grad_w - h`` (plus ``lam2 (x - w)`` in smooth mode) and
+    ``t = eta g + e``; y is the step's kept positions and values scattered.
+    """
+    x, w, e, grad_w, h = (a.copy() for a in (opt.x, opt.w, opt.e, opt.grad_w, opt.h))
+    info = opt.step()
+    pr = opt.problem
+    cols, b = pr._design.columns(info.sampled), pr._design.b[info.sampled]
+    dc = logistic_grad(cols @ x, b) - logistic_grad(cols @ w, b)
+    g = dc[:, None] * cols + grad_w - h
+    if pr.mode == SMOOTH:
+        g = g + pr.lam2 * (x - w)
+    t = opt.eta * g + e
+    return info, g, t, comp._dense(info.y_kept, info.y_values, e.shape)

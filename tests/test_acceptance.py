@@ -17,7 +17,7 @@ from ecvr import harness
 from ecvr.problem import logistic_grad, logistic_loss
 from ecvr.rng import split_rng
 
-from conftest import BENCH_SCALE, BENCH_SEED, BENCH_SHAPE
+from conftest import BENCH_SCALE, BENCH_SEED, BENCH_SHAPE, lsvrg_step_messages
 
 MC_SEED = 1  # fixed stream for the statistical criteria
 
@@ -185,9 +185,8 @@ def test_c08_runtime_invariants(bench_primal, bench_dual, bench_constants):
     opt = alg.EcLsvrg(bench_primal, comp.top_k(1), comp.top_k(1), eta=1.0, p=0.02, seed=BENCH_SEED)
     per_step = opt.bits_per_step
     for _ in range(300):
-        e_prev = opt.e.copy()
-        info = opt.step()
-        ok &= bool(np.array_equal(opt.e + info.y_nodes, opt.eta * info.g_nodes + e_prev))
+        _, _, t, y = lsvrg_step_messages(opt)
+        ok &= bool(np.array_equal(opt.e + y, t))
         ok &= float(np.max(np.abs(opt.h_avg - opt.h.mean(axis=0)))) <= 1e-10
         ok &= opt.bits == per_step * opt.k
 

@@ -24,6 +24,8 @@ from ecvr.problem import (
 )
 from ecvr.rng import node_streams, split_rng
 
+from conftest import lsvrg_step_messages
+
 
 def rng_for(name: str) -> np.random.Generator:
     return np.random.default_rng(zlib.crc32(name.encode()))
@@ -159,19 +161,17 @@ class TestEcLsvrgStep:
         spec = comp.parse_spec(q)
         opt = alg.EcLsvrg(composite, spec, spec, eta=0.2, p=0.05, seed=11)
         for _ in range(30):
-            e_prev = opt.e.copy()
-            info = opt.step()
-            resid = opt.e + info.y_nodes - (e_prev + opt.eta * info.g_nodes)
-            scale = 1.0 + np.max(np.abs(info.t_nodes))
+            _, _, t, y = lsvrg_step_messages(opt)
+            resid = opt.e + y - t
+            scale = 1.0 + np.max(np.abs(t))
             assert np.max(np.abs(resid)) <= 1e-12 * scale
 
     def test_error_conservation_exact_for_sparsifiers(self, composite):
         opt = alg.EcLsvrg(composite, comp.top_k(1), comp.top_k(1), eta=0.3, p=0.05, seed=13)
         for _ in range(30):
-            e_prev = opt.e.copy()
-            info = opt.step()
-            # e_new + y == e_prev + eta g, recomputed in the same order.
-            assert np.array_equal(opt.e + info.y_nodes, opt.eta * info.g_nodes + e_prev)
+            _, _, t, y = lsvrg_step_messages(opt)
+            # e_new + y == eta g + e_prev, recomputed in the same order.
+            assert np.array_equal(opt.e + y, t)
 
     def test_shift_average_identity(self, composite):
         opt = alg.EcLsvrg(composite, comp.top_k(2), comp.top_k(2), eta=0.2, p=0.05, seed=17)
@@ -187,10 +187,10 @@ class TestEcLsvrgStep:
         opt = alg.EcLsvrg(composite, spec, spec, eta=eta, p=0.05, seed=19)
         for _ in range(60):
             tilde_prev = opt.x - opt.e.mean(axis=0)
-            info = opt.step()
+            info, g, _, _ = lsvrg_step_messages(opt)
             tilde = opt.x - opt.e.mean(axis=0)
             xi = (info.x_half - opt.x) / eta
-            predicted = tilde_prev - eta * (info.g_nodes.mean(axis=0) + info.h_avg_prev + xi)
+            predicted = tilde_prev - eta * (g.mean(axis=0) + info.h_avg_prev + xi)
             scale = 1.0 + float(np.max(np.abs(tilde)))
             assert np.max(np.abs(tilde - predicted)) <= 1e-10 * scale
 
@@ -225,6 +225,146 @@ class TestEcLsvrgStep:
                 opt.step()
 
 
+class DenseEcLsvrg:
+    """EC-LSVRG written node by node on dense vectors, as the update rule reads.
+
+    Node tau draws its example from stream ("sample", tau) and its compressor
+    uniforms from its own streams; every message is a dense vector. The n
+    margins are one product, as in the step, since a per-node dot product
+    sums in another order.
+    """
+
+    def __init__(self, problem, q, q1, *, eta, p, seed):
+        n, d = problem.n, problem.d
+        self.problem, self.q, self.q1, self.eta, self.p = problem, q, q1, eta, p
+        self.x = np.zeros(d)
+        self.w = self.x.copy()
+        self.e = np.zeros((n, d))
+        self.grad_w = problem.grad_f_nodes(self.w)
+        self.h = self.grad_w.copy()
+        self.h_avg = self.h.mean(axis=0)
+        self.bits = 0.0
+        self.per_step = n * (comp.bit_cost(q, d) + comp.bit_cost(q1, d) + 1.0)
+        self.sample = node_streams(seed, "sample", n)
+        self.q_rngs = [comp.NodeUniforms([g]) for g in node_streams(seed, "compress", n)]
+        self.q1_rngs = [comp.NodeUniforms([g]) for g in node_streams(seed, "compress_shift", n)]
+        self.coin = split_rng(seed, "coin")
+        self.refreshes = self.zero_shift_steps = 0
+
+    def step(self):
+        pr, eta = self.problem, self.eta
+        design, part = pr._design, pr.part
+        x, w = self.x, self.w
+        J = [part.example_index(tau, int(g.integers(part.m))) for tau, g in enumerate(self.sample)]
+        cols = np.stack([design.A[:, [j]].toarray().ravel() for j in J])
+        b = design.b[J]
+        dc = logistic_grad(cols @ x, b) - logistic_grad(cols @ w, b)
+        ys, zs, es = [], [], []
+        for tau in range(pr.n):
+            g = dc[tau] * cols[tau] + self.grad_w[tau] - self.h[tau]
+            if pr.mode == SMOOTH:
+                g = g + pr.lam2 * (x - w)
+            t = eta * g + self.e[tau]
+            y = comp._apply(self.q, t[None], self.q_rngs[tau])[0]
+            ys.append(y)
+            es.append(t - y)
+            zs.append(comp._apply(self.q1, (self.grad_w[tau] - self.h[tau])[None], self.q1_rngs[tau])[0])
+        self.zero_shift_steps += not np.any(self.grad_w - self.h)
+        coin = bool(self.coin.random() < self.p)
+        x_half = x - (np.stack(ys).mean(axis=0) + eta * self.h_avg)
+        self.e = np.stack(es)
+        self.h = self.h + np.stack(zs)
+        self.h_avg = self.h_avg + np.stack(zs).mean(axis=0)
+        if coin:
+            self.refreshes += 1
+            self.w = x.copy()
+            self.grad_w = pr.grad_f_nodes(self.w)
+        self.x = x_half if pr.mode == SMOOTH else pr.prox_psi(x_half, eta)
+        self.bits += self.per_step
+
+
+class TestKeptPositionStep:
+    @pytest.mark.parametrize(
+        "q, q1",
+        [
+            ("top_k:2", "top_k:2"),
+            ("top_k:2", "rand_k:3"),
+            ("rtop_k:3", "rtop_k:3"),
+            ("ntop_k:3", "top_k:2"),
+            ("dither", "top_k:2"),
+        ],
+        ids="/".join,
+    )
+    @pytest.mark.parametrize("dense", [True, False], ids=["dense", "sparse"])
+    @pytest.mark.parametrize("mode", [COMPOSITE, SMOOTH])
+    def test_matches_the_dense_node_by_node_step(self, fixture, monkeypatch, q, q1, dense, mode):
+        if not dense:
+            monkeypatch.setattr(problem_module, "_DENSE_LIMIT", 0)
+        ds, part = fixture
+        lam1 = 1e-3 if mode == COMPOSITE else 0.0
+        primal = PrimalProblem(ds, part, lam1=lam1, lam2=1e-3, mode=mode)
+        assert (primal._design.A_dense is not None) == dense
+        specs = comp.parse_spec(q), comp.parse_spec(q1)
+        opt = alg.EcLsvrg(primal, *specs, eta=0.5, p=0.2, seed=5)
+        ref = DenseEcLsvrg(primal, *specs, eta=0.5, p=0.2, seed=5)
+        for _ in range(40):
+            opt.step()
+            ref.step()
+            for name in ("x", "w", "e", "h", "h_avg", "grad_w", "bits"):
+                assert np.array_equal(getattr(opt, name), getattr(ref, name)), name
+            opt.certify()
+        # Q1 sees an all-zero batch until the first refresh, and then learns.
+        assert ref.zero_shift_steps >= 1 and ref.refreshes >= 3
+
+    def test_certify_names_the_node(self, composite):
+        opt = alg.EcLsvrg(composite, comp.top_k(2), comp.top_k(2), eta=0.5, p=0.3, seed=7)
+        for _ in range(10):
+            opt.step()
+        opt.certify()
+        for name, value, error, message in (
+            ("h", np.inf, alg.NumericalError, "shift vectors became non-finite"),
+            ("r", 1e-3, alg.InvariantError, "shift residual r drifted from grad_w - h"),
+            ("eta_r", 1e-3, alg.InvariantError, "scaled residual drifted from eta \\* r"),
+        ):
+            broken = copy.deepcopy(opt)
+            getattr(broken, name)[2, 7] += value
+            with pytest.raises(error, match=rf"^{message} at step 10, node 2$"):
+                broken.certify()
+
+    def test_record_certifies_the_maintained_residual(self, monkeypatch):
+        # One ulp of drift in r, at an entry the next step leaves alone,
+        # passes that step's checks; the record after it names the node.
+        config = harness.RunConfig(algo="ec_lsvrg", compressor="top_k:2", eta=0.5, p=0.5, cadence=2)
+        setup = harness.build_setup(config)
+        build = harness.build_optimizer
+        drifted_at = []
+
+        def drifting_build(config, setup):
+            opt, resolved = build(config, setup)
+            real_step = opt.step
+
+            def step():
+                info = real_step()
+                if not drifted_at and opt.k % 2 == 1 and np.any(opt.r[2]):
+                    probe = copy.deepcopy(opt)
+                    w = probe.w
+                    alg.EcLsvrg.step(probe)
+                    if probe.w is w:  # the next step does not refresh
+                        untouched = np.flatnonzero(probe.r[2] == opt.r[2])
+                        j = untouched[np.argmin(np.abs(opt.r[2, untouched]))]
+                        opt.r[2, j] = np.nextafter(opt.r[2, j], np.inf)
+                        drifted_at.append(opt.k + 1)
+                return info
+
+            opt.step = step
+            return opt, resolved
+
+        monkeypatch.setattr(harness, "build_optimizer", drifting_build)
+        with pytest.raises(alg.InvariantError, match="shift residual r drifted") as err:
+            harness._run(config, setup)
+        assert str(err.value).endswith(f"at step {drifted_at[0]}, node 2")
+
+
 class TestCompressWithFeedback:
     def streams(self, n):
         return comp.NodeUniforms([rng_for(f"fb{tau}") for tau in range(n)])
@@ -243,27 +383,31 @@ class TestCompressWithFeedback:
     def test_lost_message_names_the_node(self, monkeypatch, q):
         # Node 1's output absorbs its input into 1e20, so residual + output
         # rounds to 0 instead of t, past either tolerance.
-        real = comp._apply
+        real = comp._compress
 
-        def lossy(spec, x, rngs):
-            y = real(spec, x, rngs)
-            y[1] = x[1] + 1e20
-            return y
+        def lossy(spec, x, rngs, magnitude=None):
+            kept, y = real(spec, x, rngs, magnitude)
+            if kept is None:
+                y[1] = x[1] + 1e20
+            else:
+                node1 = kept // x.shape[1] == 1
+                y[node1] = x.take(kept[node1]) + 1e20
+            return kept, y
 
-        monkeypatch.setattr(comp, "_apply", lossy)
+        monkeypatch.setattr(comp, "_compress", lossy)
         t = rng_for("fb").standard_normal((4, 6))
         with pytest.raises(alg.InvariantError, match="step 7, node 1"):
             alg._compress_with_feedback(comp.parse_spec(q), t, self.streams(4), 7)
 
     def test_one_compressor_call_per_compressor_per_step(self, monkeypatch, composite, dual):
         calls = []
-        real = comp._apply
+        real = comp._compress
 
-        def counted(spec, x, rngs):
+        def counted(spec, x, rngs, magnitude=None):
             calls.append(x.shape[0])
-            return real(spec, x, rngs)
+            return real(spec, x, rngs, magnitude)
 
-        monkeypatch.setattr(comp, "_apply", counted)
+        monkeypatch.setattr(comp, "_compress", counted)
         n = composite.n
         alg.EcLsvrg(composite, comp.top_k(2), comp.rand_k(2), eta=0.1, p=0.5, seed=3).step()
         assert calls == [n, n]
@@ -589,31 +733,37 @@ class TestSampling:
             cols = np.stack([column(j) for j in J])
             return cols @ v
 
+        def sent(opt, info):
+            # t = e_new + Q(t) bit for bit: top-k copies what it keeps.
+            return opt.e + comp._dense(info.y_kept, info.y_values, opt.e.shape)
+
         opt = alg.EcLsvrg(primal, comp.top_k(2), eta=0.5, p=0.3, seed=71)
         for _ in range(20):
-            x, w, grad_w, h = opt.x, opt.w, opt.grad_w, opt.h.copy()
+            x, w, grad_w, h, e = opt.x, opt.w, opt.grad_w, opt.h.copy(), opt.e.copy()
             info = opt.step()
+            t = sent(opt, info)
             b = design.b[info.sampled]
             dcs = logistic_grad(margins(info.sampled, x), b) - logistic_grad(margins(info.sampled, w), b)
             for tau, j in enumerate(info.sampled):
                 g = dcs[tau] * column(j) + grad_w[tau] - h[tau]
                 if mode == SMOOTH:
                     g = g + primal.lam2 * (x - w)
-                assert np.array_equal(g, info.g_nodes[tau])
+                assert np.array_equal(opt.eta * g + e[tau], t[tau])
         if mode == SMOOTH:
             return
         dual = DualProblem(primal)
         opt = alg.EcDual(dual, comp.top_k(2), theta=0.5 / part.m, seed=71)
         m, lam = part.m, dual.lam
         for _ in range(200):
-            alpha, e = opt.alpha.copy(), opt.e
+            alpha, e = opt.alpha.copy(), opt.e.copy()
             info = opt.step()
+            t = sent(opt, info)
             dphi = logistic_grad(margins(info.sampled, info.x_new), design.b[info.sampled])
             for tau, j in enumerate(info.sampled):
                 col = column(j)
                 da = -opt.theta * m * (alpha[j] + dphi[tau])
                 assert da == info.delta_alpha[tau]
-                assert np.array_equal((da / (lam * m)) * col + e[tau], info.t_nodes[tau])
+                assert np.array_equal((da / (lam * m)) * col + e[tau], t[tau])
 
 
 class TestDeterminism:

@@ -590,6 +590,7 @@ class TestCli:
     def test_verify_invariants(self, capsys):
         code = cli.main(["verify", "invariants"])
         assert code == 0
+        assert "ec_lsvrg: 200 steps, per-step identities and full check held" in capsys.readouterr().out
 
     @pytest.mark.parametrize(
         "flag, value",
@@ -712,7 +713,7 @@ class TestCli:
         if data_line is not None:
             assert f"argument --data: line {data_line}: " in err
         if str(paths["overflow"]) in argv:
-            assert "argument --data: power iteration " in err
+            assert "argument --data: Lanczos estimate is nan " in err
 
     def test_reference_command(self, capsys):
         code = cli.main(["reference", "--synth", "60,12,0.4", "--tol", "1e-8"])
