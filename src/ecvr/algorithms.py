@@ -12,17 +12,21 @@ their values, and error feedback rewrites the residual only there.
 Aggregation sums in fixed node order so runs are reproducible bit for bit.
 ``EcLsvrg`` keeps the shift residual ``r = grad_w - h`` and ``eta * r`` up
 to date where Q1 changed ``h``, so between refreshes its step touches the
-sampled columns' stored entries and the compressors' kept coordinates, plus
-the whole-array passes of the compressors and its checks.
+sampled columns' stored entries and the compressors' kept coordinates. Q1
+with a top-k stage selects from a ``TopKPool`` of each row's largest entries,
+rebuilt only when a refresh re-forms ``r`` or the pool runs out; what is left
+of the step's whole-array work is Q's selection on its (n, d) messages and
+the refreshes.
 Each optimizer validates its defining algebraic identities every step (error
-conservation, maintained averages, dual feasibility) and raises on NaN/Inf.
-What a step maintains incrementally, ``certify`` checks in full, and the
-harness calls it at every record: ``EcLsvrg.certify`` compares ``r`` and
-``eta * r`` with ``grad_w - h`` and checks ``h`` for NaN/Inf over all n d
-entries, and ``EcDual.certify`` runs the O(N d) surrogate and feasibility
-checks (returning the aggregate, which the record reuses for the duality
-gap). The last step is always recorded, so a completed run certifies its
-own internal consistency.
+conservation, maintained averages, dual feasibility) where the step changed
+its state, and raises on NaN/Inf. What a step maintains incrementally,
+``certify`` checks in full, and the harness calls it at every record:
+``EcLsvrg.certify`` compares ``r`` and ``eta * r`` with ``grad_w - h``,
+checks ``h`` for NaN/Inf and ``h_avg`` against the node mean of ``h`` over
+all n d entries, and ``EcDual.certify`` runs the O(N d) surrogate and
+feasibility checks (returning the aggregate, which the record reuses for the
+duality gap). The last step is always recorded, so a completed run
+certifies its own internal consistency.
 """
 
 from __future__ import annotations
@@ -143,6 +147,21 @@ class _ExampleSampler:
         return self._block[self._next - 1]
 
 
+def _check_shift_average(
+    k: int, h: np.ndarray, h_avg: np.ndarray, peak: float, cols: Optional[np.ndarray] = None
+) -> None:
+    """Raise unless ``h_avg`` is the node mean of the shift vectors ``h`` to 1e-12 relative.
+
+    ``peak`` is the largest ``|h|``, which scales the tolerance. ``cols``, if
+    given, are the columns of the full arrays that ``h`` and ``h_avg`` hold.
+    """
+    drift = np.abs(h_avg - h.mean(axis=0))
+    if np.max(drift, initial=0.0) > 1e-12 * max(1.0, peak):
+        col = int(np.argmax(drift))
+        col = col if cols is None else int(cols[col])
+        raise InvariantError(f"shift average drifted at step {k}, column {col}")
+
+
 @dataclass
 class LsvrgStepInfo:
     sampled: np.ndarray  # global example index drawn by each node
@@ -167,8 +186,12 @@ class EcLsvrg:
     sampled columns' stored entries ``g`` is ``r`` (plus the l2 drift in
     smooth mode), so ``t = eta * g + e`` is formed in place in ``e`` and
     re-formed at those entries; a sparsifying Q then rewrites ``e`` only at
-    the k coordinates it keeps. ``certify`` checks the maintained copies
-    against ``grad_w - h`` in full.
+    the k coordinates it keeps. Between refreshes ``r`` changes only where
+    Q1 kept, so a Q1 with a top-k stage takes its picks from a ``TopKPool``,
+    which ``_form_residual`` resets. The step checks the shift average on the
+    columns Q1 kept, where alone ``h`` and ``h_avg`` changed; ``certify``
+    checks the maintained copies against ``grad_w - h`` and the shift average
+    in full.
     """
 
     passes_per_step_factor = "per_example"  # epoch accounting: k * n / N
@@ -203,6 +226,7 @@ class EcLsvrg:
         self.h_avg = self.h.mean(axis=0)
         self.r = np.empty((n, d))
         self.eta_r = np.empty((n, d))
+        self._q1_pool = comp.pool_for(self.q1, d)
         self._form_residual()
         self.k = 0
         self.bits = 0.0
@@ -217,26 +241,32 @@ class EcLsvrg:
     def _form_residual(self) -> None:
         np.subtract(self.grad_w, self.h, out=self.r)
         np.multiply(self.eta, self.r, out=self.eta_r)
+        if self._q1_pool is not None:
+            self._q1_pool.reset()
 
     def certify(self) -> None:
-        """Check over all n d entries that h is finite and that the maintained
-        ``r`` and ``eta_r`` equal ``grad_w - h`` and ``eta * r`` exactly.
+        """Check over all n d entries that h is finite, that the maintained
+        ``r`` and ``eta_r`` equal ``grad_w - h`` and ``eta * r`` exactly, and
+        that ``h_avg`` is the node mean of h to 1e-12 relative to max |h|.
 
         Between refreshes the step writes h and r only where Q1 kept
-        coordinates and checks h only there; the harness calls this at every
-        record.
+        coordinates and checks h and the shift average only there; the
+        harness calls this at every record.
         """
+        # A NaN or an infinity in h makes its node's peak non-finite.
+        peak = np.max(np.abs(self.h), axis=1)
         expected = self.grad_w - self.h
         r_held = expected == self.r
         expected *= self.eta  # eta * r wherever r_held
+        eta_r_held = expected == self.eta_r
         for name, held, error in (
-            ("shift vectors became non-finite", np.isfinite(self.h), NumericalError),
-            ("shift residual r drifted from grad_w - h", r_held, InvariantError),
-            ("scaled residual drifted from eta * r", expected == self.eta_r, InvariantError),
+            ("shift vectors became non-finite", np.isfinite(peak), NumericalError),
+            ("shift residual r drifted from grad_w - h", r_held.all(axis=1), InvariantError),
+            ("scaled residual drifted from eta * r", eta_r_held.all(axis=1), InvariantError),
         ):
-            broken = ~held.all(axis=1)
-            if broken.any():
-                raise error(f"{name} at step {self.k}, node {int(np.argmax(broken))}")
+            if not held.all():
+                raise error(f"{name} at step {self.k}, node {int(np.argmin(held))}")
+        _check_shift_average(self.k, self.h, self.h_avg, float(peak.max()))
 
     def step(self) -> LsvrgStepInfo:
         pr = self.problem
@@ -264,7 +294,7 @@ class EcLsvrg:
         t_at += eta * g_at
         np.put(e, at, t_at)
         y_kept, y, self.e = _compress_with_feedback(self.q, e, self._q_uniforms, self.k)
-        z_kept, z = comp._compress(self.q1, self.r, self._q1_uniforms)
+        z_kept, z = comp._compress(self.q1, self.r, self._q1_uniforms, pool=self._q1_pool)
         coin = bool(self._coin.random() < self.p)
 
         y_avg = _node_mean(y_kept, y, shape)
@@ -273,10 +303,12 @@ class EcLsvrg:
         x_half = x - (y_avg + eta * self.h_avg)
         x_new = x_half if smooth else pr.prox_psi(x_half, eta) if eta > 0 else x_half.copy()
 
+        self.h_avg = h_avg_prev + z_avg
         if z_kept is None:
             self.h += z
             _require_finite("shift vectors", self.h, self.k)
             self._form_residual()
+            _check_shift_average(self.k, self.h, self.h_avg, float(np.max(np.abs(self.h))))
         else:
             h_kept = self.h.take(z_kept) + z
             _require_finite("shift vectors", h_kept, self.k)
@@ -284,10 +316,12 @@ class EcLsvrg:
             r_kept = self.grad_w.take(z_kept) - h_kept
             np.put(self.r, z_kept, r_kept)
             np.put(self.eta_r, z_kept, eta * r_kept)
-        self.h_avg = h_avg_prev + z_avg
-        drift_tol = 1e-12 * max(1.0, float(np.max(np.abs(self.h))))
-        if np.max(np.abs(self.h_avg - self.h.mean(axis=0)), initial=0.0) > drift_tol:
-            raise InvariantError(f"shift average drifted at step {self.k}")
+            # h and h_avg changed only in the columns Q1 kept; certify checks the rest.
+            cols = z_kept % shape[1]
+            h_cols = self.h[:, cols]
+            _check_shift_average(
+                self.k, h_cols, self.h_avg[cols], float(np.max(np.abs(h_cols))), cols
+            )
         if coin:
             self.w = x.copy()
             self.grad_w = pr.grad_f_nodes(self.w)

@@ -287,7 +287,11 @@ def _dense(kept: Optional[np.ndarray], values: np.ndarray, shape: tuple) -> np.n
 
 
 def _compress(
-    spec: CompressorSpec, x: np.ndarray, rngs: Rngs, magnitude: Optional[np.ndarray] = None
+    spec: CompressorSpec,
+    x: np.ndarray,
+    rngs: Rngs,
+    magnitude: Optional[np.ndarray] = None,
+    pool: Optional["TopKPool"] = None,
 ) -> tuple[Optional[np.ndarray], np.ndarray]:
     """Compress each row of a (rows, d) batch; return ``(kept, values)``.
 
@@ -299,7 +303,8 @@ def _compress(
     stream r serves row r, or a single generator that draws the whole
     batch's uniforms at once. ``magnitude``, if given, is ``np.abs(x)``,
     which top-k then scores by. Top-k keeps the lowest-index coordinate among
-    equal magnitudes, so it is deterministic and reproducible.
+    equal magnitudes, so it is deterministic and reproducible. ``pool``, if
+    given, makes the selection of a top-k or composed spec (see ``TopKPool``).
     """
     if x.ndim != 2:
         raise ValueError(f"expected a (rows, d) batch, got shape {x.shape}")
@@ -316,10 +321,8 @@ def _compress(
         return None, out
     if spec.kind not in _K_KINDS and spec.kind != COMPOSE:
         raise ValueError(f"unknown spec kind {spec.kind!r}")
-    if spec.kind == TOP_K and not x.any():
-        # Every magnitude ties, so the lowest k indices are kept, signed zeros
-        # included; the shift compressor gets such batches before a refresh.
-        kept = (np.arange(0, rows * d, d)[:, None] + np.arange(spec.k)).ravel()
+    if pool is not None:
+        kept = pool.kept(x)
     else:
         sparsifier = spec.contraction if spec.kind == COMPOSE else spec
         kept = np.flatnonzero(_kept(sparsifier, x, rngs, magnitude))
@@ -348,17 +351,101 @@ def _kept(
         score = np.abs(x) if magnitude is None else magnitude
     else:
         score = -_uniform(rngs, rows, d)
-    k = spec.k
-    kth = np.partition(score, d - k, axis=1)[:, d - k, None]
+    return _top(score, spec.k)[0]
+
+
+def _top(score: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The mask of each row's k largest scores, lowest index first among ties,
+    and each row's k-th largest score as a (rows, 1) column.
+    """
+    rows, d = score.shape
+    part = np.partition(score, d - k, axis=1)
+    kth = part[:, d - k, None]
     keep = score >= kth
-    crowded = keep.sum(axis=1) > k  # more ties at the threshold than free slots
-    if crowded.any():
-        s, t = score[crowded], kth[crowded]
-        above = s > t
-        tie = s == t
-        free = k - above.sum(axis=1, keepdims=True)
-        keep[crowded] = above | (tie & (np.cumsum(tie, axis=1) <= free))
-    return keep
+    # Every row keeps at least k entries at or above its k-th largest, so a
+    # surplus anywhere means some row has more ties than free slots.
+    if np.count_nonzero(keep) > rows * k:
+        # Entries above the k-th largest lie past it in the partition, so
+        # each row keeps its first ``free`` ties; every row has that many.
+        free = k - np.count_nonzero(part[:, d - k + 1 :] > kth, axis=1)
+        tie = np.flatnonzero(score == kth)  # row by row, in index order
+        last = tie[np.searchsorted(tie, np.arange(0, rows * d, d)) + free - 1]
+        keep &= (score > kth) | (np.arange(d) <= (last % d)[:, None])
+    return keep, kth
+
+
+# A TopKPool holds the top POOL_FACTOR * k of each row. Against the full
+# selection on the EC-LSVRG shift compressor's inputs, 4 and 8 saved about a
+# fifth of its time, 2 and 32 less.
+POOL_FACTOR = 8
+
+
+class TopKPool:
+    """Top-k of a batch that changes, between calls, only where the last call kept.
+
+    A build runs the full selection for the top ``K = min(POOL_FACTOR k, d)``
+    positions of each row, the pool, and records each row's floor: the score
+    and position of its lowest-ranked pool entry. A call then ranks only the
+    pool's current magnitudes, largest first and lowest index first among
+    ties. Outside the pool nothing changed since the build, so every entry
+    there still ranks below the floor, and the pool's picks are the row's
+    top-k whenever its k-th pick outranks the floor: a larger score, or the
+    floor's score with no pick at that score past the floor's position.
+    Otherwise the pool has run out and the call rebuilds it. ``reset`` must be
+    called whenever the batch changes anywhere else.
+    """
+
+    def __init__(self, k: int, d: int):
+        self.k = k
+        self.size = min(POOL_FACTOR * k, d)
+        self.builds = 0
+        self._pool: Optional[np.ndarray] = None  # (rows, K) flat positions, ascending in a row
+        self._floor_score = self._floor_pos = None  # (rows, 1) columns
+
+    def reset(self) -> None:
+        self._pool = None
+
+    def kept(self, x: np.ndarray) -> np.ndarray:
+        """The flat positions of each row's top-k magnitudes, row by row in index order."""
+        if self._pool is not None:
+            picks = self._picks(x)
+            if picks is not None:
+                return picks
+        self._build(x)
+        return self._picks(x)
+
+    def _build(self, x: np.ndarray) -> None:
+        magnitude = np.abs(x)
+        keep, self._floor_score = _top(magnitude, self.size)
+        self._pool = np.flatnonzero(keep).reshape(x.shape[0], self.size)
+        at_floor = magnitude.take(self._pool) == self._floor_score
+        self._floor_pos = np.where(at_floor, self._pool, -1).max(axis=1, keepdims=True)
+        self.builds += 1
+
+    def _picks(self, x: np.ndarray) -> Optional[np.ndarray]:
+        """The pool's top-k, or None if some row's k-th pick does not outrank its floor."""
+        pool, floor = self._pool, self._floor_score
+        score = np.abs(x.take(pool))
+        keep, kth = _top(score, self.k)
+        if not np.all(kth >= floor):
+            return None
+        if np.any(kth == floor):
+            late = keep & (score == floor) & (pool > self._floor_pos)
+            if late.any():
+                return None
+        return pool[keep]
+
+
+def pool_for(spec: CompressorSpec, d: int) -> Optional[TopKPool]:
+    """A ``TopKPool`` for the top-k stage of ``spec`` on R^d.
+
+    None if the spec has no top-k stage, or if the pool would hold whole
+    rows and so save nothing.
+    """
+    top = spec.contraction if spec.kind == COMPOSE else spec
+    if top.kind != TOP_K or POOL_FACTOR * top.k >= d:
+        return None
+    return TopKPool(top.k, d)
 
 
 def _uniform(rngs: Rngs, rows: int, d: int) -> np.ndarray:

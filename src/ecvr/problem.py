@@ -77,10 +77,13 @@ def prox_elastic_net(v: np.ndarray, eta: float, lam1: float, lam2: float) -> np.
 class _Design:
     """Shared view of the retained examples.
 
-    The CSC matrix ``A`` serves every full pass (margins, combinations and
-    node gradients) at O(nnz) cost. The dense copy ``A_dense``, kept when
-    ``N * d`` is at most ``_DENSE_LIMIT``, serves only the per-step column
-    gather, which is faster from it than from the sparse matrix.
+    The CSC matrix ``A`` serves every full pass at O(nnz) cost: its CSR
+    transpose ``A_t``, built once, gives the margins, and ``node_A[tau]``,
+    node tau's columns as a CSC matrix, gives that node's combinations (node
+    gradients and node Grams). Both share A's arrays. The dense copy
+    ``A_dense``, kept when ``N * d`` is at most ``_DENSE_LIMIT``, serves only
+    the per-step column gather, which is faster from it than from the sparse
+    matrix.
     """
 
     def __init__(self, dataset: Dataset, part: Partition):
@@ -94,15 +97,24 @@ class _Design:
         self.A.sum_duplicates()
         self.b = np.asarray(dataset.labels[:N], dtype=np.float64)
         self.A_dense = self.A.toarray() if self.d * N <= _DENSE_LIMIT else None
-        # Stored entries per column, and the node-gradient bin of every entry:
-        # node * d + row, in storage order (a node's entries are contiguous).
+        self.A_t = self.A.T
         self._col_nnz = np.diff(self.A.indptr)
-        node_nnz = np.diff(self.A.indptr[:: part.m])
-        self._node_bin = np.repeat(np.arange(self.n, dtype=np.intp) * self.d, node_nnz)
-        self._node_bin += self.A.indices
+        self._node_cols = [part.node_slice(tau) for tau in range(self.n)]
+        self.node_A = [self._node_view(cols) for cols in self._node_cols]
+
+    def _node_view(self, cols: slice) -> sparse.csc_matrix:
+        """``A[:, cols]`` as a CSC matrix whose data and indices are views of A's."""
+        indptr = self.A.indptr[cols.start : cols.stop + 1]
+        lo, hi = indptr[0], indptr[-1]
+        data, indices = self.A.data[lo:hi], self.A.indices[lo:hi]
+        shape = (self.d, cols.stop - cols.start)
+        block = sparse.csc_matrix((data, indices, indptr - lo), shape=shape)
+        # The constructor copies a slice much smaller than its base; take the views back.
+        block.data, block.indices = data, indices
+        return block
 
     def margins(self, x: np.ndarray) -> np.ndarray:
-        return self.A.T @ x
+        return self.A_t @ x
 
     def columns(self, J) -> np.ndarray:
         """The (len(J), d) block whose row r is the column of example J[r].
@@ -136,15 +148,14 @@ class _Design:
         return self.A @ coef
 
     def combine_nodes(self, coef: np.ndarray) -> np.ndarray:
-        """The (n, d) block whose row tau is node tau's columns of A times its coef.
+        """The (n, d) block whose row tau is ``A[:, node_slice(tau)] @ coef[node_slice(tau)]``.
 
-        One pass over the stored entries; each bin accumulates in storage
-        order, so row tau equals ``A[:, node_slice(tau)] @ coef[node_slice(tau)]``
-        bit for bit.
+        One product per node, with ``node_A[tau]``.
         """
-        weights = np.repeat(coef, self._col_nnz)
-        weights *= self.A.data
-        return np.bincount(self._node_bin, weights, self.n * self.d).reshape(self.n, self.d)
+        out = np.empty((self.n, self.d))
+        for tau, (block, cols) in enumerate(zip(self.node_A, self._node_cols)):
+            out[tau] = block @ coef[cols]
+        return out
 
 
 @dataclass
@@ -422,7 +433,7 @@ def compute_constants(problem: PrimalProblem) -> ProblemConstants:
         return lanczos(lambda v: block @ (block_t @ v), rows)
 
     full = top_gram_eigenvalue(A)
-    nodes = [top_gram_eigenvalue(A[:, part.node_slice(tau)]) for tau in range(part.n)]
+    nodes = [top_gram_eigenvalue(block) for block in design.node_A]
     worst = max(range(part.n), key=lambda tau: nodes[tau].steps)
     r_sq = full.value / design.N
     r_bar_sq = max(node.value for node in nodes) / m

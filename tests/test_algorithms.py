@@ -315,6 +315,45 @@ class TestKeptPositionStep:
             opt.certify()
         # Q1 sees an all-zero batch until the first refresh, and then learns.
         assert ref.zero_shift_steps >= 1 and ref.refreshes >= 3
+        # A pooled Q1 served some steps without a full selection.
+        assert opt._q1_pool is None or opt._q1_pool.builds < 40
+
+    def test_shift_average_checks_touched_columns_and_certify_the_rest(self, composite):
+        opt = alg.EcLsvrg(composite, comp.top_k(2), comp.top_k(2), eta=0.5, p=0.3, seed=7)
+        for _ in range(10):
+            opt.step()
+        while True:  # stop before a step that does not refresh, which would re-form r
+            probe = copy.deepcopy(opt)
+            w = probe.w
+            probe.step()
+            if probe.w is w:
+                break
+            opt.step()
+        k, d = opt.k, composite.d
+        # Q1 is top-k, so the columns the next step touches are known ahead.
+        touched = set((np.flatnonzero(comp._kept(opt.q1, opt.r, None)) % d).tolist())
+        j_touched = min(touched)
+        broken = copy.deepcopy(opt)
+        broken.h[2, j_touched] += 1e-3
+        message = rf"^shift average drifted at step {k}, column {j_touched}$"
+        with pytest.raises(alg.InvariantError, match=message):
+            broken.step()
+        # Off the touched columns the step passes, and the record's certify
+        # names the step and the node, or the column where only the average broke.
+        untouched = [j for j in range(d) if j not in touched]
+        j = untouched[int(np.argmin(np.abs(opt.r[2, untouched])))]
+        for consistent, message in (
+            (False, rf"^shift residual r drifted from grad_w - h at step {k + 1}, node 2$"),
+            (True, rf"^shift average drifted at step {k + 1}, column {j}$"),
+        ):
+            broken = copy.deepcopy(opt)
+            broken.h[2, j] += 1e-9
+            if consistent:
+                broken.r[2, j] = broken.grad_w[2, j] - broken.h[2, j]
+                broken.eta_r[2, j] = broken.eta * broken.r[2, j]
+            broken.step()
+            with pytest.raises(alg.InvariantError, match=message):
+                broken.certify()
 
     def test_certify_names_the_node(self, composite):
         opt = alg.EcLsvrg(composite, comp.top_k(2), comp.top_k(2), eta=0.5, p=0.3, seed=7)
@@ -403,9 +442,9 @@ class TestCompressWithFeedback:
         calls = []
         real = comp._compress
 
-        def counted(spec, x, rngs, magnitude=None):
+        def counted(spec, x, rngs, magnitude=None, pool=None):
             calls.append(x.shape[0])
-            return real(spec, x, rngs, magnitude)
+            return real(spec, x, rngs, magnitude, pool)
 
         monkeypatch.setattr(comp, "_compress", counted)
         n = composite.n

@@ -365,3 +365,152 @@ class TestSplitRng:
     def test_unknown_purpose(self):
         with pytest.raises(ValueError):
             split_rng(1, "nope")
+
+
+def _cumsum_top(score, k):
+    """Top-k mask with ties resolved by a cumulative count over the whole row."""
+    d = score.shape[1]
+    kth = np.partition(score, d - k, axis=1)[:, d - k, None]
+    above, tie = score > kth, score == kth
+    free = k - above.sum(axis=1, keepdims=True)
+    return above | (tie & (np.cumsum(tie, axis=1) <= free)), kth
+
+
+def _tie_heavy_batches():
+    rng = rng_for("ties")
+    yield np.zeros((4, 9))
+    yield rng.integers(0, 3, size=(20, 30)).astype(float)  # a few levels, many ties
+    batch = rng.integers(0, 2, size=(6, 25)).astype(float)
+    batch[1] = 0.0  # an all-zero row among others
+    batch[2, :3] = 5.0  # fewer nonzeros than k
+    yield batch
+    yield np.repeat(rng.standard_normal((1, 40)), 3, axis=0).round(1)
+    yield np.where(rng.random((5, 12)) < 0.8, 0.0, rng.standard_normal((5, 12)))
+
+
+class TestTopSelection:
+    @pytest.mark.parametrize("k", [1, 3, 9])
+    def test_tie_path_matches_the_cumulative_count(self, k):
+        for score in _tie_heavy_batches():
+            k_row = min(k, score.shape[1])
+            keep, kth = comp._top(np.abs(score), k_row)
+            want, want_kth = _cumsum_top(np.abs(score), k_row)
+            assert np.array_equal(keep, want)
+            assert np.array_equal(kth, want_kth)
+            assert np.all(keep.sum(axis=1) == k_row)
+
+
+def _full_top_k(x, k):
+    return np.flatnonzero(comp._kept(comp.top_k(k), x, None))
+
+
+class TestTopKPool:
+    """A pool's picks equal the full selection while the batch changes only where it kept."""
+
+    def run(self, x, k, steps, update, rng):
+        pool = comp.TopKPool(k, x.shape[1])
+        for _ in range(steps):
+            kept = pool.kept(x)
+            assert kept.tobytes() == _full_top_k(x, k).tobytes()
+            x = x.copy()
+            np.put(x, kept, update(x.take(kept), rng))
+        return pool
+
+    @pytest.mark.parametrize("factor", [1, 2, 8])
+    def test_kept_only_updates(self, monkeypatch, factor):
+        monkeypatch.setattr(comp, "POOL_FACTOR", factor)
+        rng = rng_for("pool-updates")
+        x = rng.standard_normal((6, 40))
+        # Kept values shrink, vanish or grow: the pool serves some steps and runs out in others.
+        pool = self.run(x, 3, 60, lambda v, g: v * g.choice([0.0, 0.3, 1.5], size=v.size), rng)
+        assert 1 < pool.builds < 60
+
+    def test_kept_values_zeroed_as_top_k_shifts_do(self, monkeypatch):
+        monkeypatch.setattr(comp, "POOL_FACTOR", 4)
+        rng = rng_for("pool-zeroed")
+        pool = self.run(rng.standard_normal((3, 50)), 2, 40, lambda v, g: v - v, rng)
+        # A pool of 8 serves 4 steps. The rows are zero after 25 steps, and
+        # the pool built at step 24 serves every step from there on.
+        assert pool.builds == 7
+
+    @pytest.mark.parametrize("factor", [2, 4])
+    def test_ties_at_the_floor(self, monkeypatch, factor):
+        # Integer levels make kept values land on the floor's score, before
+        # and after its position, in and out of the pool.
+        monkeypatch.setattr(comp, "POOL_FACTOR", factor)
+        rng = rng_for("pool-ties")
+        x = rng.integers(-3, 4, size=(8, 30)).astype(float)
+        pool = self.run(x, 2, 80, lambda v, g: g.integers(-3, 4, size=v.size).astype(float), rng)
+        assert pool.builds < 80
+
+    def test_a_pick_at_the_floor_past_its_position_rebuilds(self, monkeypatch):
+        monkeypatch.setattr(comp, "POOL_FACTOR", 1)
+        # The pool is {0, 3} and its floor is the 2 at 0; the 2 at 2 is outside.
+        x = np.array([[2.0, 0.0, 2.0, 5.0]])
+        pool = comp.TopKPool(2, 4)
+        assert pool.kept(x).tolist() == [0, 3]
+        x[0, 3] = -2.0  # a kept value drops to the floor's score, past the 2 at 2
+        assert pool.kept(x).tolist() == [0, 2]
+        assert pool.builds == 2
+
+    def test_all_zero_rows(self, monkeypatch):
+        monkeypatch.setattr(comp, "POOL_FACTOR", 3)
+        rng = rng_for("pool-zero-rows")
+        x = rng.standard_normal((5, 20))
+        x[[1, 3]] = 0.0
+        x[3, ::2] = -0.0
+        pool = self.run(x, 2, 30, lambda v, g: v * 0.5, rng)
+        assert pool.builds < 30
+        zeros = np.zeros((4, 20))
+        pool = self.run(zeros, 2, 10, lambda v, g: v, rng)
+        assert pool.builds == 1
+
+    def test_reset_after_a_change_everywhere(self, monkeypatch):
+        monkeypatch.setattr(comp, "POOL_FACTOR", 4)
+        rng = rng_for("pool-reset")
+        x = rng.standard_normal((4, 30))
+        pool = comp.TopKPool(2, 30)
+        for step in range(30):
+            if step % 7 == 6:
+                x = rng.standard_normal((4, 30))  # a refresh: every entry changes
+                pool.reset()
+            kept = pool.kept(x)
+            assert kept.tobytes() == _full_top_k(x, 2).tobytes()
+            np.put(x, kept, 0.0)
+        assert pool.builds >= 5
+
+    def test_rtop_k_through_the_pool_matches_the_full_selection(self, monkeypatch):
+        monkeypatch.setattr(comp, "POOL_FACTOR", 4)
+        n, d, k = 5, 60, 3
+        spec = comp.rtop_k(k)
+        rng = rng_for("pool-rtopk")
+        x = rng.standard_normal((n, d))
+        x[2] = 0.0
+        pool = comp.TopKPool(k, d)
+        with_pool = comp.NodeUniforms([rng_for(f"u{tau}") for tau in range(n)])
+        without = comp.NodeUniforms([rng_for(f"u{tau}") for tau in range(n)])
+        for _ in range(50):
+            kept, values = comp._compress(spec, x, with_pool, pool=pool)
+            want_kept, want_values = comp._compress(spec, x, without)
+            assert kept.tobytes() == want_kept.tobytes()
+            assert values.tobytes() == want_values.tobytes()
+            np.put(x, kept, x.take(kept) - values)  # the shift update: r -= Q1(r)
+        assert pool.builds < 50
+
+    def test_pool_size_is_capped_at_the_row(self, monkeypatch):
+        monkeypatch.setattr(comp, "POOL_FACTOR", 8)
+        assert comp.TopKPool(3, 10).size == 10
+        x = rng_for("pool-cap").standard_normal((2, 10))
+        assert comp.TopKPool(3, 10).kept(x).tobytes() == _full_top_k(x, 3).tobytes()
+
+    def test_pool_for_top_k_stages_shorter_than_the_row(self):
+        for text, pooled in (
+            ("top_k:2", True),
+            ("rtop_k:3", True),
+            ("ntop_k:3", True),
+            ("top_k:7", False),  # a pool of 56 would hold the whole row
+            ("rand_k:2", False),
+            ("dither", False),
+        ):
+            pool = comp.pool_for(comp.parse_spec(text), 50)
+            assert (pool is not None) == pooled, text

@@ -92,13 +92,20 @@ class TestDesign:
         design = problem._design
         assert (design.A_dense is not None) == dense
         assert np.any(np.diff(design.A.indptr) == 0)
+        # The node blocks and the transpose are views of A's arrays, not copies.
+        for block in (*design.node_A, design.A_t):
+            assert np.shares_memory(block.data, design.A.data)
+            assert np.shares_memory(block.indices, design.A.indices)
         rng = rng_for("node-loop")
         for _ in range(5):
             x = rng.standard_normal(problem.d)
-            coef = logistic_grad(design.margins(x), design.b) / part.m
+            margins = design.margins(x)
+            assert margins.tobytes() == (design.A.T @ x).tobytes()
+            coef = logistic_grad(margins, design.b) / part.m
             want = np.stack(
                 [design.A[:, sl] @ coef[sl] for sl in map(part.node_slice, range(part.n))]
             )
+            assert design.combine_nodes(coef).tobytes() == want.tobytes()
             if mode == SMOOTH:
                 want = want + problem.lam2 * x
             assert np.array_equal(problem.grad_f_nodes(x), want)
