@@ -10,18 +10,18 @@ each stream's compressor uniforms ahead in blocks of at most 1 MiB, one
 width per stream. A sparsifier's result is its kept flat positions and
 their values, and error feedback rewrites the residual only there.
 Aggregation sums in fixed node order so runs are reproducible bit for bit.
-``EcLsvrg`` keeps the shift residual ``r = grad_w - h`` and ``eta * r`` up
-to date where Q1 changed ``h``, so between refreshes its step touches the
-sampled columns' stored entries and the compressors' kept coordinates. Q1
-with a top-k stage selects from a ``TopKPool`` of each row's largest entries,
-rebuilt only when a refresh re-forms ``r`` or the pool runs out; what is left
-of the step's whole-array work is Q's selection on its (n, d) messages and
-the refreshes.
+``EcLsvrg`` keeps the shift residual ``r = grad_w - h`` up to date where Q1
+changed ``h``, so between refreshes its step touches the sampled columns'
+stored entries and the compressors' kept coordinates. Q1 with a top-k stage
+selects from a ``TopKPool`` of each row's largest entries, rebuilt only when
+a refresh re-forms ``r`` or the pool runs out; what is left of the step's
+whole-array work is ``e += eta * r``, Q's selection on its (n, d) messages
+and the refreshes.
 Each optimizer validates its defining algebraic identities every step (error
 conservation, maintained averages, dual feasibility) where the step changed
 its state, and raises on NaN/Inf. What a step maintains incrementally,
 ``certify`` checks in full, and the harness calls it at every record:
-``EcLsvrg.certify`` compares ``r`` and ``eta * r`` with ``grad_w - h``,
+``EcLsvrg.certify`` compares ``r`` with ``grad_w - h``,
 checks ``h`` for NaN/Inf and ``h_avg`` against the node mean of ``h`` over
 all n d entries, and ``EcDual.certify`` runs the O(N d) surrogate and
 feasibility checks (returning the aggregate, which the record reuses for the
@@ -180,18 +180,16 @@ class EcLsvrg:
     start at the node gradients of the starting point 0. Bits are
     accounted per node per step as cost(Q) + cost(Q1) + 1 (the refresh flag).
 
-    The step keeps the shift residual ``r = grad_w - h``, Q1's input, and
-    ``eta_r = eta * r``. Both are formed in full at the start and on a
-    refresh; otherwise they change only where Q1 kept coordinates. Off the
-    sampled columns' stored entries ``g`` is ``r`` (plus the l2 drift in
-    smooth mode), so ``t = eta * g + e`` is formed in place in ``e`` and
-    re-formed at those entries; a sparsifying Q then rewrites ``e`` only at
-    the k coordinates it keeps. Between refreshes ``r`` changes only where
-    Q1 kept, so a Q1 with a top-k stage takes its picks from a ``TopKPool``,
-    which ``_form_residual`` resets. The step checks the shift average on the
+    The step keeps the shift residual ``r = grad_w - h``, Q1's input. It is
+    formed in full at the start and on a refresh; otherwise it changes only
+    where Q1 kept coordinates. Off the sampled columns' stored entries ``g``
+    is ``r`` (plus the l2 drift in smooth mode), so ``t = eta * g + e`` is
+    formed in place in ``e`` and re-formed at those entries; a sparsifying Q
+    then rewrites ``e`` only at the k coordinates it keeps. Between
+    refreshes ``r`` changes only where Q1 kept, so a Q1 with a top-k stage
+    takes its picks from a ``TopKPool``, which ``_form_residual`` resets. The step checks the shift average on the
     columns Q1 kept, where alone ``h`` and ``h_avg`` changed; ``certify``
-    checks the maintained copies against ``grad_w - h`` and the shift average
-    in full.
+    checks ``r`` against ``grad_w - h`` and the shift average in full.
     """
 
     passes_per_step_factor = "per_example"  # epoch accounting: k * n / N
@@ -225,7 +223,6 @@ class EcLsvrg:
         self.h = self.grad_w.copy()
         self.h_avg = self.h.mean(axis=0)
         self.r = np.empty((n, d))
-        self.eta_r = np.empty((n, d))
         self._q1_pool = comp.pool_for(self.q1, d)
         self._form_residual()
         self.k = 0
@@ -240,14 +237,13 @@ class EcLsvrg:
 
     def _form_residual(self) -> None:
         np.subtract(self.grad_w, self.h, out=self.r)
-        np.multiply(self.eta, self.r, out=self.eta_r)
         if self._q1_pool is not None:
             self._q1_pool.reset()
 
     def certify(self) -> None:
         """Check over all n d entries that h is finite, that the maintained
-        ``r`` and ``eta_r`` equal ``grad_w - h`` and ``eta * r`` exactly, and
-        that ``h_avg`` is the node mean of h to 1e-12 relative to max |h|.
+        ``r`` equals ``grad_w - h`` exactly, and that ``h_avg`` is the node
+        mean of h to 1e-12 relative to max |h|.
 
         Between refreshes the step writes h and r only where Q1 kept
         coordinates and checks h and the shift average only there; the
@@ -255,14 +251,10 @@ class EcLsvrg:
         """
         # A NaN or an infinity in h makes its node's peak non-finite.
         peak = np.max(np.abs(self.h), axis=1)
-        expected = self.grad_w - self.h
-        r_held = expected == self.r
-        expected *= self.eta  # eta * r wherever r_held
-        eta_r_held = expected == self.eta_r
+        r_held = (self.grad_w - self.h == self.r).all(axis=1)
         for name, held, error in (
             ("shift vectors became non-finite", np.isfinite(peak), NumericalError),
-            ("shift residual r drifted from grad_w - h", r_held.all(axis=1), InvariantError),
-            ("scaled residual drifted from eta * r", eta_r_held.all(axis=1), InvariantError),
+            ("shift residual r drifted from grad_w - h", r_held, InvariantError),
         ):
             if not held.all():
                 raise error(f"{name} at step {self.k}, node {int(np.argmin(held))}")
@@ -272,7 +264,6 @@ class EcLsvrg:
         pr = self.problem
         eta = self.eta
         design = pr._design
-        smooth = pr.mode == SMOOTH
         x, w, e = self.x, self.w, self.e
         shape = e.shape
 
@@ -285,12 +276,12 @@ class EcLsvrg:
         node, at, a = design.column_entries(sampled)
         g_at = dc[node] * a + self.grad_w.take(at) - self.h.take(at)
         t_at = e.take(at)
-        if smooth:
+        if pr.mode == SMOOTH:
             l2_drift = pr.lam2 * (x - w)
             g_at += l2_drift[at % shape[1]]
             e += eta * (self.r + l2_drift)
         else:
-            e += self.eta_r
+            e += eta * self.r
         t_at += eta * g_at
         np.put(e, at, t_at)
         y_kept, y, self.e = _compress_with_feedback(self.q, e, self._q_uniforms, self.k)
@@ -301,7 +292,7 @@ class EcLsvrg:
         z_avg = _node_mean(z_kept, z, shape)
         h_avg_prev = self.h_avg
         x_half = x - (y_avg + eta * self.h_avg)
-        x_new = x_half if smooth else pr.prox_psi(x_half, eta) if eta > 0 else x_half.copy()
+        x_new = pr.prox_psi(x_half, eta)
 
         self.h_avg = h_avg_prev + z_avg
         if z_kept is None:
@@ -313,9 +304,7 @@ class EcLsvrg:
             h_kept = self.h.take(z_kept) + z
             _require_finite("shift vectors", h_kept, self.k)
             np.put(self.h, z_kept, h_kept)
-            r_kept = self.grad_w.take(z_kept) - h_kept
-            np.put(self.r, z_kept, r_kept)
-            np.put(self.eta_r, z_kept, eta * r_kept)
+            np.put(self.r, z_kept, self.grad_w.take(z_kept) - h_kept)
             # h and h_avg changed only in the columns Q1 kept; certify checks the rest.
             cols = z_kept % shape[1]
             h_cols = self.h[:, cols]
@@ -378,19 +367,17 @@ class Lsvrg:
         pr = self.problem
         n, eta = pr.n, self.eta
         design = pr._design
-        smooth = pr.mode == SMOOTH
         x, w = self.x, self.w
-        l2_drift = pr.lam2 * (x - w) if smooth else None
 
         J = self._sample.draw()
         cols, b = design.columns(J), design.b[J]
         dc = logistic_grad(cols @ x, b) - logistic_grad(cols @ w, b)
         g = dc[:, None] * cols + self.grad_w
-        if smooth:
-            g = g + l2_drift
+        if pr.mode == SMOOTH:
+            g = g + pr.lam2 * (x - w)
         coin = bool(self._coin.random() < self.p)
         x_half = x - eta * (g.sum(axis=0) / n)
-        x_new = x_half if smooth else pr.prox_psi(x_half, eta) if eta > 0 else x_half
+        x_new = pr.prox_psi(x_half, eta)
         if coin:
             self.w = x.copy()
             self.grad_w = pr.grad_f_nodes(self.w)
@@ -431,11 +418,10 @@ class EcGd:
     def step(self) -> None:
         pr = self.problem
         eta = self.eta
-        smooth = pr.mode == SMOOTH
         t_nodes = eta * pr.grad_f_nodes(self.x) + self.e
         kept, y, self.e = _compress_with_feedback(self.q, t_nodes, self._q_uniforms, self.k)
         x_half = self.x - _node_mean(kept, y, t_nodes.shape)
-        self.x = x_half if smooth else pr.prox_psi(x_half, eta) if eta > 0 else x_half
+        self.x = pr.prox_psi(x_half, eta)
         self.k += 1
         self.bits += self.bits_per_step
         _require_finite("iterate", self.x, self.k)

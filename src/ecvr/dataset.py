@@ -23,14 +23,21 @@ class Dataset:
     """Sparse design matrix with one column per example and labels in {-1, +1}.
 
     ``features`` is d x N in compressed-sparse-column layout so that a node's
-    examples are a contiguous column slice.
+    examples are a contiguous column slice, in canonical form: each column's
+    indices sorted, one stored entry per coordinate. An input that is not
+    canonical is put in that form in a copy, its duplicates summed, so the
+    caller's matrix is never changed.
     """
 
     features: sparse.csc_matrix
     labels: np.ndarray
 
     def __post_init__(self) -> None:
-        self.features = sparse.csc_matrix(self.features)
+        features = sparse.csc_matrix(self.features)  # holds a CSC input's own arrays
+        if not features.has_canonical_format:
+            features = features.copy()
+            features.sum_duplicates()
+        self.features = features
         self.labels = np.asarray(self.labels, dtype=np.float64)
         if self.features.shape[1] != self.labels.shape[0]:
             raise ValueError(
@@ -112,7 +119,9 @@ def parse_libsvm(path: str) -> Dataset:
     indptr = np.zeros(col + 1, dtype=np.int64)
     np.cumsum(counts, out=indptr[1:])
     features = sparse.csc_matrix((vals, rows, indptr), shape=(d, col))
-    features.sort_indices()  # a line's indices may come in any order
+    # A line's indices may come in any order. Sorted here, in place, the
+    # matrix is canonical and Dataset keeps it without a copy.
+    features.sort_indices()
     return Dataset(features=features, labels=labels)
 
 

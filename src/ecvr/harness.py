@@ -23,12 +23,12 @@ from . import compressors as comp
 from .dataset import Dataset, Partition, normalize_examples, parse_libsvm, partition, shuffle_examples
 from .problem import (
     COMPOSITE,
-    SMOOTH,
     DualProblem,
     PowerIterationError,
     PrimalProblem,
     ProblemConstants,
     compute_constants,
+    soft_threshold,
 )
 from .rng import split_rng
 
@@ -117,7 +117,7 @@ def solve_reference(
     def step_from(v, g):
         moved = v - eta * g
         if lam1:
-            moved = np.sign(moved) * np.maximum(np.abs(moved) - eta * lam1, 0.0)
+            moved = soft_threshold(moved, eta * lam1)
         return moved
 
     x = np.zeros(problem.d)
@@ -424,9 +424,8 @@ def build_optimizer(config: RunConfig, setup: Setup):
     algo = config.algo
     if algo in PRIMAL_ALGOS:
         p = config.p if config.p is not None else delta
-        regime = SMOOTH if primal.mode == SMOOTH else COMPOSITE
         with _blame("p"):
-            eta_theory = alg.theoretical_eta(constants, primal.n, delta, delta1, p, regime)
+            eta_theory = alg.theoretical_eta(constants, primal.n, delta, delta1, p, primal.mode)
         eta = eta_theory if config.eta == "theory" else float(config.eta)
         resolved = Resolved(delta, delta1, omega, p, eta=eta, eta_theory=eta_theory)
     if algo == "ec_lsvrg":

@@ -17,7 +17,6 @@ The dual formulation works on the composite objective written as
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -74,13 +73,28 @@ def prox_elastic_net(v: np.ndarray, eta: float, lam1: float, lam2: float) -> np.
     return soft_threshold(v, eta * lam1) / (1.0 + eta * lam2)
 
 
+def _column_view(matrix: sparse.csc_matrix, cols: slice) -> sparse.csc_matrix:
+    """``matrix[:, cols]`` as a CSC matrix whose data and indices are views of matrix's."""
+    indptr = matrix.indptr[cols.start : cols.stop + 1]
+    lo, hi = indptr[0], indptr[-1]
+    data, indices = matrix.data[lo:hi], matrix.indices[lo:hi]
+    shape = (matrix.shape[0], cols.stop - cols.start)
+    block = sparse.csc_matrix((data, indices, indptr - lo), shape=shape)
+    # The constructor copies a slice much smaller than its base; take the views back.
+    block.data, block.indices = data, indices
+    return block
+
+
 class _Design:
     """Shared view of the retained examples.
 
-    The CSC matrix ``A`` serves every full pass at O(nnz) cost: its CSR
-    transpose ``A_t``, built once, gives the margins, and ``node_A[tau]``,
-    node tau's columns as a CSC matrix, gives that node's combinations (node
-    gradients and node Grams). Both share A's arrays. The dense copy
+    The CSC matrix ``A``, a view of the dataset's first N columns, serves
+    every full pass at O(nnz) cost. ``Dataset`` keeps one stored entry per
+    coordinate, and the EC-LSVRG step relies on it: it re-forms its message
+    at each stored entry of a sampled column. A's CSR transpose ``A_t``,
+    built once, gives the margins, and ``node_A[tau]``, node tau's columns
+    as a CSC matrix, gives that node's combinations (node gradients and node
+    Grams). All share the dataset's arrays. The dense copy
     ``A_dense``, kept when ``N * d`` is at most ``_DENSE_LIMIT``, serves only
     the per-step column gather, which is faster from it than from the sparse
     matrix.
@@ -91,27 +105,13 @@ class _Design:
         self.N = N
         self.d = dataset.d
         self.n = part.n
-        self.A = sparse.csc_matrix(dataset.features[:, :N])
-        # One stored entry per coordinate: the EC-LSVRG step re-forms its
-        # message at each stored entry of a sampled column.
-        self.A.sum_duplicates()
+        self.A = _column_view(dataset.features, slice(0, N))
         self.b = np.asarray(dataset.labels[:N], dtype=np.float64)
         self.A_dense = self.A.toarray() if self.d * N <= _DENSE_LIMIT else None
         self.A_t = self.A.T
         self._col_nnz = np.diff(self.A.indptr)
         self._node_cols = [part.node_slice(tau) for tau in range(self.n)]
-        self.node_A = [self._node_view(cols) for cols in self._node_cols]
-
-    def _node_view(self, cols: slice) -> sparse.csc_matrix:
-        """``A[:, cols]`` as a CSC matrix whose data and indices are views of A's."""
-        indptr = self.A.indptr[cols.start : cols.stop + 1]
-        lo, hi = indptr[0], indptr[-1]
-        data, indices = self.A.data[lo:hi], self.A.indices[lo:hi]
-        shape = (self.d, cols.stop - cols.start)
-        block = sparse.csc_matrix((data, indices, indptr - lo), shape=shape)
-        # The constructor copies a slice much smaller than its base; take the views back.
-        block.data, block.indices = data, indices
-        return block
+        self.node_A = [_column_view(self.A, cols) for cols in self._node_cols]
 
     def margins(self, x: np.ndarray) -> np.ndarray:
         return self.A_t @ x
@@ -233,11 +233,11 @@ class PrimalProblem:
         )
 
     def prox_psi(self, v: np.ndarray, eta: float) -> np.ndarray:
-        if self.mode == SMOOTH:
-            warnings.warn("prox_psi called in smooth mode; psi is zero", stacklevel=2)
-            return np.asarray(v, dtype=np.float64).copy()
-        if eta <= 0:
-            raise ValueError(f"prox step must be positive, got {eta}")
+        """The prox of ``eta * psi`` at v: v itself in smooth mode (psi is zero) and at eta 0."""
+        if eta < 0:
+            raise ValueError(f"prox step must be nonnegative, got {eta}")
+        if self.mode == SMOOTH or eta == 0:
+            return v
         return prox_elastic_net(np.asarray(v, dtype=np.float64), eta, self.lam1, self.lam2)
 
 

@@ -84,18 +84,38 @@ class TestDesign:
         # columns and rows empty and gives the columns unequal entry counts.
         if not dense:
             monkeypatch.setattr(problem_module, "_DENSE_LIMIT", 0)
-        features = sparse.random(12, 43, density=0.2, random_state=5, format="csc")
+        canonical = sparse.random(12, 43, density=0.2, random_state=5, format="csc")
+        # Column 4 arrives with its indices reversed and its first row stored
+        # twice, in halves; Dataset sums a copy back to the canonical matrix.
+        lo, hi = canonical.indptr[4:6]
+        order = np.concatenate(
+            [np.arange(lo), np.arange(hi - 1, lo - 1, -1), [lo], np.arange(hi, canonical.nnz)]
+        )
+        data = canonical.data[order]
+        data[hi - 1 : hi + 1] *= 0.5
+        indptr = canonical.indptr + (np.arange(canonical.shape[1] + 1) > 4)
+        features = sparse.csc_matrix((data, canonical.indices[order], indptr), shape=canonical.shape)
+        given = [a.copy() for a in (features.data, features.indices, features.indptr)]
         labels = np.where(rng_for("node-labels").random(43) < 0.5, -1.0, 1.0)
         ds = Dataset(features=features, labels=labels)
         part = partition(ds, 4)
         problem = PrimalProblem(ds, part, lam1=0.0, lam2=1e-2, mode=mode)
         design = problem._design
         assert (design.A_dense is not None) == dense
+        for held, before in zip((features.data, features.indices, features.indptr), given):
+            assert np.array_equal(held, before)
+        want = canonical[:, : part.retained]
+        for got, expected in zip(
+            (design.A.data, design.A.indices, design.A.indptr), (want.data, want.indices, want.indptr)
+        ):
+            assert np.array_equal(got, expected)
         assert np.any(np.diff(design.A.indptr) == 0)
-        # The node blocks and the transpose are views of A's arrays, not copies.
+        # A, the node blocks and the transpose are views of the dataset's arrays, not copies.
         for block in (*design.node_A, design.A_t):
             assert np.shares_memory(block.data, design.A.data)
             assert np.shares_memory(block.indices, design.A.indices)
+        assert np.shares_memory(design.A.data, ds.features.data)
+        assert np.shares_memory(design.A.indices, ds.features.indices)
         rng = rng_for("node-loop")
         for _ in range(5):
             x = rng.standard_normal(problem.d)
@@ -224,9 +244,15 @@ class TestProx:
 
     def test_smooth_mode_flags_and_returns_input(self, smooth):
         v = rng_for("flag").standard_normal(smooth.d)
-        with pytest.warns(UserWarning):
-            out = smooth.prox_psi(v, 0.5)
+        out = smooth.prox_psi(v, 0.5)
         assert np.array_equal(out, v)
+
+    def test_zero_step_returns_input_and_negative_step_raises(self, composite, smooth):
+        v = rng_for("zero-step").standard_normal(composite.d)
+        for problem in (composite, smooth):
+            assert problem.prox_psi(v, 0.0) is v
+            with pytest.raises(ValueError, match="prox step must be nonnegative, got -0.5"):
+                problem.prox_psi(v, -0.5)
 
     def test_matches_scalar_minimization(self):
         # Oracle: dense scan of 1/2 (y-v)^2 + eta(lam1 |y| + lam2/2 y^2).
