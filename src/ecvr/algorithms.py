@@ -19,14 +19,17 @@ whole-array work is ``e += eta * r``, Q's selection on its (n, d) messages
 and the refreshes.
 Each optimizer validates its defining algebraic identities every step (error
 conservation, maintained averages, dual feasibility) where the step changed
-its state, and raises on NaN/Inf. What a step maintains incrementally,
-``certify`` checks in full, and the harness calls it at every record:
-``EcLsvrg.certify`` compares ``r`` with ``grad_w - h``,
-checks ``h`` for NaN/Inf and ``h_avg`` against the node mean of ``h`` over
-all n d entries, and ``EcDual.certify`` runs the O(N d) surrogate and
-feasibility checks (returning the aggregate, which the record reuses for the
-duality gap). The last step is always recorded, so a completed run
-certifies its own internal consistency.
+its state, and raises on NaN/Inf. Every optimizer offers the harness the
+same record protocol. ``examples_per_step``, the examples a step reads (n,
+or N for ``EcGd``'s full pass), sets the epoch. ``certify()``, called at
+every record, checks in full what a step maintains incrementally:
+``EcLsvrg.certify`` compares ``r`` with ``grad_w - h``, checks ``h`` for
+NaN/Inf and ``h_avg`` against the node mean of ``h`` over all n d entries;
+``EcDual.certify`` runs the O(N d) surrogate and feasibility checks and
+``VanillaDual.certify`` the surrogate check, each returning the aggregate,
+which the record reuses for the duality gap; ``Lsvrg`` and ``EcGd`` keep
+nothing incrementally and return None. The last step is always recorded,
+so a completed run certifies its own internal consistency.
 """
 
 from __future__ import annotations
@@ -192,8 +195,6 @@ class EcLsvrg:
     checks ``r`` against ``grad_w - h`` and the shift average in full.
     """
 
-    passes_per_step_factor = "per_example"  # epoch accounting: k * n / N
-
     def __init__(
         self,
         problem: PrimalProblem,
@@ -226,6 +227,7 @@ class EcLsvrg:
         self._q1_pool = comp.pool_for(self.q1, d)
         self._form_residual()
         self.k = 0
+        self.examples_per_step = n
         self.bits = 0.0
         self.bits_per_step = problem.n * (
             comp.bit_cost(self.q, d) + comp.bit_cost(self.q1, d) + 1.0
@@ -338,8 +340,6 @@ class Lsvrg:
     seed, so trajectories are directly comparable.
     """
 
-    passes_per_step_factor = "per_example"
-
     def __init__(
         self,
         problem: PrimalProblem,
@@ -358,10 +358,14 @@ class Lsvrg:
         self.w = self.x.copy()
         self.grad_w = problem.grad_f_nodes(self.w)
         self.k = 0
+        self.examples_per_step = n
         self.bits = 0.0
         self.bits_per_step = problem.n * (comp.bit_cost(comp.identity(), d) * 2 + 1.0)
         self._sample = _ExampleSampler(seed, problem.part)
         self._coin = split_rng(seed, "coin")
+
+    def certify(self) -> None:
+        """Nothing to check: the step keeps no state up to date incrementally."""
 
     def step(self) -> None:
         pr = self.problem
@@ -393,8 +397,6 @@ class Lsvrg:
 class EcGd:
     """Error-feedback full-gradient descent baseline (one full pass per step)."""
 
-    passes_per_step_factor = "full_pass"
-
     def __init__(
         self,
         problem: PrimalProblem,
@@ -411,9 +413,13 @@ class EcGd:
         self.x = np.zeros(d)
         self.e = np.zeros((n, d))
         self.k = 0
+        self.examples_per_step = problem.part.retained  # a full pass
         self.bits = 0.0
         self.bits_per_step = n * comp.bit_cost(compressor, d)
         self._q_uniforms = comp.NodeUniforms(node_streams(seed, "compress", n))
+
+    def certify(self) -> None:
+        """Nothing to check: the step keeps no state up to date incrementally."""
 
     def step(self) -> None:
         pr = self.problem
@@ -428,6 +434,12 @@ class EcGd:
 
     def error_norm(self) -> float:
         return float(np.sqrt(np.sum(self.e**2)))
+
+
+def _check_surrogate(name: str, lag: np.ndarray, alpha: np.ndarray, k: int) -> None:
+    """Raise unless ``lag``, a surrogate minus its aggregate, is at most 1e-10 (1 + max |alpha|)."""
+    if np.max(np.abs(lag), initial=0.0) > 1e-10 * (1.0 + float(np.max(np.abs(alpha)))):
+        raise InvariantError(f"{name} drifted from A alpha at step {k}")
 
 
 @dataclass
@@ -455,8 +467,6 @@ class EcDual:
     ``dual_aggregate(alpha)`` and the feasibility of all N blocks.
     """
 
-    passes_per_step_factor = "per_example"
-
     def __init__(
         self,
         problem: DualProblem,
@@ -483,6 +493,7 @@ class EcDual:
         self.u = self.v.copy()
         self.e = np.zeros((n, d))
         self.k = 0
+        self.examples_per_step = n
         self.bits = 0.0
         self.bits_per_step = n * comp.bit_cost(compressor, d)
         self._sample = _ExampleSampler(seed, problem.part)
@@ -500,8 +511,7 @@ class EcDual:
 
     def _check_surrogate(self, aggregate: np.ndarray) -> None:
         lag = self.u + self.e.mean(axis=0) - aggregate
-        if np.max(np.abs(lag), initial=0.0) > 1e-10 * (1.0 + float(np.max(np.abs(self.alpha)))):
-            raise InvariantError(f"compressed surrogate drifted from A alpha at step {self.k}")
+        _check_surrogate("compressed surrogate", lag, self.alpha, self.k)
 
     def certify(self) -> np.ndarray:
         """Check all N blocks for feasibility and the identity against ``dual_aggregate(alpha)``.
@@ -556,8 +566,6 @@ class EcDual:
 class VanillaDual:
     """Uncompressed quartz/sdca oracle sharing EcDual's sampling streams."""
 
-    passes_per_step_factor = "per_example"
-
     def __init__(
         self,
         problem: DualProblem,
@@ -578,9 +586,19 @@ class VanillaDual:
         self.x = np.zeros(problem.d)
         self.u = problem.dual_aggregate(self.alpha)
         self.k = 0
+        self.examples_per_step = problem.part.n
         self.bits = 0.0
         self.bits_per_step = problem.part.n * comp.bit_cost(comp.identity(), problem.d)
         self._sample = _ExampleSampler(seed, problem.part)
+
+    def certify(self) -> np.ndarray:
+        """Check ``u`` against ``dual_aggregate(alpha)`` with EcDual's tolerance.
+
+        Returns the aggregate it checked, so a caller can reuse the O(N d) product.
+        """
+        aggregate = self.problem.dual_aggregate(self.alpha)
+        _check_surrogate("primal surrogate", self.u - aggregate, self.alpha, self.k)
+        return aggregate
 
     def step(self) -> None:
         pr = self.problem

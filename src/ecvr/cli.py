@@ -6,14 +6,14 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 
 from . import algorithms as alg
 from . import compressors as comp
 from . import harness
-from .problem import COMPOSITE, SMOOTH
+from .problem import COMPOSITE, SMOOTH, DualProblem
 from .rng import split_rng
 
 
@@ -24,16 +24,14 @@ def _add_data_args(parser: argparse.ArgumentParser) -> None:
         type=_synth,
         help="synthetic data as N,d,sparsity (default 200,50,0.3 when --data absent)",
     )
-    parser.add_argument(
-        "--synth-scale", type=_positive, default=1.0, help="column norm of synthetic examples"
-    )
-    parser.add_argument("--n", type=_positive_int, default=4, help="number of simulated nodes")
+    parser.add_argument("--synth-scale", type=_positive, help="column norm of synthetic examples")
+    parser.add_argument("--n", type=_positive_int, help="number of simulated nodes")
     parser.add_argument("--normalize", action="store_true", help="scale examples to unit norm")
-    parser.add_argument("--shuffle-seed", type=_seed, default=None, help="shuffle examples before partitioning")
-    parser.add_argument("--lambda1", type=_nonnegative, default=1e-3)
-    parser.add_argument("--lambda2", type=_nonnegative, default=1e-3)
-    parser.add_argument("--mode", choices=[COMPOSITE, SMOOTH], default=COMPOSITE)
-    parser.add_argument("--seed", type=_seed, default=0, help="master seed (ECVR_SEED overrides)")
+    parser.add_argument("--shuffle-seed", type=_seed, help="shuffle examples before partitioning")
+    parser.add_argument("--lambda1", type=_nonnegative)
+    parser.add_argument("--lambda2", type=_nonnegative)
+    parser.add_argument("--mode", choices=[COMPOSITE, SMOOTH])
+    parser.add_argument("--seed", type=_seed, help="master seed (ECVR_SEED overrides)")
 
 
 def _checked(parse, ok, expects: str):
@@ -87,7 +85,7 @@ def _flag(field: str) -> str:
     return renamed.get(field, "--" + field.replace("_", "-"))
 
 
-def _resolve_seed(args) -> int:
+def _resolve_seed(args) -> int | None:
     env = os.environ.get("ECVR_SEED")
     if not env:
         return args.seed
@@ -98,31 +96,15 @@ def _resolve_seed(args) -> int:
 
 
 def _config_from_args(args) -> harness.RunConfig:
-    data = args.data
-    synth = None if data is not None else args.synth or (200, 50, 0.3)
-    return harness.RunConfig(
-        algo=getattr(args, "algo", "ec_lsvrg"),
-        data=data,
-        synth=synth,
-        synth_scale=args.synth_scale,
-        n=args.n,
-        compressor=getattr(args, "compressor", "identity"),
-        compressor_q1=getattr(args, "compressor_q1", None),
-        eta=getattr(args, "eta", "theory"),
-        theta=getattr(args, "theta", None),
-        p=getattr(args, "p", None),
-        lambda1=args.lambda1,
-        lambda2=args.lambda2,
-        mode=args.mode,
-        epochs=getattr(args, "epochs", 10.0),
-        seed=_resolve_seed(args),
-        cadence=getattr(args, "cadence", None),
-        normalize=args.normalize,
-        shuffle_seed=args.shuffle_seed,
-        gap_target=getattr(args, "gap_target", None),
-        out_csv=getattr(args, "out", None),
-        out_json=None,
-    )
+    """The ``RunConfig`` of the flags the subcommand parsed.
+
+    A flag left out parses to None, and ``RunConfig`` supplies its default;
+    ``--data`` replaces the default synthetic data.
+    """
+    names = {f.name for f in fields(harness.RunConfig)}
+    given = dict(vars(args), seed=_resolve_seed(args))
+    config = harness.RunConfig(**{k: v for k, v in given.items() if k in names and v is not None})
+    return config if args.data is None else replace(config, synth=None)
 
 
 def cmd_run(args) -> int:
@@ -203,11 +185,10 @@ def cmd_verify(args) -> int:
             )
     elif args.what == "invariants":
         setup = harness.build_setup(
-            harness.RunConfig(
-                algo="ec_quartz", synth=(80, 20, 0.4), synth_scale=0.5, n=4, seed=seed
-            )
+            harness.RunConfig(synth=(80, 20, 0.4), synth_scale=0.5, n=4, seed=seed)
         )
-        primal, dual = setup.primal, setup.dual
+        primal = setup.primal
+        dual = DualProblem(primal)
         opt = alg.EcLsvrg(
             primal, comp.top_k(1), comp.top_k(1), eta=0.05, p=0.05, seed=seed
         )
@@ -230,7 +211,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_reference(args) -> int:
-    setup = harness.build_setup(replace(_config_from_args(args), reference_tol=args.tol))
+    setup = harness.build_setup(_config_from_args(args))
     ref = setup.reference
     print(f"P* = {ref.value!r}  (||x*|| = {np.linalg.norm(ref.x):.6f}, d = {setup.primal.d})")
     return 0
@@ -245,22 +226,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="run one optimizer trial and emit its trace")
     _add_data_args(run)
-    run.add_argument("--algo", choices=list(harness.ALGOS), default="ec_lsvrg")
+    run.add_argument("--algo", choices=list(harness.ALGOS))
+    run.add_argument("--compressor", type=_compressor, help="e.g. top_k:1, rand_k:5, dither, natural")
+    run.add_argument("--compressor-q1", type=_compressor)
+    run.add_argument("--eta", type=_eta, help="step size or 'theory' (the default)")
+    run.add_argument("--theta", type=_probability, help="dual step parameter (default: theory)")
+    run.add_argument("--p", type=_probability, help="reference refresh probability (default: delta)")
+    run.add_argument("--epochs", type=_nonnegative)
+    run.add_argument("--cadence", type=_positive_int, help="steps between records")
+    run.add_argument("--gap-target", type=_finite)
     run.add_argument(
-        "--compressor", type=_compressor, default="identity", help="e.g. top_k:1, rand_k:5, dither, natural"
+        "--out", dest="out_csv", metavar="OUT", help="CSV trace path (JSON written alongside)"
     )
-    run.add_argument("--compressor-q1", dest="compressor_q1", type=_compressor, default=None)
-    run.add_argument("--eta", type=_eta, default="theory", help="step size or 'theory'")
-    run.add_argument(
-        "--theta", type=_probability, default=None, help="dual step parameter (default: theory)"
-    )
-    run.add_argument(
-        "--p", type=_probability, default=None, help="reference refresh probability (default: delta)"
-    )
-    run.add_argument("--epochs", type=_nonnegative, default=10.0)
-    run.add_argument("--cadence", type=_positive_int, default=None, help="steps between records")
-    run.add_argument("--gap-target", type=_finite, default=None)
-    run.add_argument("--out", default=None, help="CSV trace path (JSON written alongside)")
     run.set_defaults(func=cmd_run, parser=run)
 
     verify = sub.add_parser("verify", help="run statistical/invariant verifiers")
@@ -273,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     ref = sub.add_parser("reference", help="solve the problem to high accuracy")
     _add_data_args(ref)
-    ref.add_argument("--tol", type=_positive, default=1e-10)
+    ref.add_argument("--tol", dest="reference_tol", metavar="TOL", type=_positive, default=1e-10)
     ref.set_defaults(func=cmd_reference, parser=ref)
     return parser
 

@@ -20,9 +20,10 @@ from scipy.special import expit
 from . import __version__
 from . import algorithms as alg
 from . import compressors as comp
-from .dataset import Dataset, Partition, normalize_examples, parse_libsvm, partition, shuffle_examples
+from .dataset import Dataset, normalize_examples, parse_libsvm, partition, shuffle_examples
 from .problem import (
     COMPOSITE,
+    SMOOTH,
     DualProblem,
     PowerIterationError,
     PrimalProblem,
@@ -324,22 +325,37 @@ class Resolved:
     theta_theory: Optional[float] = None
 
 
+@dataclass(frozen=True)
+class Setup:
+    """The problem a ``RunConfig`` describes, built once and shared by its runs.
+
+    It depends only on the data, ``n``, the weights, the mode and
+    ``reference_tol``, so primal and dual algorithms on one problem share it.
+    """
+
+    primal: PrimalProblem
+    constants: ProblemConstants
+    reference: Reference
+    setup_ms: dict[str, float]  # wall time of each layer: load, design, constants, reference
+
+
 @dataclass
 class RunResult:
     config: RunConfig
+    setup: Setup = field(repr=False)  # the problem, its constants, reference and timings
     records: list[TrialRecord]
     best_gap: float
     final_gap: float
     bits_to_target: Optional[float]
     steps: int
-    design: str  # "dense" or "sparse": the _Design path the run took
-    partition: Partition
-    reference: Reference = field(repr=False)
     resolved: Resolved
-    constants: ProblemConstants
     bits_per_step: float
-    setup_ms: dict[str, float]  # build_setup's layers: load, design, constants, reference
     x: Optional[np.ndarray] = field(default=None, repr=False)
+
+    @property
+    def design(self) -> str:
+        """"dense" or "sparse": the ``_Design`` path the run took."""
+        return "dense" if self.setup.primal._design.A_dense is not None else "sparse"
 
     @property
     def eta(self) -> Optional[float]:
@@ -366,35 +382,23 @@ def load_dataset(config: RunConfig) -> Dataset:
     return ds
 
 
-@dataclass(frozen=True)
-class Setup:
-    """The problem a ``RunConfig`` describes, built once and shared by its runs."""
-
-    primal: PrimalProblem
-    dual: Optional[DualProblem]  # set only for dual algorithms
-    constants: ProblemConstants
-    reference: Reference
-    setup_ms: dict[str, float]  # wall time of each layer: load, design, constants, reference
-
-
 def build_setup(config: RunConfig) -> Setup:
     """Load the data; build the problem, its constants and its reference optimum.
 
-    Dual algorithms always solve the composite problem. A value that does
-    not fit the data raises ``ConfigError`` naming its field.
+    The algorithm plays no part. The mode only decides how the primal
+    methods split the objective; the dual methods solve the same objective
+    in either mode, and smooth mode requires ``lambda1 = 0``. A value that
+    does not fit the data raises ``ConfigError`` naming its field.
     """
     marks = [time.perf_counter()]
     ds = load_dataset(config)
     marks.append(time.perf_counter())
     with _blame("n"):
         part = partition(ds, config.n)
-    dual_run = config.algo in DUAL_ALGOS
-    mode = COMPOSITE if dual_run else config.mode
-    # PrimalProblem rejects a negative weight, and lam1 != 0 in smooth mode.
-    with _blame("lambda2" if config.lambda2 < 0 else "lambda1"):
-        primal = PrimalProblem(ds, part, lam1=config.lambda1, lam2=config.lambda2, mode=mode)
-    with _blame("lambda2"):
-        dual = DualProblem(primal) if dual_run else None
+    # PrimalProblem rejects a negative weight, an unknown mode, and lam1 != 0 in smooth mode.
+    bad_mode = config.mode not in (COMPOSITE, SMOOTH) and min(config.lambda1, config.lambda2) >= 0
+    with _blame("lambda2" if config.lambda2 < 0 else "mode" if bad_mode else "lambda1"):
+        primal = PrimalProblem(ds, part, lam1=config.lambda1, lam2=config.lambda2, mode=config.mode)
     marks.append(time.perf_counter())
     try:
         constants = compute_constants(primal)
@@ -407,7 +411,7 @@ def build_setup(config: RunConfig) -> Setup:
     marks.append(time.perf_counter())
     layers = ("load", "design", "constants", "reference")
     setup_ms = {name: (b - a) * 1e3 for name, a, b in zip(layers, marks, marks[1:])}
-    return Setup(primal, dual, constants, reference, setup_ms)
+    return Setup(primal, constants, reference, setup_ms)
 
 
 def build_optimizer(config: RunConfig, setup: Setup):
@@ -435,7 +439,8 @@ def build_optimizer(config: RunConfig, setup: Setup):
     if algo == "ec_gd":
         return alg.EcGd(primal, spec, eta=eta, seed=config.seed), resolved
     if algo in DUAL_ALGOS:
-        dual = setup.dual
+        with _blame("lambda2"):
+            dual = DualProblem(primal)  # O(1): it shares the primal design
         variant = alg.QUARTZ if "quartz" in algo else alg.SDCA
         theta_theory = alg.theoretical_theta(
             constants, primal.m, primal.n, dual.lam, dual.gamma, delta
@@ -453,34 +458,33 @@ def build_optimizer(config: RunConfig, setup: Setup):
 def run_experiment(config: RunConfig) -> RunResult:
     """Build the configured problem and run one trial on it.
 
-    An output path into a missing directory is rejected before any work.
+    An output path into a missing directory, and a dual algorithm without
+    ``lambda2 > 0`` (it scales the dual map), are rejected before any work.
     """
     for name in ("out_csv", "out_json"):
         folder = os.path.dirname(getattr(config, name) or "")
         if folder and not os.path.isdir(folder):
             raise ConfigError(name, f"directory {folder!r} does not exist")
+    if config.algo in DUAL_ALGOS and not config.lambda2 > 0:
+        raise ConfigError("lambda2", f"{config.algo} needs lambda2 > 0, got {config.lambda2}")
     return _run(config, build_setup(config))
 
 
 def _run(config: RunConfig, setup: Setup) -> RunResult:
     """Run one trial on ``setup``, recording the trace at the configured cadence.
 
-    ``setup`` must be ``build_setup`` of a config that differs from
-    ``config`` at most in the step size, the budget and the output paths.
+    ``setup`` must be ``build_setup`` of a config that differs from ``config``
+    at most in the algorithm, its compressors and steps, the budget and the outputs.
     """
     if config.epochs < 0:
         raise ConfigError("epochs", f"epochs must be >= 0, got {config.epochs}")
-    primal, dual, p_star = setup.primal, setup.dual, setup.reference.value
-    part = primal.part
+    primal, p_star = setup.primal, setup.reference.value
     opt, resolved = build_optimizer(config, setup)
+    dual = opt.problem if config.algo in DUAL_ALGOS else None
     eta, theta = resolved.eta, resolved.theta
-    N = part.retained
-    if opt.passes_per_step_factor == "full_pass":
-        epoch_per_step = 1.0
-        default_cadence = 1
-    else:
-        epoch_per_step = part.n / N
-        default_cadence = part.m
+    N = primal.part.retained
+    epoch_per_step = opt.examples_per_step / N
+    default_cadence = N // opt.examples_per_step
     cadence = config.cadence if config.cadence is not None else default_cadence
     if cadence < 1:
         raise ConfigError("cadence", "cadence must be >= 1")
@@ -493,8 +497,8 @@ def _run(config: RunConfig, setup: Setup) -> RunResult:
 
     def record_now() -> TrialRecord:
         # One margins pass and one dual aggregate serve the whole record. The
-        # full self-check runs first; EcDual's returns the aggregate.
-        aggregate = opt.certify() if isinstance(opt, (alg.EcLsvrg, alg.EcDual)) else None
+        # full self-check runs first; a dual optimizer's returns the aggregate.
+        aggregate = opt.certify()
         loss = primal.loss_value(opt.x)
         gap = primal.primal_value(opt.x, loss) - p_star
         dual_gap = None
@@ -532,18 +536,14 @@ def _run(config: RunConfig, setup: Setup) -> RunResult:
     final_gap = records[-1].primal_gap if records else math.inf
     result = RunResult(
         config=config,
+        setup=setup,
         records=records,
         best_gap=best_gap if records else math.inf,
         final_gap=final_gap,
         bits_to_target=bits_to_target,
         steps=opt.k,
-        design="dense" if primal._design.A_dense is not None else "sparse",
-        partition=part,
-        reference=setup.reference,
         resolved=resolved,
-        constants=setup.constants,
         bits_per_step=opt.bits_per_step,
-        setup_ms=setup.setup_ms,
         x=opt.x.copy(),
     )
     if config.out_csv:
@@ -585,8 +585,9 @@ def _json_safe(value):
 
 def emit_json(result: RunResult, path: str) -> None:
     """Write the run manifest; a non-finite float, such as a gap with no record, is null."""
-    ref = result.reference
-    constants = asdict(result.constants)
+    setup = result.setup
+    ref = setup.reference
+    constants = asdict(setup.constants)
     spectral_solves = constants.pop("spectral_solves")
     payload = {
         "config": result.config.to_metadata(),
@@ -595,14 +596,14 @@ def emit_json(result: RunResult, path: str) -> None:
         "spectral_solves": spectral_solves,
         "bits_per_step": result.bits_per_step,
         "design": result.design,
-        "partition": asdict(result.partition),
+        "partition": asdict(setup.primal.part),
         "reference": {
             "value": ref.value,
             "residual": ref.residual,
             "iterations": ref.iterations,
             "tol": ref.tol,
         },
-        "setup_ms": result.setup_ms,
+        "setup_ms": setup.setup_ms,
         "versions": {
             "python": platform.python_version(),
             "numpy": np.__version__,

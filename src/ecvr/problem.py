@@ -9,7 +9,7 @@ assumptions hold literally in each regime:
 * ``smooth`` mode (lam1 = 0) folds the l2 term into every loss, leaving no
   prox term and a lam2-strongly convex smooth objective.
 
-The dual formulation works on the composite objective written as
+The dual formulation works on the same objective, in either mode, written as
 ``(1/N) sum phi_j(a_j' x) + lam g(x)`` with ``g(x) = 1/2 ||x||^2 + c ||x||_1``,
 ``lam = lam2``, ``c = lam1/lam2`` and ``phi_j(t) = logistic_loss(t, b_j)``.
 """

@@ -557,10 +557,11 @@ class TestEcDual:
         opt.certify()
         assert len(calls) == 1
 
-    def test_run_certifies_every_record(self, monkeypatch):
-        # One product when EcDual starts, then one per record: certify checks
-        # it and the duality gap reuses it.
-        config = harness.RunConfig(algo="ec_quartz", compressor="top_k:2", epochs=3.0, cadence=7)
+    @pytest.mark.parametrize("algo", ["ec_quartz", "quartz"])
+    def test_run_certifies_every_record(self, monkeypatch, algo):
+        # One product when the optimizer starts, then one per record: certify
+        # checks it and the duality gap reuses it.
+        config = harness.RunConfig(algo=algo, compressor="top_k:2", epochs=3.0, cadence=7)
         setup = harness.build_setup(config)
         calls = []
         full = DualProblem.dual_aggregate
@@ -578,6 +579,15 @@ class TestEcDual:
         monkeypatch.setattr(problem_module._Design, "margins", lambda ds, x: calls.append(1) or full(ds, x))
         result = harness._run(config, setup)
         assert len(calls) == len(result.records)
+
+    def test_vanilla_certify_names_the_step_of_a_drifted_surrogate(self, dual, constants):
+        plain = alg.VanillaDual(dual, theta=self.theta_for(constants, dual, 1.0), seed=89)
+        for _ in range(20):
+            plain.step()
+        assert np.array_equal(plain.certify(), dual.dual_aggregate(plain.alpha))
+        plain.u = plain.u + 1e-6
+        with pytest.raises(alg.InvariantError, match=r"^primal surrogate drifted from A alpha at step 20$"):
+            plain.certify()
 
     def test_feasibility_throughout(self, dual, constants):
         theta = self.theta_for(constants, dual, 0.02)

@@ -19,7 +19,7 @@ from ecvr import harness
 from ecvr import problem as problem_module
 from ecvr.algorithms import NumericalError
 from ecvr.dataset import Dataset, partition
-from ecvr.problem import COMPOSITE, PrimalProblem, compute_constants
+from ecvr.problem import COMPOSITE, DualProblem, PrimalProblem, compute_constants
 
 
 def rng_for(name: str) -> np.random.Generator:
@@ -300,7 +300,7 @@ class TestRunExperiment:
                 comp.bit_cost(spec, primal.d) + comp.bit_cost(q1_spec, primal.d) + 1.0
             )
         else:
-            dual = setup.dual
+            dual = DualProblem(primal)
             theta_theory = alg.theoretical_theta(
                 constants, primal.m, primal.n, dual.lam, dual.gamma, delta
             )
@@ -321,9 +321,65 @@ class TestRunExperiment:
         monkeypatch.setattr(harness, "build_optimizer", capturing_build)
         harness.run_experiment(base_config(algo=algo, epochs=1))
         assert len(calls["compute_constants"]) == len(calls["solve_reference"]) == 1
-        [setup] = setups
-        assert (setup.dual is None) == (algo == "ec_lsvrg")
-        assert setup.dual is None or setup.dual._design is setup.primal._design
+        assert len(setups) == 1
+
+    def test_one_setup_serves_primal_and_dual_algorithms(self):
+        # The setup does not depend on the algorithm: a primal and a dual run
+        # on one build_setup each trace as their own run_experiment does.
+        configs = [base_config(algo=algo, epochs=2) for algo in ("ec_lsvrg", "ec_quartz")]
+        setup = harness.build_setup(configs[0])
+        assert harness.build_setup(configs[1]).reference.value == setup.reference.value
+        for config in configs:
+            shared = harness._run(config, setup)
+            own = harness.run_experiment(config)
+            assert shared.setup is setup
+            assert [replace(r, wall_ms=0.0) for r in shared.records] == [
+                replace(r, wall_ms=0.0) for r in own.records
+            ]
+            assert (shared.records[-1].dual_gap is None) == (config.algo == "ec_lsvrg")
+
+    @pytest.mark.parametrize("algo", harness.DUAL_ALGOS)
+    def test_dual_algorithms_ignore_the_mode(self, algo):
+        # The dual methods solve one objective; with lambda1 = 0 smooth mode
+        # changes only how the primal methods would split it.
+        composite, smoothed = (
+            harness.run_experiment(
+                base_config(algo=algo, compressor="top_k:2", lambda1=0.0, mode=mode, epochs=3)
+            )
+            for mode in (COMPOSITE, "smooth")
+        )
+        assert composite.setup.reference.value == smoothed.setup.reference.value
+        assert np.array_equal(composite.setup.reference.x, smoothed.setup.reference.x)
+        assert composite.theta == smoothed.theta
+        assert len(composite.records) == 3
+        assert [replace(r, wall_ms=0.0) for r in composite.records] == [
+            replace(r, wall_ms=0.0) for r in smoothed.records
+        ]
+
+    def test_dual_run_without_lambda2_is_rejected_before_setup(self, monkeypatch):
+        def no_constants(problem):
+            raise AssertionError("compute_constants ran for a config rejected up front")
+
+        monkeypatch.setattr(harness, "compute_constants", no_constants)
+        for algo in harness.DUAL_ALGOS:
+            with pytest.raises(harness.ConfigError, match="lambda2 > 0") as err:
+                harness.run_experiment(base_config(algo=algo, lambda1=0.0, lambda2=0.0))
+            assert err.value.field == "lambda2"
+
+    @pytest.mark.parametrize(
+        "overrides, field",
+        [
+            ({"mode": "foo"}, "mode"),
+            ({"lambda1": -1.0, "mode": "foo"}, "lambda1"),
+            ({"lambda2": -1.0}, "lambda2"),
+            ({"mode": "smooth"}, "lambda1"),
+            ({"n": 500}, "n"),
+        ],
+    )
+    def test_build_setup_names_the_field_that_does_not_fit(self, overrides, field):
+        with pytest.raises(harness.ConfigError) as err:
+            harness.build_setup(base_config(**overrides))
+        assert err.value.field == field
 
     def test_bits_column_is_analytic_and_monotone(self):
         from ecvr import compressors as comp
@@ -665,6 +721,7 @@ class TestCli:
             (["run", "--algo", "ec_quartz", "--theta", "0.5"], "--theta"),
             (["run", "--algo", "ec_sdca", "--lambda2", "0"], "--lambda2"),
             (["run", "--mode", "smooth"], "--lambda1"),
+            (["run", "--algo", "ec_quartz", "--mode", "smooth"], "--lambda1"),
             (["run", "--data", "{missing}"], "--data"),
             (["run", "--data", "{malformed}"], "--data"),
             (["reference", "--data", "{malformed}"], "--data"),
