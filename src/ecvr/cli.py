@@ -18,8 +18,9 @@ from .rng import split_rng
 
 
 def _add_data_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--data", help="LIBSVM file to load")
-    parser.add_argument(
+    source = parser.add_mutually_exclusive_group()
+    source.add_argument("--data", help="LIBSVM file to load")
+    source.add_argument(
         "--synth",
         type=_synth,
         help="synthetic data as N,d,sparsity (default 200,50,0.3 when --data absent)",

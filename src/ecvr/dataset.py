@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -69,8 +70,20 @@ _BYTE_CLASS[list(b"+-.eE")] = _MARK
 _BYTE_CLASS[ord(":")] = _COLON
 _BYTE_CLASS[list(b" \t")] = _BLANK
 _BYTE_CLASS[ord("\n")] = _NEWLINE
+_CLASS_TABLE = _BYTE_CLASS.tobytes()  # for bytes.translate, faster than indexing with the bytes
 _MAX_INDEX = 2**31 - 1  # a digits-only index below this parses exactly
 _INDEX_DIGITS = 15  # an index this long, leading zeros included, sums exactly in float64
+# Into x87 extended precision (a 64-bit mantissa in the first 8 of 16
+# bytes, as on x86-64 Linux) np.fromstring reads numbers with the C
+# library's strtold, in about half the time its float64 reader takes; both
+# round correctly.
+_X87 = (
+    np.finfo(np.longdouble).nmant == 63
+    and np.dtype(np.longdouble).itemsize == 16
+    and sys.byteorder == "little"
+)
+_READ_AS = np.longdouble if _X87 else np.float64
+_TINY = np.finfo(np.float64).tiny  # the smallest normal double
 
 
 @dataclass
@@ -177,25 +190,26 @@ def _parse_fast(lines: list[str]) -> _Chunk | None:
     ``digits:value`` with 1 to 15 digits and a nonempty value, every number
     parses, labels and values are finite, and indices are at least 1 and
     differ on each line. Indices are read from their digit bytes, labels
-    and values by one ``np.fromstring`` call.
+    and values by one ``np.fromstring`` call and ``_doubles``.
     ``_parse_loop`` reads every such line the same way; anything
     else, valid or not, is refused and left to it.
     """
     text = "".join(lines)
     if not text.isascii():
         return None
-    raw = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
-    cls = _BYTE_CLASS[raw]
+    data = text.encode("ascii")
+    raw = np.frombuffer(data, dtype=np.uint8)
+    cls = np.frombuffer(data.translate(_CLASS_TABLE), dtype=np.uint8)
     if not cls.all():
         return None
     # Token edges alternate start, end (exclusive), start, end, ...
     edges = np.flatnonzero(np.diff(cls >= _BLANK, prepend=True, append=True))
-    starts = edges[0::2]
+    starts, ends = edges[0::2], edges[1::2]
     T = starts.size
     if T == 0:  # blank lines only
         empty = np.empty(0, dtype=np.int64)
         return _Chunk(np.empty(0), empty, empty, np.empty(0))
-    line_of = np.searchsorted(np.flatnonzero(cls == _NEWLINE), starts)
+    line_of = np.searchsorted(np.cumsum([len(line) for line in lines]), starts, side="right")
     first = np.empty(T, dtype=bool)  # the token opens its line: a label
     first[0] = True
     np.not_equal(line_of[1:], line_of[:-1], out=first[1:])
@@ -207,21 +221,15 @@ def _parse_fast(lines: list[str]) -> _Chunk | None:
     colon_tok = np.searchsorted(starts, colons, side="right") - 1
     if colons.size != T - E or first[colon_tok].any() or (np.diff(colon_tok) <= 0).any():
         return None
-    # Digits-only indices: every sign, point or exponent sits after its
-    # token's colon (a label's "colon" sits before the token).
-    colon_at = np.full(T, -1, dtype=np.int64)
-    colon_at[colon_tok] = colons
-    marks = np.flatnonzero(cls == _MARK)
-    if (marks < colon_at[np.searchsorted(starts, marks, side="right") - 1]).any():
-        return None
 
     # Every feature token is digits:value with 1 to _INDEX_DIGITS digits.
     width = colons - starts[~first]
     if width.size and not (width.min() >= 1 and width.max() <= _INDEX_DIGITS):
         return None
     # Each index is the sum of its digits, the r-th back from the colon
-    # weighing 10**r. ``rest``, what np.fromstring reads, is the text with
-    # every index and colon blanked out: each label, then its line's values.
+    # weighing 10**r; a sign, point or exponent there refuses the chunk.
+    # ``rest``, what np.fromstring reads, is the text with every index and
+    # colon blanked out: each label, then its line's values.
     idx = np.zeros(width.size)
     rest = raw.copy()
     rest[colons] = ord(" ")
@@ -233,19 +241,28 @@ def _parse_fast(lines: list[str]) -> _Chunk | None:
         past = width <= r
         digit[past] = 0.0
         idx += digit * 10.0**r
-        rest[at[~past]] = ord(" ")
+        at = at[~past]
+        if (cls[at] != _DIGIT).any():
+            return None
+        rest[at] = ord(" ")
     with warnings.catch_warnings():
         # Older numpy warns on text it cannot read, where numpy 2.4 raises.
         warnings.simplefilter("error", DeprecationWarning)
         try:
-            numbers = np.fromstring(rest.tobytes(), sep=" ")
+            wide = np.fromstring(rest.tobytes(), dtype=_READ_AS, sep=" ")
         except (ValueError, DeprecationWarning):
             return None
     # numpy reads a nonempty run of these bytes as one number or raises,
     # and an empty one as none: the count proves that every value is
     # nonempty, so the numbers are the tokens' labels and values in order.
-    if numbers.size != T:
+    if wide.size != T:
         return None
+    numbers, unsure = _doubles(wide)
+    if unsure.any():
+        number_start = starts.copy()
+        number_start[~first] = colons + 1
+        for t in np.flatnonzero(unsure).tolist():
+            numbers[t] = float(text[number_start[t] : ends[t]])
     labels = numbers[heads]
     vals = numbers[~first]
     if not (np.isfinite(labels).all() and np.isfinite(vals).all()):
@@ -265,6 +282,27 @@ def _parse_fast(lines: list[str]) -> _Chunk | None:
         rows=idx.astype(np.int64) - 1,
         vals=vals,
     )
+
+
+def _doubles(wide: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``wide`` as float64, and where that may not be the double its text names.
+
+    ``np.fromstring`` reads each text to the nearest ``_READ_AS`` value, and
+    the cast to float64 rounds that to the nearest double. Where
+    ``_READ_AS`` is float64 the cast is exact. From x87 extended precision
+    the second rounding gives the double nearest the text itself, as
+    ``float`` reads it, unless the first rounding landed exactly halfway
+    between two doubles (the 11 mantissa bits below a double's 53 read
+    0x400), or the value lies below the normal doubles, where their
+    spacing is wider. Those are marked unsure.
+    """
+    with np.errstate(over="ignore"):  # a value beyond float64 becomes inf
+        numbers = wide.astype(np.float64)
+    if not _X87:
+        return numbers, np.zeros(wide.size, dtype=bool)
+    magnitude = np.abs(wide)
+    halfway = (wide.view(np.uint64)[::2] & 0x7FF) == 0x400
+    return numbers, halfway | ((magnitude < _TINY) & (magnitude > 0))
 
 
 @dataclass(frozen=True)

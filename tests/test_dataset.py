@@ -1,3 +1,5 @@
+from decimal import Decimal, localcontext
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -194,6 +196,82 @@ class TestChunkedParse:
         monkeypatch.setattr(dataset_module, "_parse_loop", no_loop)
         assert chunked_outcome(path, 256) == expected
         assert chunked_outcome(path, dataset_module.CHUNK_BYTES) == expected
+
+
+def subnormal_trap():
+    """Just above the tie between 2 and 3 times the smallest double, whose extended value is the tie."""
+    with localcontext() as ctx:
+        ctx.prec = 1200
+        return str(Decimal(5) * Decimal(2) ** -1075 + Decimal(2) ** -1140)
+
+
+# Numbers where reading to x87 extended precision and then rounding to a
+# double can go wrong. The first two lie just above a tie between two
+# doubles, read as the tie itself, and must round up, not to even: one
+# below the normal doubles, where their spacing is wider, and one at
+# 2**53 + 1. The rest are ties, known hard cases and the edges of the
+# double range.
+ROUNDING_TRAPS = [
+    subnormal_trap(),
+    "9007199254740993.0000000001",
+    "9007199254740993",
+    "9007199254740995",
+    "0.1",
+    "0.30000000000000004",
+    "1e23",
+    "8.98846567431158e307",
+    "1.7976931348623157e308",
+    "2.2250738585072011e-308",
+    "2.2250738585072014e-308",
+    "4.9406564584124654e-324",
+    "2.4703282292062328e-324",
+    "1e-320",
+    "1e-400",
+    "-0.0",
+]
+
+
+def decimal_midpoints(rng, count):
+    """Texts of random doubles, and of the exact midpoints between neighbours and just off them."""
+    texts = []
+    for x in (rng.standard_normal(count) * 10.0 ** rng.integers(-20, 20, count)).tolist():
+        mid = (Decimal(x) + Decimal(np.nextafter(x, np.inf))) / 2
+        texts += [repr(x), str(mid), str(mid * (1 + Decimal("1e-25"))), str(mid * (1 - Decimal("1e-25")))]
+    return texts
+
+
+class TestExactRead:
+    """Through the fast path every number is the double ``float`` reads, bit for bit."""
+
+    @pytest.fixture(params=["extended", "float64"])
+    def reader(self, request, monkeypatch):
+        if request.param == "float64":
+            monkeypatch.setattr(dataset_module, "_X87", False)
+            monkeypatch.setattr(dataset_module, "_READ_AS", np.float64)
+        elif not dataset_module._X87:
+            pytest.skip("numpy's longdouble here is not x87 extended precision")
+        return request.param
+
+    @staticmethod
+    def fast_values(tmp_path, monkeypatch, texts):
+        def no_loop(lines, first_line_no):
+            raise AssertionError(f"fast path refused the chunk at line {first_line_no}")
+
+        monkeypatch.setattr(dataset_module, "_parse_loop", no_loop)
+        ds = parse_libsvm(write(tmp_path, "".join(f"-1 1:{t}\n" for t in texts)))
+        return ds.features.data
+
+    def test_rounding_traps(self, tmp_path, monkeypatch, reader):
+        got = self.fast_values(tmp_path, monkeypatch, ROUNDING_TRAPS)
+        assert got.tobytes() == np.array([float(t) for t in ROUNDING_TRAPS]).tobytes()
+        if reader == "extended":  # the traps are real: one rounding after the other misses
+            for trap in ROUNDING_TRAPS[:2]:
+                assert float(np.longdouble(trap)) != float(trap)
+
+    def test_random_numbers_and_midpoints(self, tmp_path, monkeypatch, reader):
+        texts = decimal_midpoints(np.random.default_rng(11), 800)
+        got = self.fast_values(tmp_path, monkeypatch, texts)
+        assert got.tobytes() == np.array([float(t) for t in texts]).tobytes()
 
 
 PROPERTY = settings(derandomize=True, max_examples=300, deadline=None)

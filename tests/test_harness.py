@@ -723,6 +723,7 @@ class TestCli:
             (["run", "--mode", "smooth"], "--lambda1"),
             (["run", "--algo", "ec_quartz", "--mode", "smooth"], "--lambda1"),
             (["run", "--data", "{missing}"], "--data"),
+            (["run", "--data", "{missing}", "--synth", "10,5,0.5"], "--synth"),
             (["run", "--data", "{malformed}"], "--data"),
             (["reference", "--data", "{malformed}"], "--data"),
             (["run", "--out", "{missing_dir}/trace.csv"], "--out"),
