@@ -109,6 +109,11 @@ def _compress_with_feedback(
     return kept, y, residual
 
 
+def _error_norm(opt) -> float:
+    """The l2 norm of an optimizer's (n, d) error-feedback residuals ``opt.e``."""
+    return float(np.sqrt(np.sum(opt.e**2)))
+
+
 def _node_mean(kept: Optional[np.ndarray], values: np.ndarray, shape: tuple) -> np.ndarray:
     """The mean over nodes of a ``comp._compress`` result on an (n, d) batch.
 
@@ -270,12 +275,12 @@ class EcLsvrg:
         shape = e.shape
 
         sampled = self._sample.draw()
-        cols, b = design.columns(sampled), design.b[sampled]
+        node, at, a = design.column_entries(sampled)
+        cols, b = design.block(len(sampled), at, a), design.b[sampled]
         dc = logistic_grad(cols @ x, b) - logistic_grad(cols @ w, b)
         # g = dc * col + grad_w - h, which off a column's stored entries is r
         # bit for bit (dc * 0 + grad_w == grad_w): form t = eta * g + e in e
         # from r, then re-form it at the entries in that order.
-        node, at, a = design.column_entries(sampled)
         g_at = dc[node] * a + self.grad_w.take(at) - self.h.take(at)
         t_at = e.take(at)
         if pr.mode == SMOOTH:
@@ -329,8 +334,7 @@ class EcLsvrg:
             h_avg_prev=h_avg_prev,
         )
 
-    def error_norm(self) -> float:
-        return float(np.sqrt(np.sum(self.e**2)))
+    error_norm = _error_norm
 
 
 class Lsvrg:
@@ -432,8 +436,7 @@ class EcGd:
         self.bits += self.bits_per_step
         _require_finite("iterate", self.x, self.k)
 
-    def error_norm(self) -> float:
-        return float(np.sqrt(np.sum(self.e**2)))
+    error_norm = _error_norm
 
 
 def _check_surrogate(name: str, lag: np.ndarray, alpha: np.ndarray, k: int) -> None:
@@ -559,8 +562,7 @@ class EcDual:
             x_new=x_new,
         )
 
-    def error_norm(self) -> float:
-        return float(np.sqrt(np.sum(self.e**2)))
+    error_norm = _error_norm
 
 
 class VanillaDual:

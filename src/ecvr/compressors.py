@@ -508,29 +508,47 @@ class ContractionReport:
     passed: bool
 
 
+def _monte_carlo(draw, trials: int) -> tuple:
+    """Mean, standard error and largest value of a per-draw statistic.
+
+    ``draw(rows)`` returns the statistic of ``rows`` fresh draws, one per
+    row: a (rows,) vector or a (rows, d) block, which gives each coordinate
+    its own estimate. Draws come in chunks of at most ``_CHUNK_ROWS``.
+    """
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    count = 0
+    total = total_sq = 0.0
+    peak = -math.inf
+    while count < trials:
+        rows = min(_CHUNK_ROWS, trials - count)
+        values = draw(rows)
+        total = total + values.sum(axis=0)
+        total_sq = total_sq + (values**2).sum(axis=0)
+        peak = np.maximum(peak, values.max(axis=0))
+        count += rows
+    mean = total / trials
+    se = np.sqrt(np.maximum(total_sq / trials - mean**2, 0.0) / trials)
+    return mean, se, peak
+
+
+def _draws(spec: CompressorSpec, x: np.ndarray, rows: int, rng: np.random.Generator) -> np.ndarray:
+    """``rows`` independent draws of Q(x), one per row."""
+    return _apply(spec, np.broadcast_to(x, (rows, x.shape[0])).copy(), rng)
+
+
 def verify_contraction(
     spec: CompressorSpec, d: int, trials: int, rng: np.random.Generator
 ) -> ContractionReport:
     """Check the contraction inequality empirically on standard-normal vectors."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
     validate_for_dimension(spec, d)
-    count = 0
-    total = 0.0
-    total_sq = 0.0
-    max_ratio = 0.0
-    while count < trials:
-        rows = min(_CHUNK_ROWS, trials - count)
+
+    def ratios(rows: int) -> np.ndarray:
         x = rng.standard_normal((rows, d))
         y = _apply(spec, x, rng)
-        ratios = np.sum((x - y) ** 2, axis=1) / np.sum(x**2, axis=1)
-        total += ratios.sum()
-        total_sq += (ratios**2).sum()
-        max_ratio = max(max_ratio, float(ratios.max()))
-        count += rows
-    mean = total / trials
-    var = max(total_sq / trials - mean**2, 0.0)
-    se = math.sqrt(var / trials)
+        return np.sum((x - y) ** 2, axis=1) / np.sum(x**2, axis=1)
+
+    mean, se, max_ratio = (float(v) for v in _monte_carlo(ratios, trials))
     allowed = 1.0 - delta_of(spec, d)
     deterministic = is_deterministic(spec)
     if deterministic:
@@ -567,7 +585,7 @@ class MeanScalingReport:
 def mean_scaling_factor(spec: CompressorSpec, d: int) -> float:
     """The factor c with E[Q(x)] = c x, for compressors that have one."""
     validate_for_dimension(spec, d)
-    if spec.kind == IDENTITY:
+    if spec.kind == IDENTITY or is_unbiased_kind(spec):
         return 1.0
     if spec.kind == RAND_K:
         return spec.k / d
@@ -588,7 +606,7 @@ def verify_mean_scaling(
     if x is None:
         x = rng.standard_normal(d)
     x = np.asarray(x, dtype=np.float64)
-    mean, se = _moment_stats(spec, x, trials, rng)
+    mean, se, _ = _monte_carlo(lambda rows: _draws(spec, x, rows, rng), trials)
     deviation = mean - factor * x
     passed = bool(np.all(np.abs(deviation) <= 3.0 * se + 1e-12))
     return MeanScalingReport(
@@ -627,29 +645,19 @@ def verify_unbiasedness(
     rng: np.random.Generator,
     x: Optional[np.ndarray] = None,
 ) -> UnbiasednessReport:
+    """Check E[Q(x)] = x (``verify_mean_scaling``), then E||Q(x)||^2 <= (omega + 1) ||x||^2."""
     if not is_unbiased_kind(spec):
         raise ValueError(f"{format_spec(spec)} is not an unbiased compressor")
     if x is None:
         x = rng.standard_normal(d)
     x = np.asarray(x, dtype=np.float64)
     omega = omega_of(spec, d)
-    mean, se = _moment_stats(spec, x, trials, rng)
-    deviation = mean - x
-    mean_passed = bool(np.all(np.abs(deviation) <= 3.0 * se + 1e-12))
+    mean = verify_mean_scaling(spec, d, trials, rng, x)
 
-    count = 0
-    total = 0.0
-    total_sq = 0.0
-    while count < trials:
-        rows = min(_CHUNK_ROWS, trials - count)
-        y = _apply(spec, np.broadcast_to(x, (rows, d)).copy(), rng)
-        sq = np.sum(y**2, axis=1)
-        total += sq.sum()
-        total_sq += (sq**2).sum()
-        count += rows
-    second = total / trials
-    var = max(total_sq / trials - second**2, 0.0)
-    second_se = math.sqrt(var / trials)
+    def squared_norms(rows: int) -> np.ndarray:
+        return np.sum(_draws(spec, x, rows, rng) ** 2, axis=1)
+
+    second, second_se, _ = (float(v) for v in _monte_carlo(squared_norms, trials))
     bound = (omega + 1.0) * float(np.dot(x, x))
     second_passed = second <= bound + 3.0 * second_se + 1e-12
     return UnbiasednessReport(
@@ -657,33 +665,11 @@ def verify_unbiasedness(
         d=d,
         trials=trials,
         omega=omega,
-        max_mean_deviation=float(np.max(np.abs(deviation))),
-        mean_passed=mean_passed,
+        max_mean_deviation=mean.max_abs_deviation,
+        mean_passed=mean.passed,
         second_moment=second,
         second_moment_se=second_se,
         second_moment_bound=bound,
         second_moment_passed=second_passed,
-        passed=mean_passed and second_passed,
+        passed=mean.passed and second_passed,
     )
-
-
-def _moment_stats(
-    spec: CompressorSpec, x: np.ndarray, trials: int, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-coordinate mean and standard error of Q(x) over repeated draws."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    d = x.shape[0]
-    count = 0
-    total = np.zeros(d)
-    total_sq = np.zeros(d)
-    while count < trials:
-        rows = min(_CHUNK_ROWS, trials - count)
-        y = _apply(spec, np.broadcast_to(x, (rows, d)).copy(), rng)
-        total += y.sum(axis=0)
-        total_sq += (y**2).sum(axis=0)
-        count += rows
-    mean = total / trials
-    var = np.maximum(total_sq / trials - mean**2, 0.0)
-    se = np.sqrt(var / trials)
-    return mean, se

@@ -56,8 +56,12 @@ class Dataset:
         return self.features.shape[1]
 
     def column_norms(self) -> np.ndarray:
-        sq = np.asarray(self.features.multiply(self.features).sum(axis=0)).ravel()
-        return np.sqrt(sq)
+        return np.sqrt(column_squares(self.features))
+
+
+def column_squares(matrix: sparse.spmatrix) -> np.ndarray:
+    """The squared l2 norm of each column of a sparse matrix."""
+    return np.asarray(matrix.multiply(matrix).sum(axis=0)).ravel()
 
 
 CHUNK_BYTES = 256 * 1024  # characters of whole lines that one parsing step gathers

@@ -20,12 +20,19 @@ from scipy.special import expit
 from . import __version__
 from . import algorithms as alg
 from . import compressors as comp
-from .dataset import Dataset, normalize_examples, parse_libsvm, partition, shuffle_examples
+from .dataset import (
+    Dataset,
+    column_squares,
+    normalize_examples,
+    parse_libsvm,
+    partition,
+    shuffle_examples,
+)
 from .problem import (
     COMPOSITE,
     SMOOTH,
+    ConvergenceError,
     DualProblem,
-    PowerIterationError,
     PrimalProblem,
     ProblemConstants,
     compute_constants,
@@ -49,25 +56,6 @@ def _blame(field: str):
         yield
     except (ValueError, OSError) as err:
         raise ConfigError(field, str(err)) from err
-
-
-class ConvergenceError(RuntimeError):
-    """The reference solver spent its budget, or its residual stopped being finite."""
-
-    def __init__(self, residual: float, iterations: int, budget: int):
-        if math.isfinite(residual):
-            message = (
-                f"reference solver exhausted {budget} iterations at gradient-mapping"
-                f" norm {residual:.3e}"
-            )
-        else:
-            message = (
-                f"reference solver's gradient-mapping norm is {residual} at iteration"
-                f" {iterations} of {budget}"
-            )
-        super().__init__(message)
-        self.residual = residual
-        self.iterations = iterations
 
 
 @dataclass(frozen=True)
@@ -130,10 +118,20 @@ def solve_reference(
         if residual <= tol:
             return Reference(x_new, problem.primal_value(x_new), residual, iteration, tol)
         if not math.isfinite(residual):
-            raise ConvergenceError(residual, iteration, max_iter)
+            raise ConvergenceError(
+                f"reference solver's gradient-mapping norm is {residual} at iteration"
+                f" {iteration} of {max_iter}",
+                residual,
+                iteration,
+            )
         y = x_new + beta * (x_new - x)
         x = x_new
-    raise ConvergenceError(residual, max_iter, max_iter)
+    raise ConvergenceError(
+        f"reference solver exhausted {max_iter} iterations at gradient-mapping"
+        f" norm {residual:.3e}",
+        residual,
+        max_iter,
+    )
 
 
 @dataclass
@@ -239,7 +237,7 @@ def synth_dataset(
     cols = np.repeat(np.arange(N), nnz)
     features = sparse.coo_matrix((vals, (rows, cols)), shape=(d, N)).tocsc()
     if unit_columns:
-        sq = np.asarray(features.multiply(features).sum(axis=0)).ravel()
+        sq = column_squares(features)
         inv = scale / np.sqrt(np.where(sq > 0, sq, 1.0))
         features = (features @ sparse.diags(inv)).tocsc()
 
@@ -402,7 +400,7 @@ def build_setup(config: RunConfig) -> Setup:
     marks.append(time.perf_counter())
     try:
         constants = compute_constants(primal)
-    except PowerIterationError as err:
+    except ConvergenceError as err:
         # Lanczos overflowed or stalled on the data's Gram operator.
         raise ConfigError("data" if config.data is not None else "synth", str(err)) from err
     marks.append(time.perf_counter())
@@ -613,11 +611,11 @@ def emit_json(result: RunResult, path: str) -> None:
         "best_gap": result.best_gap,
         "final_gap": result.final_gap,
         "bits_to_target": result.bits_to_target,
-        "records": [asdict(rec) for rec in result.records],
+        "records": [vars(rec) for rec in result.records],
     }
+    text = json.dumps(_json_safe(payload), indent=1, allow_nan=False)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(_json_safe(payload), fh, indent=1, allow_nan=False)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 # -- step-size grid search -------------------------------------------------------

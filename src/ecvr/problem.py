@@ -18,12 +18,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field
+from typing import ClassVar
 
 import numpy as np
 from scipy import sparse
 from scipy.special import expit, xlogy
 
-from .dataset import Dataset, Partition
+from .dataset import Dataset, Partition, column_squares
 
 COMPOSITE = "composite"
 SMOOTH = "smooth"
@@ -32,23 +33,14 @@ SMOOTH = "smooth"
 _DENSE_LIMIT = 8_000_000
 
 
-class PowerIterationError(RuntimeError):
-    """``lanczos`` spent its budget, or its estimate stopped being finite.
+class ConvergenceError(RuntimeError):
+    """An iterative solve spent its budget, or its residual stopped being finite.
 
-    ``residual`` is the estimate's last relative change.
+    ``residual`` is the solve's last residual and ``iterations`` the
+    iterations it took.
     """
 
-    def __init__(self, residual: float, iterations: int, estimate: float | None = None):
-        if estimate is None:
-            message = (
-                f"Lanczos stalled at relative change {residual:.3e}"
-                f" after {iterations} iterations"
-            )
-        else:
-            message = (
-                f"Lanczos estimate is {estimate} at iteration {iterations};"
-                " the operator overflows or holds a non-finite entry"
-            )
+    def __init__(self, message: str, residual: float, iterations: int):
         super().__init__(message)
         self.residual = residual
         self.iterations = iterations
@@ -96,8 +88,7 @@ class _Design:
     as a CSC matrix, gives that node's combinations (node gradients and node
     Grams). All share the dataset's arrays. The dense copy
     ``A_dense``, kept when ``N * d`` is at most ``_DENSE_LIMIT``, serves only
-    the per-step column gather, which is faster from it than from the sparse
-    matrix.
+    ``columns``, which is faster from it than from the sparse matrix.
     """
 
     def __init__(self, dataset: Dataset, part: Partition):
@@ -119,15 +110,20 @@ class _Design:
     def columns(self, J) -> np.ndarray:
         """The (len(J), d) block whose row r is the column of example J[r].
 
-        Without the dense copy, the stored entries of the J columns are
-        gathered from ``indptr``/``indices``/``data`` and accumulated into a
-        zeroed block in storage order, which gives the bytes of
-        ``A[:, J].T.toarray()``.
+        Without the dense copy, it is ``block`` of ``column_entries(J)``.
         """
         if self.A_dense is not None:
             return self.A_dense[:, J].T
         _, flat, values = self.column_entries(J)
-        return np.bincount(flat, values, len(J) * self.d).reshape(len(J), self.d)
+        return self.block(len(J), flat, values)
+
+    def block(self, rows: int, flat: np.ndarray, values: np.ndarray) -> np.ndarray:
+        """The C-ordered (rows, d) block holding ``values`` at the flat positions ``flat``.
+
+        The values are accumulated into a zeroed block in the order given;
+        from ``column_entries(J)`` this gives the bytes of ``A[:, J].T.toarray()``.
+        """
+        return np.bincount(flat, values, rows * self.d).reshape(rows, self.d)
 
     def column_entries(self, J) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The stored entries of the J columns, column by column in storage order.
@@ -250,7 +246,7 @@ class DualProblem:
     """
 
     primal: PrimalProblem
-    gamma: float = 4.0  # logistic losses are (1/gamma)-smooth for +-1 labels
+    gamma: ClassVar[float] = 4.0  # logistic losses are (1/gamma)-smooth for +-1 labels
 
     def __post_init__(self) -> None:
         if self.primal.lam2 <= 0:
@@ -381,8 +377,10 @@ def lanczos(
     v = np.random.default_rng(seed).standard_normal(dim)
     v /= np.linalg.norm(v)
     v_prev = np.zeros(dim)
-    alphas: list[float] = []
-    betas: list[float] = []
+    # The tridiagonal's lower triangle, which numpy's eigvalsh reads, grown
+    # in place. scipy.linalg has a tridiagonal solver, but importing it
+    # costs the process about 6 MB.
+    tridiagonal = np.zeros((16, 16))
     beta = 0.0
     estimate = -math.inf
     rel_change = math.inf
@@ -392,20 +390,28 @@ def lanczos(
         w -= alpha * v
         beta = float(np.linalg.norm(w))
         if not (math.isfinite(alpha) and math.isfinite(beta)):
-            raise PowerIterationError(rel_change, step, estimate=alpha)
-        alphas.append(alpha)
-        # numpy's eigvalsh reads the lower triangle. scipy.linalg has a
-        # tridiagonal solver, but importing it costs the process about 6 MB.
-        tridiagonal = np.diag(alphas) + np.diag(betas, -1)
-        last, estimate = estimate, float(np.linalg.eigvalsh(tridiagonal)[-1])
+            raise ConvergenceError(
+                f"Lanczos estimate is {alpha} at iteration {step};"
+                " the operator overflows or holds a non-finite entry",
+                rel_change,
+                step,
+            )
+        tridiagonal[step - 1, step - 1] += alpha  # onto the stored zero: -0.0 enters as +0.0
+        last, estimate = estimate, float(np.linalg.eigvalsh(tridiagonal[:step, :step])[-1])
         rel_change = abs(estimate - last) / max(abs(estimate), 1e-300)
         if beta == 0.0:
             return EigenSolve(estimate, step, 0.0)
         if rel_change <= tol:
             return EigenSolve(estimate, step, rel_change)
-        betas.append(beta)
+        if step == len(tridiagonal):
+            tridiagonal = np.pad(tridiagonal, (0, step))
+        tridiagonal[step, step - 1] = beta
         v_prev, v = v, w / beta
-    raise PowerIterationError(rel_change, max_iter)
+    raise ConvergenceError(
+        f"Lanczos stalled at relative change {rel_change:.3e} after {max_iter} iterations",
+        rel_change,
+        max_iter,
+    )
 
 
 def compute_constants(problem: PrimalProblem) -> ProblemConstants:
@@ -422,7 +428,7 @@ def compute_constants(problem: PrimalProblem) -> ProblemConstants:
     part = problem.part
     A, m = design.A, part.m
 
-    col_sq = np.asarray(A.multiply(A).sum(axis=0)).ravel()
+    col_sq = column_squares(A)
     r_m = float(np.sqrt(col_sq.max()))
 
     def top_gram_eigenvalue(block) -> EigenSolve:

@@ -318,6 +318,32 @@ class TestKeptPositionStep:
         # A pooled Q1 served some steps without a full selection.
         assert opt._q1_pool is None or opt._q1_pool.builds < 40
 
+    @pytest.mark.parametrize("dense", [True, False], ids=["dense", "sparse"])
+    def test_step_gathers_the_sampled_entries_once(self, fixture, monkeypatch, dense):
+        if not dense:
+            monkeypatch.setattr(problem_module, "_DENSE_LIMIT", 0)
+        ds, part = fixture
+        primal = PrimalProblem(ds, part, lam1=1e-3, lam2=1e-3)
+        design = primal._design
+        assert (design.A_dense is not None) == dense
+        opt = alg.EcLsvrg(primal, comp.top_k(2), comp.top_k(2), eta=0.5, p=0.2, seed=5)
+        calls = {"columns": 0, "column_entries": 0}
+
+        def counted(name):
+            method = getattr(design, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return method(*args)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(design, name, counted(name))
+        for _ in range(30):
+            opt.step()
+        assert calls == {"columns": 0, "column_entries": 30}
+
     def test_shift_average_checks_touched_columns_and_certify_the_rest(self, composite):
         opt = alg.EcLsvrg(composite, comp.top_k(2), comp.top_k(2), eta=0.5, p=0.3, seed=7)
         for _ in range(10):

@@ -347,6 +347,41 @@ class TestStatistics:
         with pytest.raises(ValueError):
             comp.verify_unbiasedness(comp.top_k(1), 4, 10, rng_for("ubr"))
 
+    @pytest.mark.parametrize("spec", [comp.dithering(), comp.natural()], ids=["dither", "natural"])
+    def test_raw_unbiased_kinds_keep_the_mean(self, spec):
+        assert comp.mean_scaling_factor(spec, 10) == 1.0
+
+    @pytest.mark.parametrize("spec", [comp.dithering(), comp.natural()], ids=["dither", "natural"])
+    def test_unbiasedness_mean_check_is_mean_scaling(self, spec):
+        # The mean check draws x and then Q(x) first, so on the same stream
+        # it is verify_mean_scaling at factor 1.
+        unbiased = comp.verify_unbiasedness(spec, 12, 3000, rng_for("ubm"))
+        scaling = comp.verify_mean_scaling(spec, 12, 3000, rng_for("ubm"))
+        assert scaling.factor == 1.0
+        assert unbiased.max_mean_deviation == scaling.max_abs_deviation
+        assert unbiased.mean_passed == scaling.passed
+
+    def test_chunked_estimates_keep_their_draw_order(self, monkeypatch):
+        # 2000 trials in chunks of 700 draw three chunks. The values were
+        # recorded with the verifiers' separate chunk loops; a change in the
+        # draw order or in the accumulation across chunks moves them.
+        monkeypatch.setattr(comp, "_CHUNK_ROWS", 700)
+        got = []
+        for spec in (comp.rand_k(5), comp.scaled(comp.dithering())):
+            rep = comp.verify_contraction(spec, 20, 2000, split_rng(3, "verify", 9))
+            got.append(f"{rep.mean_ratio:.6e} {rep.std_error:.6e} {rep.max_ratio:.6e}")
+        for spec in (comp.natural(), comp.dithering()):
+            rep = comp.verify_unbiasedness(spec, 20, 2000, split_rng(3, "verify", 9))
+            got.append(
+                f"{rep.max_mean_deviation:.6e} {rep.second_moment:.6e} {rep.second_moment_se:.6e}"
+            )
+        assert got == [
+            "7.465082e-01 2.850706e-03 9.923777e-01",
+            "2.896832e-01 1.026547e-03 4.452207e-01",
+            "1.826816e-02 2.029907e+01 7.720306e-02",
+            "3.143667e-02 2.199836e+01 8.081824e-02",
+        ]
+
 
 def rep_id(spec):
     return comp.format_spec(spec)

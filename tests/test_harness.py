@@ -537,6 +537,32 @@ VERIFY_COMPRESSORS_LINES = [
     "all checks passed",
 ]
 
+# `ecvr verify compressors --d 20 --trials 2000`.
+VERIFY_COMPRESSORS_SMALL_LINES = [
+    "contraction    top_k:1 d=20: mean=0.7540 (se 1.6e-03) max=0.8941 allowed=0.9500 -> ok",
+    "contraction    top_k:5 d=20: mean=0.3005 (se 1.7e-03) max=0.5120 allowed=0.7500 -> ok",
+    "contraction   rand_k:1 d=20: mean=0.9515 (se 1.4e-03) max=1.0000 allowed=0.9500 -> ok",
+    "contraction   rand_k:5 d=20: mean=0.7516 (se 2.9e-03) max=0.9932 allowed=0.7500 -> ok",
+    "contraction     dither d=20: mean=0.2933 (se 1.1e-03) max=0.4790 allowed=0.5000 -> ok",
+    "contraction    natural d=20: mean=0.0766 (se 6.5e-04) max=0.1976 allowed=0.1111 -> ok",
+    "contraction   ntop_k:5 d=20: mean=0.3561 (se 1.7e-03) max=0.6028 allowed=0.7778 -> ok",
+    "contraction   rtop_k:5 d=20: mean=0.4977 (se 1.8e-03) max=0.7649 allowed=0.8750 -> ok",
+    "contraction   identity d=20: mean=0.0000 (se 0.0e+00) max=0.0000 allowed=0.0000 -> ok",
+    "unbiased    dither_raw d=20: mean dev=1.95e-02 second=26.365 <= 44.864 -> ok",
+    "unbiased   natural_raw d=20: mean dev=2.33e-02 second=24.787 <= 25.267 -> ok",
+    "mean scale    rand_k:2 d=20: factor=0.1000 max dev=1.35e-02 -> ok",
+    "mean scale      dither d=20: factor=0.5000 max dev=1.03e-02 -> ok",
+    "all checks passed",
+]
+
+# `ecvr verify eso --trials 500 --instances 3`.
+VERIFY_ESO_LINES = [
+    "eso instance 0: ratio=0.2907 (se 8.5e-03) -> ok",
+    "eso instance 1: ratio=0.2740 (se 1.5e-02) -> ok",
+    "eso instance 2: ratio=0.3059 (se 1.0e-02) -> ok",
+    "all checks passed",
+]
+
 
 class TestCli:
     def test_run_writes_traces(self, tmp_path, capsys):
@@ -639,9 +665,22 @@ class TestCli:
         assert code == 0
         assert out.splitlines() == VERIFY_COMPRESSORS_LINES
 
+    def test_verify_compressors_at_a_small_size(self, monkeypatch, capsys):
+        monkeypatch.delenv("ECVR_SEED", raising=False)
+        code = cli.main(["verify", "compressors", "--d", "20", "--trials", "2000"])
+        assert code == 0
+        assert capsys.readouterr().out.splitlines() == VERIFY_COMPRESSORS_SMALL_LINES
+
     def test_verify_eso(self, capsys):
         code = cli.main(["verify", "eso", "--trials", "2000", "--instances", "5"])
         assert code == 0
+
+    def test_verify_eso_lines(self, monkeypatch, capsys):
+        # Pinned like the compressor lines: a change to the ESO check's draws shows up here.
+        monkeypatch.delenv("ECVR_SEED", raising=False)
+        code = cli.main(["verify", "eso", "--trials", "500", "--instances", "3"])
+        assert code == 0
+        assert capsys.readouterr().out.splitlines() == VERIFY_ESO_LINES
 
     def test_verify_invariants(self, capsys):
         code = cli.main(["verify", "invariants"])

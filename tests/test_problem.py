@@ -12,9 +12,9 @@ from ecvr.harness import synth_dataset
 from ecvr.problem import (
     COMPOSITE,
     SMOOTH,
+    ConvergenceError,
     DualProblem,
     EigenSolve,
-    PowerIterationError,
     PrimalProblem,
     compute_constants,
     lanczos,
@@ -484,6 +484,53 @@ class TestConstants:
         assert solve.value == pytest.approx(top, rel=1e-12)
         assert solve.steps < 60 and solve.rel_change <= 1e-12
 
+    @pytest.mark.parametrize("operator", ["random_psd", "rank1", "bench_node_gram"])
+    def test_lanczos_matches_the_tridiagonal_rebuilt_each_step(self, bench_primal, operator):
+        # lanczos grows one tridiagonal in place; this reference builds it
+        # afresh from np.diag at every step. Both must give the same bits.
+        def rebuilt(matvec, dim, tol=1e-12, max_iter=1_000, seed=0):
+            v = np.random.default_rng(seed).standard_normal(dim)
+            v /= np.linalg.norm(v)
+            v_prev = np.zeros(dim)
+            alphas, betas, beta, estimate = [], [], 0.0, -math.inf
+            for step in range(1, max_iter + 1):
+                w = matvec(v) - beta * v_prev
+                alpha = float(v @ w)
+                w -= alpha * v
+                beta = float(np.linalg.norm(w))
+                alphas.append(alpha)
+                tridiagonal = np.diag(alphas) + np.diag(betas, -1)
+                last, estimate = estimate, float(np.linalg.eigvalsh(tridiagonal)[-1])
+                rel_change = abs(estimate - last) / max(abs(estimate), 1e-300)
+                if beta == 0.0:
+                    return EigenSolve(estimate, step, 0.0)
+                if rel_change <= tol:
+                    return EigenSolve(estimate, step, rel_change)
+                betas.append(beta)
+                v_prev, v = v, w / beta
+            raise AssertionError("no convergence")
+
+        rng = rng_for("tridiagonal")
+        if operator == "random_psd":
+            mat = rng.standard_normal((40, 40))
+            gram = mat @ mat.T
+            matvec, dim = (lambda v: gram @ v), 40
+        elif operator == "rank1":
+            u = rng.standard_normal(30)
+            matvec, dim = (lambda v: u * (u @ v)), 30
+        else:
+            block = bench_primal._design.node_A[0]
+            block_t = block.T
+            matvec, dim = (lambda v: block_t @ (block @ v)), block.shape[1]
+        got, want = lanczos(matvec, dim), rebuilt(matvec, dim)
+        assert (got.value.hex(), got.steps, got.rel_change.hex()) == (
+            want.value.hex(),
+            want.steps,
+            want.rel_change.hex(),
+        )
+        if operator == "random_psd":
+            assert got.steps > 16  # past the first growth of the tridiagonal
+
     def test_lanczos_zero_matrix(self):
         assert lanczos(lambda v: np.zeros_like(v), 6) == EigenSolve(0.0, 1, 0.0)
 
@@ -498,14 +545,14 @@ class TestConstants:
         # Tiny eigengap with a tiny budget: the estimate is still moving.
         gram = np.diag([1.0, 1.0 - 1e-4, 0.5])
 
-        with pytest.raises(PowerIterationError) as err:
+        with pytest.raises(ConvergenceError) as err:
             lanczos(lambda v: gram @ v, 3, tol=1e-14, max_iter=2)
         assert 0 < err.value.residual < math.inf
 
     def test_lanczos_budget_below_dim_raises_with_its_residual(self):
         mat = rng_for("budget").standard_normal((15, 15))
         gram = mat @ mat.T
-        with pytest.raises(PowerIterationError, match="stalled at relative change") as err:
+        with pytest.raises(ConvergenceError, match="stalled at relative change") as err:
             lanczos(lambda v: gram @ v, 15, max_iter=3)
         assert err.value.iterations == 3
         assert err.value.residual > 1e-12
@@ -518,8 +565,8 @@ class TestConstants:
         )
         ds = Dataset(features=features, labels=np.array([1.0, -1.0, 1.0, -1.0]))
         problem = PrimalProblem(ds, partition(ds, 2), lam1=0.0, lam2=1e-3)
-        with pytest.raises(PowerIterationError, match="estimate is nan at iteration 1;") as err:
+        with pytest.raises(ConvergenceError, match="estimate is nan at iteration 1;") as err:
             compute_constants(problem)
         assert err.value.iterations == 1
-        with pytest.raises(PowerIterationError, match="estimate is nan at iteration 1;"):
+        with pytest.raises(ConvergenceError, match="estimate is nan at iteration 1;"):
             lanczos(lambda v: np.full_like(v, np.nan), 3)
