@@ -80,10 +80,13 @@ _positive = _checked(float, lambda v: 0 < v < math.inf, "a positive finite numbe
 _finite = _checked(float, math.isfinite, "a finite number")
 
 
-def _flag(field: str) -> str:
-    """The command-line flag that sets ``RunConfig`` field ``field``."""
+def _source(field: str, args) -> str:
+    """What sets ``RunConfig`` field ``field`` in the parsed command: its flag, else the field."""
+    dest = "out_csv" if field == "out_json" else field  # cmd_run derives out_json from --out
+    if dest not in vars(args):
+        return field
     renamed = {"reference_tol": "--tol", "out_csv": "--out"}
-    return renamed.get(field, "--" + field.replace("_", "-"))
+    return "argument " + renamed.get(dest, "--" + dest.replace("_", "-"))
 
 
 def _resolve_seed(args) -> int | None:
@@ -262,7 +265,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except harness.ConfigError as err:
         # A value only the data can check: reported like argparse's own errors.
-        args.parser.error(f"argument {_flag(err.field)}: {err}")
+        args.parser.error(f"{_source(err.field, args)}: {err}")
 
 
 if __name__ == "__main__":

@@ -30,24 +30,22 @@ SCALED = "scaled"
 COMPOSE = "compose"
 
 _UNBIASED_KINDS = frozenset({DITHERING, NATURAL})
-_K_KINDS = frozenset({TOP_K, RAND_K})
+_K_KINDS = frozenset({TOP_K, RAND_K, COMPOSE})  # the kinds that keep k coordinates
 
 
 @dataclass(frozen=True)
 class CompressorSpec:
     """Declarative description of a compressor.
 
-    ``k`` is the coordinate budget of top-k / rand-k kinds. ``inner`` holds
-    the unbiased compressor of a scaled spec; ``unbiased``/``contraction``
-    hold the two operands of a composition, where the top-k contraction runs
-    first.
+    ``k`` is the coordinate budget of the sparsifying kinds: top-k, rand-k
+    and a composition, whose first stage is top-k. ``inner`` holds the
+    unbiased compressor that a scaled spec scales, and that a composition
+    applies, scaled, to the coordinates its top-k stage keeps.
     """
 
     kind: str
     k: Optional[int] = None
     inner: Optional["CompressorSpec"] = None
-    unbiased: Optional["CompressorSpec"] = None
-    contraction: Optional["CompressorSpec"] = None
 
     def __post_init__(self) -> None:
         if self.kind in _K_KINDS:
@@ -55,19 +53,11 @@ class CompressorSpec:
                 raise ValueError(f"{self.kind} needs k >= 1, got {self.k}")
         elif self.k is not None:
             raise ValueError(f"{self.kind} takes no k")
-        if self.kind == SCALED:
+        if self.kind in (SCALED, COMPOSE):
             if self.inner is None or not is_unbiased_kind(self.inner):
-                raise ValueError("scaled spec needs an unbiased inner compressor")
+                raise ValueError(f"{self.kind} spec needs an unbiased inner compressor")
         elif self.inner is not None:
             raise ValueError(f"{self.kind} takes no inner compressor")
-        if self.kind == COMPOSE:
-            if self.unbiased is None or not is_unbiased_kind(self.unbiased):
-                raise ValueError("compose needs an unbiased operand")
-            kind = getattr(self.contraction, "kind", None)
-            if kind != TOP_K:
-                raise ValueError(f"compose needs a top_k contraction, got {kind}")
-        elif self.unbiased is not None or self.contraction is not None:
-            raise ValueError(f"{self.kind} takes no composition operands")
 
 
 def identity() -> CompressorSpec:
@@ -97,17 +87,17 @@ def scaled(inner: CompressorSpec) -> CompressorSpec:
     return CompressorSpec(SCALED, inner=inner)
 
 
-def compose(unbiased: CompressorSpec, contraction: CompressorSpec) -> CompressorSpec:
-    """Top-k first, then the scaled unbiased compressor on its support."""
-    return CompressorSpec(COMPOSE, unbiased=unbiased, contraction=contraction)
+def compose(inner: CompressorSpec, k: int) -> CompressorSpec:
+    """Top-k first, then the unbiased ``inner``, scaled, on the k kept coordinates."""
+    return CompressorSpec(COMPOSE, k=k, inner=inner)
 
 
 def ntop_k(k: int) -> CompressorSpec:
-    return compose(natural(), top_k(k))
+    return compose(natural(), k)
 
 
 def rtop_k(k: int) -> CompressorSpec:
-    return compose(dithering(), top_k(k))
+    return compose(dithering(), k)
 
 
 def is_unbiased_kind(spec: CompressorSpec) -> bool:
@@ -141,7 +131,7 @@ def format_spec(spec: CompressorSpec) -> str:
     """Inverse of parse_spec; the raw unbiased kinds get a ``_raw`` name."""
     if spec.kind == IDENTITY:
         return "identity"
-    if spec.kind in _K_KINDS:
+    if spec.kind in (TOP_K, RAND_K):
         return f"{spec.kind}:{spec.k}"
     if spec.kind == DITHERING:
         return "dither_raw"
@@ -150,8 +140,8 @@ def format_spec(spec: CompressorSpec) -> str:
     if spec.kind == SCALED:
         return "dither" if spec.inner.kind == DITHERING else "natural"
     if spec.kind == COMPOSE:
-        name = "rtop_k" if spec.unbiased.kind == DITHERING else "ntop_k"
-        return f"{name}:{spec.contraction.k}"
+        name = "rtop_k" if spec.inner.kind == DITHERING else "ntop_k"
+        return f"{name}:{spec.k}"
     raise ValueError(f"unknown spec kind {spec.kind!r}")
 
 
@@ -160,20 +150,13 @@ def validate_for_dimension(spec: CompressorSpec, d: int) -> None:
     if d < 1:
         raise ValueError(f"dimension must be positive, got {d}")
     if spec.kind in _K_KINDS and spec.k > d:
-        raise ValueError(f"{spec.kind} keeps k={spec.k} coordinates but d={d}")
-    if spec.kind == SCALED:
-        validate_for_dimension(spec.inner, d)
-    if spec.kind == COMPOSE:
-        validate_for_dimension(spec.contraction, d)
+        stage = TOP_K if spec.kind == COMPOSE else spec.kind
+        raise ValueError(f"{stage} keeps k={spec.k} coordinates but d={d}")
 
 
 def transmitted_coords(spec: CompressorSpec, d: int) -> int:
     """Number of coordinate slots the compressor transmits per vector."""
-    if spec.kind in _K_KINDS:
-        return spec.k
-    if spec.kind == COMPOSE:
-        return spec.contraction.k
-    return d
+    return spec.k if spec.kind in _K_KINDS else d
 
 
 def omega_of(spec: CompressorSpec, dim: int) -> float:
@@ -198,8 +181,7 @@ def delta_of(spec: CompressorSpec, d: int) -> float:
     if spec.kind == SCALED:
         return 1.0 / (omega_of(spec.inner, d) + 1.0)
     if spec.kind == COMPOSE:
-        k = spec.contraction.k
-        return delta_of(spec.contraction, d) / (omega_of(spec.unbiased, k) + 1.0)
+        return spec.k / d / (omega_of(spec.inner, spec.k) + 1.0)
     raise ValueError(f"{spec.kind} is not a contraction compressor")
 
 
@@ -209,7 +191,7 @@ def bit_cost(spec: CompressorSpec, d: int) -> float:
     index_bits = math.ceil(math.log2(d)) if d > 1 else 0
     if spec.kind == IDENTITY:
         return 64.0 * d
-    if spec.kind in _K_KINDS:
+    if spec.kind in (TOP_K, RAND_K):
         return (64.0 + index_bits) * spec.k
     if spec.kind == DITHERING:
         return 2.8 * d + 64.0
@@ -218,10 +200,9 @@ def bit_cost(spec: CompressorSpec, d: int) -> float:
     if spec.kind == SCALED:
         return bit_cost(spec.inner, d)
     if spec.kind == COMPOSE:
-        kept = spec.contraction.k
-        cost = bit_cost(spec.unbiased, kept)
-        if kept < d:
-            cost += kept * index_bits
+        cost = bit_cost(spec.inner, spec.k)
+        if spec.k < d:
+            cost += spec.k * index_bits
         return cost
     raise ValueError(f"unknown spec kind {spec.kind!r}")
 
@@ -319,19 +300,17 @@ def _compress(
         out = _apply(spec.inner, x, rngs)
         out /= omega_of(spec.inner, d) + 1.0
         return None, out
-    if spec.kind not in _K_KINDS and spec.kind != COMPOSE:
+    if spec.kind not in _K_KINDS:
         raise ValueError(f"unknown spec kind {spec.kind!r}")
     if pool is not None:
         kept = pool.kept(x)
     else:
-        sparsifier = spec.contraction if spec.kind == COMPOSE else spec
-        kept = np.flatnonzero(_kept(sparsifier, x, rngs, magnitude))
+        kept = np.flatnonzero(_kept(spec, x, rngs, magnitude))
     values = x.take(kept)
     if spec.kind == COMPOSE:
         # The unbiased stage sees each row's kept coordinates in ascending order.
-        k = spec.contraction.k
-        values = _apply(spec.unbiased, values.reshape(rows, k), rngs).ravel()
-        values /= omega_of(spec.unbiased, k) + 1.0
+        values = _apply(spec.inner, values.reshape(rows, spec.k), rngs).ravel()
+        values /= omega_of(spec.inner, spec.k) + 1.0
     return kept, values
 
 
@@ -340,17 +319,18 @@ def _kept(
 ) -> np.ndarray:
     """The (rows, d) boolean mask of the coordinates a sparsifier keeps.
 
-    Each row keeps the k coordinates of largest score: the magnitude for
-    top-k (``magnitude`` if given, else ``np.abs(x)``), minus a uniform draw
-    for rand-k. A tie at the threshold goes to the lowest index. Rows must
-    be finite. The transmitted support includes kept-but-zero coordinates,
-    so it cannot be recovered from the output alone.
+    Each row keeps the k coordinates of largest score: minus a uniform draw
+    for rand-k, else the magnitude (``magnitude`` if given, else
+    ``np.abs(x)``), as top-k and a composition's top-k stage rank. A tie at
+    the threshold goes to the lowest index. Rows must be finite. The
+    transmitted support includes kept-but-zero coordinates, so it cannot be
+    recovered from the output alone.
     """
     rows, d = x.shape
-    if spec.kind == TOP_K:
-        score = np.abs(x) if magnitude is None else magnitude
-    else:
+    if spec.kind == RAND_K:
         score = -_uniform(rngs, rows, d)
+    else:
+        score = np.abs(x) if magnitude is None else magnitude
     return _top(score, spec.k)[0]
 
 
@@ -442,10 +422,9 @@ def pool_for(spec: CompressorSpec, d: int) -> Optional[TopKPool]:
     None if the spec has no top-k stage, or if the pool would hold whole
     rows and so save nothing.
     """
-    top = spec.contraction if spec.kind == COMPOSE else spec
-    if top.kind != TOP_K or POOL_FACTOR * top.k >= d:
+    if spec.kind not in (TOP_K, COMPOSE) or POOL_FACTOR * spec.k >= d:
         return None
-    return TopKPool(top.k, d)
+    return TopKPool(spec.k, d)
 
 
 def _uniform(rngs: Rngs, rows: int, d: int) -> np.ndarray:

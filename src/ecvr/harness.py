@@ -36,6 +36,7 @@ from .problem import (
     PrimalProblem,
     ProblemConstants,
     compute_constants,
+    gram_top_eigenvalue,
     soft_threshold,
 )
 from .rng import split_rng
@@ -51,10 +52,10 @@ class ConfigError(ValueError):
 
 @contextmanager
 def _blame(field: str):
-    """Re-raise a ValueError or OSError from the block as a ConfigError on ``field``."""
+    """Re-raise a ValueError, OSError or ConvergenceError as a ConfigError on ``field``."""
     try:
         yield
-    except (ValueError, OSError) as err:
+    except (ValueError, OSError, ConvergenceError) as err:
         raise ConfigError(field, str(err)) from err
 
 
@@ -159,14 +160,15 @@ def eso_check(
 
     ``features`` is a Dataset or a d x N matrix (columns are examples); the
     first n*m columns with m = N // n are used. S samples one column per
-    node, uniformly and independently.
+    node, uniformly and independently. ``R_m^2`` and ``R^2`` are computed as
+    ``compute_constants`` computes them, on a CSC copy of the columns.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if isinstance(features, Dataset):
         features = features.features
-    A = features.toarray() if sparse.issparse(features) else np.asarray(features, dtype=np.float64)
-    d, total = A.shape
+    A = sparse.csc_matrix(features, dtype=np.float64)
+    total = A.shape[1]
     m = total // n
     if m < 1:
         raise ValueError(f"{n} nodes need at least {n} columns, got {total}")
@@ -176,20 +178,20 @@ def eso_check(
         h = rng.standard_normal(N)
     h = np.asarray(h, dtype=np.float64)
 
-    col_sq = np.sum(A**2, axis=0)
-    r_m_sq = float(col_sq.max())
-    r_sq = float(np.linalg.eigvalsh(A @ A.T).max()) / N
+    r_m_sq = float(column_squares(A).max())
+    r_sq = gram_top_eigenvalue(A).value / N
     rhs = (r_m_sq + n * r_sq) / m * float(h @ h)
 
-    weighted = A * h  # column j scaled by h_j
     deterministic = m == 1
     if deterministic:
         picks = np.zeros((1, n), dtype=np.int64)
         trials = 1
     else:
         picks = rng.integers(0, m, size=(trials, n))
-    cols = picks + np.arange(n) * m
-    sums = weighted[:, cols.ravel()].reshape(d, trials, n).sum(axis=2)
+    cols = (picks + np.arange(n) * m).ravel()
+    # Column t of ``sampled`` holds h at trial t's picks, so column t of A @ sampled is A h_[S_t].
+    sampled = sparse.csc_matrix((h[cols], cols, np.arange(0, cols.size + 1, n)), shape=(N, trials))
+    sums = (A @ sampled).toarray()
     lhs = np.sum(sums**2, axis=0)
     lhs_mean = float(lhs.mean())
     lhs_se = 0.0 if deterministic else float(lhs.std(ddof=1) / math.sqrt(trials))
@@ -398,11 +400,9 @@ def build_setup(config: RunConfig) -> Setup:
     with _blame("lambda2" if config.lambda2 < 0 else "mode" if bad_mode else "lambda1"):
         primal = PrimalProblem(ds, part, lam1=config.lambda1, lam2=config.lambda2, mode=config.mode)
     marks.append(time.perf_counter())
-    try:
+    # Lanczos may overflow or stall on the data's Gram operator.
+    with _blame("data" if config.data is not None else "synth"):
         constants = compute_constants(primal)
-    except ConvergenceError as err:
-        # Lanczos overflowed or stalled on the data's Gram operator.
-        raise ConfigError("data" if config.data is not None else "synth", str(err)) from err
     marks.append(time.perf_counter())
     with _blame("reference_tol"):
         reference = solve_reference(primal, constants, tol=config.reference_tol)
@@ -456,13 +456,21 @@ def build_optimizer(config: RunConfig, setup: Setup):
 def run_experiment(config: RunConfig) -> RunResult:
     """Build the configured problem and run one trial on it.
 
-    An output path into a missing directory, and a dual algorithm without
+    Output paths that cannot hold the trace, and a dual algorithm without
     ``lambda2 > 0`` (it scales the dual map), are rejected before any work.
     """
     for name in ("out_csv", "out_json"):
-        folder = os.path.dirname(getattr(config, name) or "")
+        path = getattr(config, name) or ""
+        folder = os.path.dirname(path)
         if folder and not os.path.isdir(folder):
             raise ConfigError(name, f"directory {folder!r} does not exist")
+        if os.path.isdir(path):
+            raise ConfigError(name, f"{path!r} is a directory")
+    if config.out_csv and config.out_json:
+        if os.path.realpath(config.out_csv) == os.path.realpath(config.out_json):
+            raise ConfigError(
+                "out_csv", f"the JSON manifest would overwrite the CSV trace at {config.out_csv!r}"
+            )
     if config.algo in DUAL_ALGOS and not config.lambda2 > 0:
         raise ConfigError("lambda2", f"{config.algo} needs lambda2 > 0, got {config.lambda2}")
     return _run(config, build_setup(config))

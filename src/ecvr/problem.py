@@ -414,15 +414,26 @@ def lanczos(
     )
 
 
+def gram_top_eigenvalue(block: sparse.spmatrix) -> EigenSolve:
+    """The largest eigenvalue of B's Gram operator, by ``lanczos`` on its smaller side.
+
+    That is B'B when B has fewer columns than rows, and B B' otherwise;
+    both have the same nonzero spectrum.
+    """
+    rows, cols = block.shape
+    block_t = block.T  # built once: each ``.T`` is a new object
+    if cols < rows:
+        return lanczos(lambda v: block_t @ (block @ v), cols)
+    return lanczos(lambda v: block @ (block_t @ v), rows)
+
+
 def compute_constants(problem: PrimalProblem) -> ProblemConstants:
     """Column-norm and Gram-spectrum constants for step-size formulas.
 
-    ``r_m`` comes from an exact column scan. The spectral radii come from
-    ``lanczos`` on each Gram operator's smaller side: B'B when B, the full
-    design or a node's columns, has fewer columns than rows, and B B'
-    otherwise; both have the same nonzero spectrum. ``spectral_solves``
-    records the full Gram's solve and that of the node which took the most
-    steps.
+    ``r_m`` comes from an exact column scan, and the spectral radii from
+    ``gram_top_eigenvalue`` of the full design and of each node's columns.
+    ``spectral_solves`` records the full Gram's solve and that of the node
+    which took the most steps.
     """
     design = problem._design
     part = problem.part
@@ -431,15 +442,8 @@ def compute_constants(problem: PrimalProblem) -> ProblemConstants:
     col_sq = column_squares(A)
     r_m = float(np.sqrt(col_sq.max()))
 
-    def top_gram_eigenvalue(block) -> EigenSolve:
-        rows, cols = block.shape
-        block_t = block.T  # built once: each ``.T`` is a new CSR object
-        if cols < rows:
-            return lanczos(lambda v: block_t @ (block @ v), cols)
-        return lanczos(lambda v: block @ (block_t @ v), rows)
-
-    full = top_gram_eigenvalue(A)
-    nodes = [top_gram_eigenvalue(block) for block in design.node_A]
+    full = gram_top_eigenvalue(A)
+    nodes = [gram_top_eigenvalue(block) for block in design.node_A]
     worst = max(range(part.n), key=lambda tau: nodes[tau].steps)
     r_sq = full.value / design.N
     r_bar_sq = max(node.value for node in nodes) / m

@@ -97,7 +97,7 @@ def test_bit_cost_follows_transmitted_coords(case):
         assert cost == kept * (64 + index_bits)
     elif spec.kind == comp.COMPOSE:
         indices = kept * index_bits if kept < d else 0
-        assert cost == comp.bit_cost(spec.unbiased, kept) + indices
+        assert cost == comp.bit_cost(spec.inner, kept) + indices
     else:
         assert text in PLAIN_NAMES and kept == d
 
@@ -111,17 +111,16 @@ def _argsort_apply(spec, x, seeds):
     """
     rows, d = x.shape
     rngs = [np.random.default_rng(seed) for seed in seeds]
-    sparsifier = spec.contraction if spec.kind == comp.COMPOSE else spec
-    k = sparsifier.k
-    if sparsifier.kind == comp.TOP_K:
+    k = spec.k
+    if spec.kind != comp.RAND_K:
         order = np.argsort(-np.abs(x), axis=1, kind="stable")
     else:
         order = np.stack([g.random(d) for g in rngs]).argsort(axis=1, kind="stable")
     kept = np.sort(order[:, :k], axis=1)
     values = np.take_along_axis(x, kept, axis=1)
     if spec.kind == comp.COMPOSE:
-        values = comp._apply(spec.unbiased, values, comp.NodeUniforms(rngs))
-        values /= comp.omega_of(spec.unbiased, k) + 1
+        values = comp._apply(spec.inner, values, comp.NodeUniforms(rngs))
+        values /= comp.omega_of(spec.inner, k) + 1
     out = np.zeros_like(x)
     np.put_along_axis(out, kept, values, axis=1)
     return out

@@ -1,4 +1,5 @@
 import csv
+import functools
 import json
 import math
 import platform
@@ -18,7 +19,7 @@ from ecvr import compressors as comp
 from ecvr import harness
 from ecvr import problem as problem_module
 from ecvr.algorithms import NumericalError
-from ecvr.dataset import Dataset, partition
+from ecvr.dataset import Dataset, column_squares, partition
 from ecvr.problem import COMPOSITE, DualProblem, PrimalProblem, compute_constants
 
 
@@ -130,6 +131,19 @@ class TestEsoCheck:
         ds = harness.synth_dataset(12, 8, 0.4, seed=8)
         rep = harness.eso_check(ds, n=3, trials=2_000, rng=rng_for("eso6"))
         assert rep.rhs > 0
+
+    def test_rhs_uses_the_constants_of_the_theory(self):
+        # R_m^2 and R^2 are the column squares and the Lanczos estimate that
+        # compute_constants gives the step-size formulas, bit for bit.
+        for N, d, n in ((60, 12, 3), (41, 30, 4), (90, 7, 5)):
+            ds = harness.synth_dataset(N, d, 0.4, seed=N)
+            part = partition(ds, n)
+            constants = compute_constants(PrimalProblem(ds, part, lam1=1e-3, lam2=1e-3))
+            retained = part.retained
+            h = np.ones(retained)
+            rep = harness.eso_check(ds, n=n, trials=50, rng=rng_for("eso7"), h=h)
+            col_sq = column_squares(ds.features[:, :retained])
+            assert rep.rhs == (col_sq.max() + n * constants.r_sq) / part.m * retained
 
 
 class TestSynthDataset:
@@ -365,6 +379,15 @@ class TestRunExperiment:
             with pytest.raises(harness.ConfigError, match="lambda2 > 0") as err:
                 harness.run_experiment(base_config(algo=algo, lambda1=0.0, lambda2=0.0))
             assert err.value.field == "lambda2"
+
+    def test_json_path_that_names_the_csv_file_is_rejected(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "sub").mkdir()
+        config = base_config(out_csv="sub/../trace.json", out_json="trace.json")
+        with pytest.raises(harness.ConfigError, match="would overwrite the CSV trace") as err:
+            harness.run_experiment(config)
+        assert err.value.field == "out_csv"
+        assert not (tmp_path / "trace.json").exists()
 
     @pytest.mark.parametrize(
         "overrides, field",
@@ -811,6 +834,53 @@ class TestCli:
             assert f"argument --data: line {data_line}: " in err
         if str(paths["overflow"]) in argv:
             assert "argument --data: Lanczos estimate is nan " in err
+
+    @pytest.mark.parametrize("out", ["traces", "traces/", "trace.json", "run"])
+    def test_out_that_loses_or_cannot_write_the_trace_is_rejected_before_any_work(
+        self, tmp_path, monkeypatch, capsys, out
+    ):
+        # A directory cannot take the CSV or the JSON manifest (``run`` puts it
+        # at run.json), and a CSV path ending in .json would be overwritten by
+        # the JSON manifest written beside it.
+        def no_setup(config):
+            raise AssertionError("build_setup ran for an --out rejected up front")
+
+        monkeypatch.setattr(harness, "build_setup", no_setup)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "traces").mkdir()
+        (tmp_path / "run.json").mkdir()
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["run", "--epochs", "1", "--out", out])
+        err = capsys.readouterr().err
+        assert exit_info.value.code == 2
+        assert "error: argument --out: " in err
+        assert "Traceback" not in err
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["run.json", "traces"]
+
+    @pytest.fixture
+    def short_reference_budget(self, monkeypatch):
+        monkeypatch.setattr(
+            harness, "solve_reference", functools.partial(harness.solve_reference, max_iter=50)
+        )
+
+    def test_reference_that_cannot_reach_its_tol_names_the_argument(
+        self, capsys, short_reference_budget
+    ):
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["reference", "--synth", "60,12,0.4", "--tol", "1e-300"])
+        err = capsys.readouterr().err
+        assert exit_info.value.code == 2
+        assert "ecvr reference: error: argument --tol: reference solver exhausted 50 iterations " in err
+        assert "Traceback" not in err
+
+    def test_run_whose_reference_fails_names_no_flag_it_lacks(self, capsys, short_reference_budget):
+        # `run` solves its reference at RunConfig's fixed tolerance; it has no --tol.
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["run", "--synth", "60,12,0.4", "--epochs", "0"])
+        err = capsys.readouterr().err
+        assert exit_info.value.code == 2
+        assert "ecvr run: error: reference_tol: reference solver exhausted 50 iterations " in err
+        assert "--tol" not in err
 
     def test_reference_command(self, capsys):
         code = cli.main(["reference", "--synth", "60,12,0.4", "--tol", "1e-8"])
