@@ -1,14 +1,14 @@
 """Optimizers with compressed, error-compensated node communication.
 
 All nodes live in one process and each step treats them as one batch: the
-n sampled examples come from per-node streams drawn ahead in blocks, their
-columns are gathered into one (n, d) array, the n margins are one product
-with it, and the loss derivative is evaluated once on the margin vector.
-Each compressor then runs once per step on the (n, d) batch of node
-messages, node tau drawing from its own stream: a ``NodeUniforms`` draws
-each stream's compressor uniforms ahead in blocks of at most 1 MiB, one
-width per stream. A sparsifier's result is its kept flat positions and
-their values, and error feedback rewrites the residual only there.
+n sampled examples' columns are gathered into one (n, d) array, the n
+margins are one product with it, and the loss derivative is evaluated once
+on the margin vector. Each compressor then runs once per step on the (n, d)
+batch of node messages. Node tau draws its example and its compressor
+uniforms from its own streams, and one ``rng.NodeDraws`` per purpose draws
+every node's numbers ahead in blocks of at most 64 steps and 1 MiB. A
+sparsifier's result is its kept flat positions and their values, and error
+feedback rewrites the residual only there.
 Aggregation sums in fixed node order so runs are reproducible bit for bit.
 ``EcLsvrg`` keeps the shift residual ``r = grad_w - h`` up to date where Q1
 changed ``h``, so between refreshes its step touches the sampled columns'
@@ -28,22 +28,23 @@ NaN/Inf and ``h_avg`` against the node mean of ``h`` over all n d entries;
 ``EcDual.certify`` runs the O(N d) surrogate and feasibility checks and
 ``VanillaDual.certify`` the surrogate check, each returning the aggregate,
 which the record reuses for the duality gap; ``Lsvrg`` and ``EcGd`` keep
-nothing incrementally and return None. The last step is always recorded,
-so a completed run certifies its own internal consistency.
+nothing incrementally and return None. A surrogate check's tolerance scales
+with the aggregate (see ``_check_surrogate``). The last step is always
+recorded, so a completed run certifies its own internal consistency.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
 from . import compressors as comp
 from .dataset import Partition
 from .problem import COMPOSITE, SMOOTH, DualProblem, PrimalProblem, ProblemConstants, logistic_grad
-from .rng import node_streams, split_rng
+from .rng import NodeDraws, node_streams, split_rng
 
 
 class NumericalError(RuntimeError):
@@ -59,14 +60,8 @@ def _require_finite(name: str, arr: np.ndarray, k: int) -> None:
         raise NumericalError(f"{name} became non-finite at step {k}")
 
 
-def _copies_support(spec: comp.CompressorSpec) -> bool:
-    # These kinds copy kept coordinates verbatim, which makes the error
-    # conservation identity hold in exact floating point.
-    return spec.kind in (comp.IDENTITY, comp.TOP_K, comp.RAND_K)
-
-
 def _compress_with_feedback(
-    spec: comp.CompressorSpec, t: np.ndarray, uniforms: comp.NodeUniforms, k: int
+    spec: comp.CompressorSpec, t: np.ndarray, uniforms: NodeDraws, k: int
 ) -> tuple[Optional[np.ndarray], np.ndarray, np.ndarray]:
     """Compress the (n, d) node messages t in one call; return (kept, values, residual).
 
@@ -95,7 +90,7 @@ def _compress_with_feedback(
         total = e_kept + y
         np.put(t, kept, e_kept)
         residual = t
-    if _copies_support(spec):
+    if comp.copies_kept(spec):
         broken = total != sent
     else:
         total -= sent
@@ -126,33 +121,15 @@ def _node_mean(kept: Optional[np.ndarray], values: np.ndarray, shape: tuple) -> 
     return np.bincount(kept % d, values, d) / n
 
 
-# Local indices each node draws ahead of the steps that use them.
-_SAMPLE_BLOCK = 64
+def _example_sampler(seed: int, part: Partition) -> Callable[[], np.ndarray]:
+    """A function giving each step's n global example indices: node tau's is one
+    ``integers(m)`` draw of stream ("sample", tau), drawn ahead, plus ``tau m``."""
+    def fill(stream: np.random.Generator, out: np.ndarray) -> None:
+        out[...] = stream.integers(part.m, size=out.shape)
 
-
-class _ExampleSampler:
-    """Each step's n global example indices, node tau drawing from stream ("sample", tau).
-
-    Every node draws ``_SAMPLE_BLOCK`` local indices at once and the block is
-    refilled when the steps have used it up. ``Generator.integers(m, size=B)``
-    yields the same numbers as B scalar draws, so the indices are those of one
-    ``integers(m)`` call per node per step.
-    """
-
-    def __init__(self, seed: int, part: Partition):
-        self._streams = node_streams(seed, "sample", part.n)
-        self._m = part.m
-        self._offset = np.arange(part.n) * part.m  # node tau's first global index
-        self._block = np.empty((0, part.n), dtype=np.int64)  # row r: one step's indices
-        self._next = 0
-
-    def draw(self) -> np.ndarray:
-        if self._next == len(self._block):
-            local = np.stack([rng.integers(self._m, size=_SAMPLE_BLOCK) for rng in self._streams], axis=1)
-            self._block = local + self._offset
-            self._next = 0
-        self._next += 1
-        return self._block[self._next - 1]
+    draws = NodeDraws(node_streams(seed, "sample", part.n), fill, np.int64)
+    offset = np.arange(part.n) * part.m
+    return lambda: draws.draw(part.n, 1)[:, 0] + offset
 
 
 def _check_shift_average(
@@ -237,9 +214,9 @@ class EcLsvrg:
         self.bits_per_step = problem.n * (
             comp.bit_cost(self.q, d) + comp.bit_cost(self.q1, d) + 1.0
         )
-        self._sample = _ExampleSampler(seed, problem.part)
-        self._q_uniforms = comp.NodeUniforms(node_streams(seed, "compress", n))
-        self._q1_uniforms = comp.NodeUniforms(node_streams(seed, "compress_shift", n))
+        self._sample = _example_sampler(seed, problem.part)
+        self._q_uniforms = NodeDraws(node_streams(seed, "compress", n))
+        self._q1_uniforms = NodeDraws(node_streams(seed, "compress_shift", n))
         self._coin = split_rng(seed, "coin")
 
     def _form_residual(self) -> None:
@@ -274,7 +251,7 @@ class EcLsvrg:
         x, w, e = self.x, self.w, self.e
         shape = e.shape
 
-        sampled = self._sample.draw()
+        sampled = self._sample()
         node, at, a = design.column_entries(sampled)
         cols, b = design.block(len(sampled), at, a), design.b[sampled]
         dc = logistic_grad(cols @ x, b) - logistic_grad(cols @ w, b)
@@ -365,7 +342,7 @@ class Lsvrg:
         self.examples_per_step = n
         self.bits = 0.0
         self.bits_per_step = problem.n * (comp.bit_cost(comp.identity(), d) * 2 + 1.0)
-        self._sample = _ExampleSampler(seed, problem.part)
+        self._sample = _example_sampler(seed, problem.part)
         self._coin = split_rng(seed, "coin")
 
     def certify(self) -> None:
@@ -377,7 +354,7 @@ class Lsvrg:
         design = pr._design
         x, w = self.x, self.w
 
-        J = self._sample.draw()
+        J = self._sample()
         cols, b = design.columns(J), design.b[J]
         dc = logistic_grad(cols @ x, b) - logistic_grad(cols @ w, b)
         g = dc[:, None] * cols + self.grad_w
@@ -420,7 +397,7 @@ class EcGd:
         self.examples_per_step = problem.part.retained  # a full pass
         self.bits = 0.0
         self.bits_per_step = n * comp.bit_cost(compressor, d)
-        self._q_uniforms = comp.NodeUniforms(node_streams(seed, "compress", n))
+        self._q_uniforms = NodeDraws(node_streams(seed, "compress", n))
 
     def certify(self) -> None:
         """Nothing to check: the step keeps no state up to date incrementally."""
@@ -439,10 +416,16 @@ class EcGd:
     error_norm = _error_norm
 
 
-def _check_surrogate(name: str, lag: np.ndarray, alpha: np.ndarray, k: int) -> None:
-    """Raise unless ``lag``, a surrogate minus its aggregate, is at most 1e-10 (1 + max |alpha|)."""
-    if np.max(np.abs(lag), initial=0.0) > 1e-10 * (1.0 + float(np.max(np.abs(alpha)))):
-        raise InvariantError(f"{name} drifted from A alpha at step {k}")
+def _check_surrogate(name: str, opt, u: np.ndarray, aggregate: np.ndarray) -> None:
+    """Raise unless a dual optimizer's surrogate ``u`` is within
+    1e-10 max(1 + max |alpha|, max |aggregate|) of its aggregate.
+
+    The aggregate ``A alpha / (lam N)`` scales with 1/lam, and so does the
+    rounding a running sum of it collects. Its max is taken only past the first bound.
+    """
+    lag = np.max(np.abs(u - aggregate), initial=0.0)
+    if lag > 1e-10 * (1.0 + np.max(np.abs(opt.alpha))) and lag > 1e-10 * np.max(np.abs(aggregate)):
+        raise InvariantError(f"{name} drifted from A alpha at step {opt.k}")
 
 
 @dataclass
@@ -499,8 +482,8 @@ class EcDual:
         self.examples_per_step = n
         self.bits = 0.0
         self.bits_per_step = n * comp.bit_cost(compressor, d)
-        self._sample = _ExampleSampler(seed, problem.part)
-        self._q_uniforms = comp.NodeUniforms(node_streams(seed, "compress", n))
+        self._sample = _example_sampler(seed, problem.part)
+        self._q_uniforms = NodeDraws(node_streams(seed, "compress", n))
 
     def _check_feasible(self, blocks: np.ndarray) -> None:
         """Raise unless ``0 <= b_j alpha_j <= 1`` for every global index j in ``blocks``."""
@@ -512,10 +495,6 @@ class EcDual:
                 f"dual feasibility violated at step {self.k}: block {blocks[i]} has b*alpha={u[i]}"
             )
 
-    def _check_surrogate(self, aggregate: np.ndarray) -> None:
-        lag = self.u + self.e.mean(axis=0) - aggregate
-        _check_surrogate("compressed surrogate", lag, self.alpha, self.k)
-
     def certify(self) -> np.ndarray:
         """Check all N blocks for feasibility and the identity against ``dual_aggregate(alpha)``.
 
@@ -523,7 +502,7 @@ class EcDual:
         """
         self._check_feasible(np.arange(self.problem.N))
         aggregate = self.problem.dual_aggregate(self.alpha)
-        self._check_surrogate(aggregate)
+        _check_surrogate("compressed surrogate", self, self.u + self.e.mean(axis=0), aggregate)
         return aggregate
 
     def step(self) -> DualStepInfo:
@@ -536,7 +515,7 @@ class EcDual:
         else:
             x_new = pr.gstar_grad(self.u)
 
-        sampled = self._sample.draw()
+        sampled = self._sample()
         cols = pr._design.columns(sampled)
         dphi = logistic_grad(cols @ x_new, pr.labels[sampled])
         delta_alpha = -theta * m * (self.alpha[sampled] + dphi)
@@ -553,7 +532,7 @@ class EcDual:
         _require_finite("dual vector", self.alpha[sampled], self.k)
         _require_finite("primal surrogate", self.u, self.k)
         self._check_feasible(sampled)
-        self._check_surrogate(self.v)
+        _check_surrogate("compressed surrogate", self, self.u + self.e.mean(axis=0), self.v)
         return DualStepInfo(
             sampled=sampled,
             delta_alpha=delta_alpha,
@@ -591,7 +570,7 @@ class VanillaDual:
         self.examples_per_step = problem.part.n
         self.bits = 0.0
         self.bits_per_step = problem.part.n * comp.bit_cost(comp.identity(), problem.d)
-        self._sample = _ExampleSampler(seed, problem.part)
+        self._sample = _example_sampler(seed, problem.part)
 
     def certify(self) -> np.ndarray:
         """Check ``u`` against ``dual_aggregate(alpha)`` with EcDual's tolerance.
@@ -599,7 +578,7 @@ class VanillaDual:
         Returns the aggregate it checked, so a caller can reuse the O(N d) product.
         """
         aggregate = self.problem.dual_aggregate(self.alpha)
-        _check_surrogate("primal surrogate", self.u - aggregate, self.alpha, self.k)
+        _check_surrogate("primal surrogate", self, self.u, aggregate)
         return aggregate
 
     def step(self) -> None:
@@ -610,7 +589,7 @@ class VanillaDual:
             x_new = (1.0 - theta) * self.x + theta * pr.gstar_grad(self.u)
         else:
             x_new = pr.gstar_grad(self.u)
-        J = self._sample.draw()
+        J = self._sample()
         cols = pr._design.columns(J)
         dphi = logistic_grad(cols @ x_new, pr.labels[J])
         da = -theta * m * (self.alpha[J] + dphi)

@@ -10,10 +10,9 @@ from dataclasses import fields, replace
 
 import numpy as np
 
-from . import algorithms as alg
 from . import compressors as comp
 from . import harness
-from .problem import COMPOSITE, SMOOTH, DualProblem
+from .problem import COMPOSITE, SMOOTH
 from .rng import split_rng
 
 
@@ -116,7 +115,13 @@ def cmd_run(args) -> int:
     config = _config_from_args(args)
     if config.out_csv:
         config.out_json = os.path.splitext(config.out_csv)[0] + ".json"
-    result = harness.run_experiment(config)
+    try:
+        result = harness.run_experiment(config)
+    except harness.NumericalError as err:
+        step = "theta" if config.algo in harness.DUAL_ALGOS else "eta"
+        if getattr(config, step) in (None, "theory"):
+            raise  # the theory step diverged: a fault of the program, not of the input
+        raise harness.ConfigError(step, str(err)) from err
     for rec in result.records:
         gap = "" if rec.dual_gap is None else f" dual_gap={rec.dual_gap:.3e}"
         print(
@@ -188,26 +193,20 @@ def cmd_verify(args) -> int:
                 f" -> {'ok' if rep.passed else 'FAIL'}"
             )
     elif args.what == "invariants":
-        setup = harness.build_setup(
-            harness.RunConfig(synth=(80, 20, 0.4), synth_scale=0.5, n=4, seed=seed)
+        config = harness.RunConfig(
+            synth=(80, 20, 0.4), synth_scale=0.5, n=4, seed=seed, compressor="top_k:1"
         )
-        primal = setup.primal
-        dual = DualProblem(primal)
-        opt = alg.EcLsvrg(
-            primal, comp.top_k(1), comp.top_k(1), eta=0.05, p=0.05, seed=seed
-        )
-        for _ in range(200):
-            opt.step()
-        opt.certify()
-        print("ec_lsvrg: 200 steps, per-step identities and full check held")
-        theta = alg.theoretical_theta(
-            setup.constants, primal.m, primal.n, dual.lam, dual.gamma, 0.05
-        )
-        dopt = alg.EcDual(dual, comp.top_k(1), theta=theta, seed=seed)
-        for _ in range(200):
-            dopt.step()
-        dopt.certify()
-        print(f"ec_quartz: 200 steps at theta={theta:.3e}, per-step identities and full check held")
+        setup = harness.build_setup(config)
+        for algo in ("ec_lsvrg", "ec_quartz"):
+            # ec_quartz ignores eta and p, and takes its theory theta at delta = 1/20.
+            opt, resolved = harness.build_optimizer(
+                replace(config, algo=algo, eta=0.05, p=0.05), setup
+            )
+            for _ in range(200):
+                opt.step()
+            opt.certify()
+            at = "" if resolved.theta is None else f" at theta={resolved.theta:.3e}"
+            print(f"{algo}: 200 steps{at}, per-step identities and full check held")
     else:
         raise SystemExit(f"unknown verify target {args.what!r}")
     print("all checks passed" if ok else "FAILURES above")

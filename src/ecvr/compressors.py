@@ -17,9 +17,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
 
 import numpy as np
+
+from .rng import NodeDraws
 
 IDENTITY = "identity"
 TOP_K = "top_k"
@@ -106,6 +108,11 @@ def is_unbiased_kind(spec: CompressorSpec) -> bool:
 
 def is_deterministic(spec: CompressorSpec) -> bool:
     return spec.kind in (IDENTITY, TOP_K)
+
+
+def copies_kept(spec: CompressorSpec) -> bool:
+    """Whether the spec outputs its kept coordinates verbatim, unquantized."""
+    return spec.kind in (IDENTITY, TOP_K, RAND_K)
 
 
 def parse_spec(text: str) -> CompressorSpec:
@@ -207,50 +214,7 @@ def bit_cost(spec: CompressorSpec, d: int) -> float:
     raise ValueError(f"unknown spec kind {spec.kind!r}")
 
 
-# The doubles a NodeUniforms buffer holds at most: 1 MiB.
-_UNIFORM_BUFFER_DOUBLES = 2**17
-# Steps a NodeUniforms stream draws at once when the buffer allows it.
-_UNIFORM_BLOCK_STEPS = 64
-
-
-class NodeUniforms:
-    """Each step's (n, width) uniforms, row tau drawn from ``streams[tau]``.
-
-    Every stream draws the uniforms of B steps at once, with
-    ``B = clamp(2**20 // (8 n width), 1, 64)``, so the buffer holds at most
-    1 MiB. ``Generator.random((B, width))`` yields the same numbers as B calls
-    of ``random(width)``, so row tau of each step is one ``random(width)``
-    call of stream tau. A stream serves one width: a second width would take
-    its numbers in a different order, so ``draw`` rejects it. The array
-    ``draw`` returns is a view of the buffer, valid until the next draw.
-    """
-
-    def __init__(self, streams: Sequence[np.random.Generator]):
-        self._streams = list(streams)
-        self._block: Optional[np.ndarray] = None  # (n, B, width): stream tau's next B steps
-        self._next = 0
-
-    def draw(self, rows: int, width: int) -> np.ndarray:
-        n = len(self._streams)
-        if rows != n:
-            raise ValueError(f"need one generator per row: {rows} rows, {n} generators")
-        if self._block is None:
-            steps = min(max(_UNIFORM_BUFFER_DOUBLES // (n * width), 1), _UNIFORM_BLOCK_STEPS)
-            self._block = np.empty((n, steps, width))
-            self._next = steps
-        elif width != self._block.shape[2]:
-            raise ValueError(
-                f"a node stream serves one width: it draws {self._block.shape[2]}, asked for {width}"
-            )
-        if self._next == self._block.shape[1]:
-            for stream, block in zip(self._streams, self._block):
-                stream.random(out=block)
-            self._next = 0
-        self._next += 1
-        return self._block[:, self._next - 1]
-
-
-Rngs = Union[np.random.Generator, NodeUniforms]
+Rngs = Union[np.random.Generator, NodeDraws]
 
 
 def _apply(spec: CompressorSpec, x: np.ndarray, rngs: Rngs) -> np.ndarray:
@@ -280,8 +244,8 @@ def _compress(
     flat positions of the coordinates it keeps, row by row in index order, k
     to a row, and in ``values`` its output there; its output is +0 at every
     other coordinate. Any other kind gives ``kept = None`` and its dense
-    (rows, d) output in ``values``. ``rngs`` is a ``NodeUniforms``, whose
-    stream r serves row r, or a single generator that draws the whole
+    (rows, d) output in ``values``. ``rngs`` is a ``NodeDraws`` of uniforms,
+    whose stream r serves row r, or a single generator that draws the whole
     batch's uniforms at once. ``magnitude``, if given, is ``np.abs(x)``,
     which top-k then scores by. Top-k keeps the lowest-index coordinate among
     equal magnitudes, so it is deterministic and reproducible. ``pool``, if
@@ -428,7 +392,7 @@ def pool_for(spec: CompressorSpec, d: int) -> Optional[TopKPool]:
 
 
 def _uniform(rngs: Rngs, rows: int, d: int) -> np.ndarray:
-    """A (rows, d) block of uniforms: one step of a NodeUniforms, or a shared draw."""
+    """A (rows, d) block of uniforms: one step of a NodeDraws, or a shared draw."""
     if isinstance(rngs, np.random.Generator):
         return rngs.random((rows, d))
     return rngs.draw(rows, d)

@@ -353,13 +353,19 @@ def shuffle_examples(dataset: Dataset, seed: int) -> Dataset:
     return Dataset(features=dataset.features[:, order], labels=dataset.labels[order])
 
 
+def scale_columns(matrix: sparse.spmatrix, norm: float = 1.0) -> sparse.csc_matrix:
+    """``matrix`` in CSC form with each column scaled to l2 norm ``norm``; a column
+    whose squares sum to 0 (all zero, or underflowing) becomes zero."""
+    sq = column_squares(matrix)
+    live = sq > 0
+    factor = np.where(live, norm / np.sqrt(np.where(live, sq, 1.0)), 0.0)
+    return (matrix @ sparse.diags(factor)).tocsc()
+
+
 def normalize_examples(dataset: Dataset) -> Dataset:
     """Scale each example column to unit l2 norm (zero columns stay zero).
 
     This changes the data-dependent constants, so runs record whether it was
     applied.
     """
-    norms = dataset.column_norms()
-    inv = np.where(norms > 0, 1.0 / np.where(norms > 0, norms, 1.0), 0.0)
-    features = dataset.features @ sparse.diags(inv)
-    return Dataset(features=features.tocsc(), labels=dataset.labels.copy())
+    return Dataset(features=scale_columns(dataset.features), labels=dataset.labels.copy())

@@ -20,12 +20,14 @@ from scipy.special import expit
 from . import __version__
 from . import algorithms as alg
 from . import compressors as comp
+from .algorithms import NumericalError
 from .dataset import (
     Dataset,
     column_squares,
     normalize_examples,
     parse_libsvm,
     partition,
+    scale_columns,
     shuffle_examples,
 )
 from .problem import (
@@ -239,9 +241,7 @@ def synth_dataset(
     cols = np.repeat(np.arange(N), nnz)
     features = sparse.coo_matrix((vals, (rows, cols)), shape=(d, N)).tocsc()
     if unit_columns:
-        sq = column_squares(features)
-        inv = scale / np.sqrt(np.where(sq > 0, sq, 1.0))
-        features = (features @ sparse.diags(inv)).tocsc()
+        features = scale_columns(features, scale)
 
     x_true = rng.standard_normal(d)
     x_true *= 3.0 / (scale * math.sqrt(d) if unit_columns else math.sqrt(d))
@@ -536,8 +536,8 @@ def _run(config: RunConfig, setup: Setup) -> RunResult:
                     if watched <= config.gap_target:
                         bits_to_target = rec.bits
                         break
-    except alg.NumericalError as err:
-        raise alg.NumericalError(f"{err} (algo={config.algo}, eta={eta}, theta={theta})") from err
+    except NumericalError as err:
+        raise NumericalError(f"{err} (algo={config.algo}, eta={eta}, theta={theta})") from err
 
     final_gap = records[-1].primal_gap if records else math.inf
     result = RunResult(
@@ -659,7 +659,7 @@ def grid_search_eta(
         )
         try:
             res = _run(cfg, setup)
-        except alg.NumericalError:
+        except NumericalError:
             results[eta] = None
             continue
         results[eta] = res

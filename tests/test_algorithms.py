@@ -22,7 +22,8 @@ from ecvr.problem import (
     logistic_grad,
     prox_elastic_net,
 )
-from ecvr.rng import node_streams, split_rng
+from ecvr import rng as rng_module
+from ecvr.rng import NodeDraws, node_streams, split_rng
 
 from conftest import lsvrg_step_messages
 
@@ -246,8 +247,8 @@ class DenseEcLsvrg:
         self.bits = 0.0
         self.per_step = n * (comp.bit_cost(q, d) + comp.bit_cost(q1, d) + 1.0)
         self.sample = node_streams(seed, "sample", n)
-        self.q_rngs = [comp.NodeUniforms([g]) for g in node_streams(seed, "compress", n)]
-        self.q1_rngs = [comp.NodeUniforms([g]) for g in node_streams(seed, "compress_shift", n)]
+        self.q_rngs = [NodeDraws([g]) for g in node_streams(seed, "compress", n)]
+        self.q1_rngs = [NodeDraws([g]) for g in node_streams(seed, "compress_shift", n)]
         self.coin = split_rng(seed, "coin")
         self.refreshes = self.zero_shift_steps = 0
 
@@ -430,7 +431,7 @@ class TestKeptPositionStep:
 
 class TestCompressWithFeedback:
     def streams(self, n):
-        return comp.NodeUniforms([rng_for(f"fb{tau}") for tau in range(n)])
+        return NodeDraws([rng_for(f"fb{tau}") for tau in range(n)])
 
     def test_nonfinite_input_names_the_node(self):
         # The first bad node is named, whether the kind copies or quantizes.
@@ -615,6 +616,31 @@ class TestEcDual:
         with pytest.raises(alg.InvariantError, match=r"^primal surrogate drifted from A alpha at step 20$"):
             plain.certify()
 
+    @pytest.mark.parametrize("algo", ["ec_quartz", "ec_sdca", "quartz"])
+    def test_weak_l2_run_passes_its_surrogate_checks(self, algo):
+        # At lambda2 = 1e-8 the aggregate A alpha / (lam N) grows to about
+        # 1e6, and the surrogate's rounding lag with it.
+        config = harness.RunConfig(algo=algo, lambda1=0.0, lambda2=1e-8, theta=0.02, epochs=20)
+        result = harness.run_experiment(config)
+        assert result.steps == 1000 and len(result.records) == 20
+
+    @pytest.mark.parametrize("plain", [False, True], ids=["ec_dual", "vanilla_dual"])
+    def test_weak_l2_relative_drift_is_still_caught(self, plain):
+        ds = synth_dataset(200, 50, 0.3, seed=0)
+        dual = DualProblem(PrimalProblem(ds, partition(ds, 4), lam1=0.0, lam2=1e-8))
+        if plain:
+            opt = alg.VanillaDual(dual, theta=0.02, seed=0)
+        else:
+            opt = alg.EcDual(dual, comp.identity(), theta=0.02, seed=0)
+        for _ in range(49):
+            opt.step()
+        opt.certify()
+        peak = float(np.max(np.abs(opt.u)))
+        assert peak > 1e5
+        opt.u[int(np.argmax(np.abs(opt.u)))] += 1e-8 * peak
+        with pytest.raises(alg.InvariantError, match=r"surrogate drifted from A alpha at step 49$"):
+            opt.certify()
+
     def test_feasibility_throughout(self, dual, constants):
         theta = self.theta_for(constants, dual, 0.02)
         opt = alg.EcDual(dual, comp.rand_k(2), theta=theta, seed=53)
@@ -765,7 +791,7 @@ class TestSampling:
                 assert opt.step().sampled.tolist() == expected
 
     # (N, n): m = 1, an odd m, and m above the block size.
-    @pytest.mark.parametrize("N, n", [(6, 6), (21, 3), (2 * alg._SAMPLE_BLOCK + 6, 2)])
+    @pytest.mark.parametrize("N, n", [(6, 6), (21, 3), (2 * rng_module._BLOCK_STEPS + 6, 2)])
     @pytest.mark.parametrize("kind", ["ec_lsvrg", "ec_dual"])
     def test_block_draws_replay_scalar_draws_across_blocks(self, N, n, kind):
         ds = synth_dataset(N, 6, 0.5, seed=N, scale=0.5)
@@ -777,11 +803,47 @@ class TestSampling:
         else:
             opt = alg.EcDual(DualProblem(primal), comp.top_k(1), theta=0.5 / part.m, seed=89)
         streams = node_streams(89, "sample", n)
-        for _ in range(2 * alg._SAMPLE_BLOCK + 7):  # into a third block
+        for _ in range(2 * rng_module._BLOCK_STEPS + 7):  # into a third block
             expected = [
                 part.example_index(tau, int(streams[tau].integers(part.m))) for tau in range(n)
             ]
             assert opt.step().sampled.tolist() == expected
+
+    @pytest.mark.parametrize("block_steps", [1, 3])
+    @pytest.mark.parametrize("kind", ["ec_lsvrg", "ec_dual"])
+    def test_short_blocks_replay_scalar_draws(self, monkeypatch, composite, dual, kind, block_steps):
+        # Examples and compressor uniforms, drawn ahead in blocks of 1 and 3
+        # steps, equal one integers(m) or random(d) call per node per step.
+        monkeypatch.setattr(rng_module, "_BLOCK_STEPS", block_steps)
+        part, d = composite.part, composite.d
+        dither = comp.parse_spec("dither")
+        if kind == "ec_lsvrg":
+            opt = alg.EcLsvrg(composite, comp.rand_k(2), dither, eta=0.2, p=0.1, seed=97)
+            purposes = {"_q_uniforms": "compress", "_q1_uniforms": "compress_shift"}
+        else:
+            opt = alg.EcDual(dual, dither, theta=0.5 / part.m, seed=97)
+            purposes = {"_q_uniforms": "compress"}
+        drawn = {name: [] for name in purposes}
+        for name, log in drawn.items():
+            uniforms = getattr(opt, name)
+
+            def draw(rows, width, real=uniforms.draw, log=log):
+                out = real(rows, width)
+                log.append(out.copy())  # the view is valid only until the next draw
+                return out
+
+            monkeypatch.setattr(uniforms, "draw", draw)
+        samples = node_streams(97, "sample", part.n)
+        steps = 3 * block_steps + 2  # across several refills
+        for _ in range(steps):
+            expected = [part.example_index(tau, int(g.integers(part.m))) for tau, g in enumerate(samples)]
+            assert opt.step().sampled.tolist() == expected
+        for name, purpose in purposes.items():
+            assert getattr(opt, name)._block.shape[1] == block_steps
+            streams = node_streams(97, purpose, part.n)
+            assert len(drawn[name]) == steps
+            for got in drawn[name]:
+                assert got.tobytes() == np.stack([g.random(d) for g in streams]).tobytes()
 
     @pytest.mark.parametrize("dense", [True, False])
     @pytest.mark.parametrize("mode", [COMPOSITE, SMOOTH])

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from ecvr import compressors as comp
+from ecvr.rng import NodeDraws
 
 PROPERTY = settings(derandomize=True, max_examples=100, deadline=None)
 
@@ -36,7 +37,7 @@ def batches(draw, names=K_NAMES + PLAIN_NAMES):
     x = draw(arrays(np.float64, (rows, d), elements=st.floats(-1e3, 1e3)))
     seed = draw(st.integers(0, 2**32 - 1))
     streams = [np.random.default_rng([seed, r]) for r in range(rows)]
-    return comp.parse_spec(text), x, comp.NodeUniforms(streams)
+    return comp.parse_spec(text), x, NodeDraws(streams)
 
 
 @PROPERTY
@@ -119,7 +120,7 @@ def _argsort_apply(spec, x, seeds):
     kept = np.sort(order[:, :k], axis=1)
     values = np.take_along_axis(x, kept, axis=1)
     if spec.kind == comp.COMPOSE:
-        values = comp._apply(spec.inner, values, comp.NodeUniforms(rngs))
+        values = comp._apply(spec.inner, values, NodeDraws(rngs))
         values /= comp.omega_of(spec.inner, k) + 1
     out = np.zeros_like(x)
     np.put_along_axis(out, kept, values, axis=1)
@@ -151,6 +152,6 @@ def tie_heavy_batches(draw):
 @given(tie_heavy_batches())
 def test_selection_matches_stable_argsort_under_ties(case):
     spec, x, seeds = case
-    y = comp._apply(spec, x, comp.NodeUniforms([np.random.default_rng(seed) for seed in seeds]))
+    y = comp._apply(spec, x, NodeDraws([np.random.default_rng(seed) for seed in seeds]))
     expected = _argsort_apply(spec, x, seeds)
     assert y.tobytes() == expected.tobytes()

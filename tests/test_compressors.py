@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from ecvr import compressors as comp
-from ecvr.rng import split_rng
+from ecvr.rng import NodeDraws, split_rng
 
 
 def rng_for(name: str) -> np.random.Generator:
@@ -53,7 +53,7 @@ class TestSpecValidation:
             with pytest.raises(ValueError, match="batch"):
                 comp._apply(comp.identity(), bad, rng_for("shape"))
         with pytest.raises(ValueError, match="one generator per row"):
-            comp._apply(comp.rand_k(1), np.zeros((2, 3)), comp.NodeUniforms([rng_for("shape")]))
+            comp._apply(comp.rand_k(1), np.zeros((2, 3)), NodeDraws([rng_for("shape")]))
 
     def test_parse_roundtrip(self):
         for text in ["top_k:1", "rand_k:5", "dither", "natural", "ntop_k:5", "rtop_k:5", "identity"]:
@@ -157,9 +157,9 @@ class TestCompress:
         # compressed alone.
         x = rng_for("bm").standard_normal((6, 9))
         for spec in ZOO:
-            batch = comp._apply(spec, x, comp.NodeUniforms([rng_for(f"u{r}") for r in range(6)]))
+            batch = comp._apply(spec, x, NodeDraws([rng_for(f"u{r}") for r in range(6)]))
             for r in range(6):
-                alone = comp._apply(spec, x[r : r + 1], comp.NodeUniforms([rng_for(f"u{r}")]))
+                alone = comp._apply(spec, x[r : r + 1], NodeDraws([rng_for(f"u{r}")]))
                 assert np.array_equal(batch[r], alone[0])
 
 
@@ -170,7 +170,7 @@ class TestNodeUniforms:
         ids=["B=64", "B=13", "B=1"],
     )
     def test_each_step_is_one_random_call_per_fresh_stream(self, n, width):
-        uniforms = comp.NodeUniforms([rng_for(f"nu{tau}") for tau in range(n)])
+        uniforms = NodeDraws([rng_for(f"nu{tau}") for tau in range(n)])
         fresh = [rng_for(f"nu{tau}") for tau in range(n)]
         block = min(max(2**17 // (n * width), 1), 64)
         for _ in range(3 * block + 1):  # across three refills
@@ -179,13 +179,13 @@ class TestNodeUniforms:
             assert got.tobytes() == expected.tobytes()
 
     def test_a_stream_serves_one_width(self):
-        uniforms = comp.NodeUniforms([rng_for("w0"), rng_for("w1")])
+        uniforms = NodeDraws([rng_for("w0"), rng_for("w1")])
         uniforms.draw(2, 5)
         with pytest.raises(ValueError, match="serves one width"):
             uniforms.draw(2, 6)
 
     def test_one_stream_per_row(self):
-        uniforms = comp.NodeUniforms([rng_for("r0"), rng_for("r1")])
+        uniforms = NodeDraws([rng_for("r0"), rng_for("r1")])
         with pytest.raises(ValueError, match="one generator per row"):
             uniforms.draw(3, 5)
 
@@ -232,7 +232,7 @@ def test_quantizers_through_node_uniforms_match_their_formula_bit_for_bit(text, 
     # entries, are so small that their norm underflows to 0, or mix scales.
     n, d, steps = 6, 9, 40
     spec = comp.parse_spec(text)
-    uniforms = comp.NodeUniforms([rng_for(f"q{tau}") for tau in range(n)])
+    uniforms = NodeDraws([rng_for(f"q{tau}") for tau in range(n)])
     fresh = [rng_for(f"q{tau}") for tau in range(n)]
     data = rng_for("qx")
     for step in range(steps):
@@ -515,8 +515,8 @@ class TestTopKPool:
         x = rng.standard_normal((n, d))
         x[2] = 0.0
         pool = comp.TopKPool(k, d)
-        with_pool = comp.NodeUniforms([rng_for(f"u{tau}") for tau in range(n)])
-        without = comp.NodeUniforms([rng_for(f"u{tau}") for tau in range(n)])
+        with_pool = NodeDraws([rng_for(f"u{tau}") for tau in range(n)])
+        without = NodeDraws([rng_for(f"u{tau}") for tau in range(n)])
         for _ in range(50):
             kept, values = comp._compress(spec, x, with_pool, pool=pool)
             want_kept, want_values = comp._compress(spec, x, without)

@@ -10,9 +10,11 @@ from ecvr import dataset as dataset_module
 from ecvr.dataset import (
     Dataset,
     LibsvmFormatError,
+    column_squares,
     normalize_examples,
     parse_libsvm,
     partition,
+    scale_columns,
     shuffle_examples,
 )
 from ecvr.harness import synth_dataset
@@ -402,3 +404,27 @@ class TestTransforms:
         ds = synth_dataset(15, 6, 0.5, seed=7, unit_columns=False)
         normed = normalize_examples(ds)
         assert np.allclose(normed.column_norms(), 1.0)
+
+    @pytest.mark.parametrize("norm", [1.0, 0.3])
+    def test_scale_columns_gives_the_bytes_of_both_former_formulas(self, norm):
+        # Columns: two entries, two stored zeros, two stored -0.0, none,
+        # entries across scales, and one entry.
+        data = np.array([0.5, -2.0, 0.0, 0.0, -0.0, -0.0, 3.0, 1e-3, -7e4, 4.0])
+        indices = np.array([0, 3, 1, 4, 0, 2, 1, 2, 4, 0])
+        indptr = np.array([0, 2, 4, 6, 6, 9, 10])
+        matrix = sparse.csc_matrix((data, indices, indptr), shape=(5, 6))
+        sq = column_squares(matrix)
+        # synth_dataset's unit columns, and normalize_examples at norm 1.
+        synth = matrix @ sparse.diags(norm / np.sqrt(np.where(sq > 0, sq, 1.0)))
+        norms = np.sqrt(sq)
+        normalized = matrix @ sparse.diags(np.where(norms > 0, 1.0 / np.where(norms > 0, norms, 1.0), 0.0))
+        got = scale_columns(matrix, norm)
+        for former in (synth, normalized) if norm == 1.0 else (synth,):
+            former = former.tocsc()
+            for name in ("data", "indices", "indptr"):
+                assert getattr(got, name).tobytes() == getattr(former, name).tobytes()
+        assert got.format == "csc"
+        assert np.allclose(np.sqrt(column_squares(got)), [norm, 0, 0, 0, norm, norm])
+        assert matrix.data.tobytes() == data.tobytes()  # the input is left alone
+        # A column whose squares underflow becomes zero, as normalize_examples made it.
+        assert scale_columns(sparse.csc_matrix(np.array([[1e-170], [-1e-180]])), norm).nnz == 0

@@ -587,6 +587,14 @@ VERIFY_ESO_LINES = [
 ]
 
 
+# `ecvr verify invariants` at its defaults.
+VERIFY_INVARIANTS_LINES = [
+    "ec_lsvrg: 200 steps, per-step identities and full check held",
+    "ec_quartz: 200 steps at theta=3.387e-04, per-step identities and full check held",
+    "all checks passed",
+]
+
+
 class TestCli:
     def test_run_writes_traces(self, tmp_path, capsys):
         out = tmp_path / "run.csv"
@@ -709,6 +717,50 @@ class TestCli:
         code = cli.main(["verify", "invariants"])
         assert code == 0
         assert "ec_lsvrg: 200 steps, per-step identities and full check held" in capsys.readouterr().out
+
+    def test_verify_invariants_lines(self, monkeypatch, capsys):
+        # Pinned: a change to either run's draws or to the theta it resolves shows up here.
+        monkeypatch.delenv("ECVR_SEED", raising=False)
+        assert cli.main(["verify", "invariants"]) == 0
+        assert capsys.readouterr().out.splitlines() == VERIFY_INVARIANTS_LINES
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_step_the_user_set_that_diverges_names_the_argument(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["run", "--mode", "smooth", "--lambda1", "0", "--eta", "1e5", "--epochs", "20"])
+        err = capsys.readouterr().err
+        assert exit_info.value.code == 2
+        assert (
+            "ecvr run: error: argument --eta: compressor input became non-finite at step 153,"
+            " node 0 (algo=ec_lsvrg, eta=100000.0, theta=None)"
+        ) in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["--eta", "0.5"], "--eta"),
+            (["--algo", "ec_gd", "--eta", "0.5"], "--eta"),
+            (["--algo", "ec_quartz", "--theta", "0.01"], "--theta"),
+            ([], None),  # the theory step
+            (["--eta", "theory"], None),
+            (["--algo", "ec_quartz", "--eta", "0.5"], None),  # dual runs take theta, here theory's
+            (["--algo", "lsvrg", "--theta", "0.01"], None),  # primal runs take eta
+        ],
+    )
+    def test_diverging_step_is_blamed_on_the_flag_that_set_it(self, monkeypatch, capsys, argv, flag):
+        def diverge(config):
+            raise NumericalError("iterate became non-finite at step 3")
+
+        monkeypatch.setattr(harness, "run_experiment", diverge)
+        if flag is None:
+            with pytest.raises(NumericalError, match="at step 3$"):
+                cli.main(["run", *argv])
+            return
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["run", *argv])
+        assert exit_info.value.code == 2
+        assert f"ecvr run: error: argument {flag}: iterate became non-finite at step 3\n" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "flag, value",
