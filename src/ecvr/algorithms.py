@@ -619,7 +619,7 @@ def theoretical_eta(
     p: float,
     regime: str = COMPOSITE,
 ) -> float:
-    """Worst-case admissible step size for the composite or smooth regime."""
+    """Worst-case admissible step size for the composite or smooth regime; inf on zero data."""
     if not 0 < delta <= 1 or not 0 < delta1 <= 1:
         raise ValueError("contraction parameters must be in (0, 1]")
     if not 0 < p <= 1:
@@ -631,10 +631,10 @@ def theoretical_eta(
         t = (105.0 * rem / delta) * (
             4.0 * lbar / delta + l + (16.0 * lbar * p / (delta * delta1)) * boost
         )
-        return 1.0 / (t + 4.0 * lf + 42.0 * l / n)
+        return _ratio(1.0, t + 4.0 * lf + 42.0 * l / n)
     if regime == SMOOTH:
         return min(
-            1.0 / (4.0 * lf + 33.0 * l / n),
+            _ratio(1.0, 4.0 * lf + 33.0 * l / n),
             _ratio(delta, 60.0 * math.sqrt(rem * lf * lbar)),
             _ratio(math.sqrt(delta), 64.0 * math.sqrt(rem * lf * l)),
             _ratio(

@@ -55,9 +55,6 @@ class Dataset:
     def n_examples(self) -> int:
         return self.features.shape[1]
 
-    def column_norms(self) -> np.ndarray:
-        return np.sqrt(column_squares(self.features))
-
 
 def column_squares(matrix: sparse.spmatrix) -> np.ndarray:
     """The squared l2 norm of each column of a sparse matrix."""

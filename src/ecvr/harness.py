@@ -9,7 +9,7 @@ import os
 import platform
 import time
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Optional
 
 import numpy as np
@@ -252,8 +252,6 @@ def synth_dataset(
 
 # -- run configuration and records --------------------------------------------
 
-TRACE_COLUMNS = ("k", "epoch", "bits", "primal_gap", "dual_gap", "err_norm", "wall_ms")
-
 PRIMAL_ALGOS = ("ec_lsvrg", "lsvrg", "ec_gd")
 DUAL_ALGOS = ("ec_quartz", "ec_sdca", "quartz", "sdca")
 ALGOS = PRIMAL_ALGOS + DUAL_ALGOS
@@ -268,6 +266,9 @@ class TrialRecord:
     dual_gap: Optional[float]
     err_norm: float
     wall_ms: float
+
+
+TRACE_COLUMNS = tuple(f.name for f in fields(TrialRecord))
 
 
 @dataclass
@@ -296,12 +297,6 @@ class RunConfig:
     gap_target: Optional[float] = None  # stop early once primal gap reaches this
     out_csv: Optional[str] = None
     out_json: Optional[str] = None
-
-    def to_metadata(self) -> dict:
-        meta = asdict(self)
-        if meta["synth"] is not None:
-            meta["synth"] = list(meta["synth"])
-        return meta
 
 
 @dataclass(frozen=True)
@@ -344,13 +339,21 @@ class RunResult:
     config: RunConfig
     setup: Setup = field(repr=False)  # the problem, its constants, reference and timings
     records: list[TrialRecord]
-    best_gap: float
-    final_gap: float
     bits_to_target: Optional[float]
     steps: int
     resolved: Resolved
     bits_per_step: float
     x: Optional[np.ndarray] = field(default=None, repr=False)
+
+    @property
+    def best_gap(self) -> float:
+        """The least primal gap recorded; inf with no record."""
+        return min([math.inf] + [rec.primal_gap for rec in self.records])
+
+    @property
+    def final_gap(self) -> float:
+        """The primal gap of the last record; inf with no record."""
+        return self.records[-1].primal_gap if self.records else math.inf
 
     @property
     def design(self) -> str:
@@ -366,15 +369,22 @@ class RunResult:
         return self.resolved.theta
 
 
+def _data_source(config: RunConfig) -> str:
+    """The field that holds the run's data: ``data`` or ``synth``."""
+    return "data" if config.data is not None else "synth"
+
+
 def load_dataset(config: RunConfig) -> Dataset:
     if (config.data is None) == (config.synth is None):
         raise ConfigError("data", "exactly one of data path or synth spec must be set")
-    if config.data is not None:
-        with _blame("data"):
+    # A synthetic size numpy cannot allocate raises ValueError before any allocation.
+    with _blame(_data_source(config)):
+        if config.data is not None:
             ds = parse_libsvm(config.data)
-    else:
-        N, d, sparsity = config.synth
-        ds = synth_dataset(int(N), int(d), float(sparsity), config.seed, scale=config.synth_scale)
+        else:
+            N, d, sparsity = config.synth
+            scale = config.synth_scale
+            ds = synth_dataset(int(N), int(d), float(sparsity), config.seed, scale=scale)
     if config.shuffle_seed is not None:
         ds = shuffle_examples(ds, config.shuffle_seed)
     if config.normalize:
@@ -401,7 +411,7 @@ def build_setup(config: RunConfig) -> Setup:
         primal = PrimalProblem(ds, part, lam1=config.lambda1, lam2=config.lambda2, mode=config.mode)
     marks.append(time.perf_counter())
     # Lanczos may overflow or stall on the data's Gram operator.
-    with _blame("data" if config.data is not None else "synth"):
+    with _blame(_data_source(config)):
         constants = compute_constants(primal)
     marks.append(time.perf_counter())
     with _blame("reference_tol"):
@@ -428,6 +438,9 @@ def build_optimizer(config: RunConfig, setup: Setup):
         p = config.p if config.p is not None else delta
         with _blame("p"):
             eta_theory = alg.theoretical_eta(constants, primal.n, delta, delta1, p, primal.mode)
+        if config.eta == "theory" and math.isinf(eta_theory):
+            message = "L and L_f are 0 on this data, so the theory bounds no step; set eta"
+            raise ConfigError(_data_source(config), message)
         eta = eta_theory if config.eta == "theory" else float(config.eta)
         resolved = Resolved(delta, delta1, omega, p, eta=eta, eta_theory=eta_theory)
     if algo == "ec_lsvrg":
@@ -494,10 +507,12 @@ def _run(config: RunConfig, setup: Setup) -> RunResult:
     cadence = config.cadence if config.cadence is not None else default_cadence
     if cadence < 1:
         raise ConfigError("cadence", "cadence must be >= 1")
-    total_steps = int(math.ceil(config.epochs / epoch_per_step - 1e-12))
+    steps = config.epochs / epoch_per_step - 1e-12
+    if not math.isfinite(steps):
+        raise ConfigError("epochs", f"{config.epochs} epochs are more steps than a float can count")
+    total_steps = int(math.ceil(steps))
 
     records: list[TrialRecord] = []
-    best_gap = math.inf
     bits_to_target = None
     started = time.perf_counter()
 
@@ -530,7 +545,6 @@ def _run(config: RunConfig, setup: Setup) -> RunResult:
             if step % cadence == 0 or step == total_steps:
                 rec = record_now()
                 records.append(rec)
-                best_gap = min(best_gap, rec.primal_gap)
                 watched = rec.primal_gap if dual is None else rec.dual_gap
                 if bits_to_target is None and config.gap_target is not None:
                     if watched <= config.gap_target:
@@ -539,13 +553,10 @@ def _run(config: RunConfig, setup: Setup) -> RunResult:
     except NumericalError as err:
         raise NumericalError(f"{err} (algo={config.algo}, eta={eta}, theta={theta})") from err
 
-    final_gap = records[-1].primal_gap if records else math.inf
     result = RunResult(
         config=config,
         setup=setup,
         records=records,
-        best_gap=best_gap if records else math.inf,
-        final_gap=final_gap,
         bits_to_target=bits_to_target,
         steps=opt.k,
         resolved=resolved,
@@ -596,7 +607,7 @@ def emit_json(result: RunResult, path: str) -> None:
     constants = asdict(setup.constants)
     spectral_solves = constants.pop("spectral_solves")
     payload = {
-        "config": result.config.to_metadata(),
+        "config": asdict(result.config),
         **asdict(result.resolved),
         "constants": constants,
         "spectral_solves": spectral_solves,

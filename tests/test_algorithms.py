@@ -700,6 +700,13 @@ class TestStepSizeFormulas:
         with pytest.raises(ValueError):
             alg.theoretical_eta(constants, 4, 0.0, 0.5, 0.5, regime)
 
+    @pytest.mark.parametrize("regime", [COMPOSITE, SMOOTH])
+    def test_zero_constants_bound_no_step(self, regime):
+        # All-zero data without an l2 term in f: every smoothness constant is 0.
+        zero = ProblemConstants(r_m=0.0, r_bar_sq=0.0, r_sq=0.0, l=0.0, l_bar=0.0, l_f=0.0, mu=0.0)
+        for delta in (1.0, 0.05):
+            assert alg.theoretical_eta(zero, 4, delta, delta, delta, regime) == math.inf
+
     def test_theta_formula_transcription(self):
         # Orthonormal columns: every constant is known in closed form.
         c = ProblemConstants(r_m=1.0, r_bar_sq=0.5, r_sq=0.25, l=0.25, l_bar=0.125, l_f=0.0625, mu=1e-3)

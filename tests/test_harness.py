@@ -1,3 +1,4 @@
+import ast
 import csv
 import functools
 import json
@@ -6,6 +7,7 @@ import platform
 import time
 import zlib
 from dataclasses import asdict, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -159,7 +161,7 @@ class TestSynthDataset:
 
     def test_column_scaling(self):
         ds = harness.synth_dataset(30, 15, 0.4, seed=11, scale=0.3)
-        assert np.allclose(ds.column_norms(), 0.3)
+        assert np.allclose(np.sqrt(column_squares(ds.features)), 0.3)
 
     def test_planted_model_is_learnable(self):
         ds = harness.synth_dataset(200, 20, 0.4, seed=12, scale=1.0)
@@ -436,6 +438,39 @@ class TestRunExperiment:
         assert res.bits_to_target is not None
         assert res.records[-1].primal_gap <= 1e-4
 
+    # (best_gap, final_gap) pinned: a change in how either is derived shows up here.
+    @pytest.mark.parametrize(
+        "overrides, gaps",
+        [
+            # A step this long makes the gap oscillate, so the least gap is not the last.
+            ({"epochs": 30, "eta": 100.0, "cadence": 1}, (0.025070169718496182, 0.12190488159557322)),
+            ({"epochs": 0}, (math.inf, math.inf)),
+            (
+                {"epochs": 400, "eta": 1.0, "gap_target": 1e-4, "cadence": 20},
+                (9.828811432832651e-05, 9.828811432832651e-05),
+            ),
+        ],
+        ids=["records", "no_record", "gap_target"],
+    )
+    def test_gaps_are_read_from_the_records(self, overrides, gaps):
+        res = harness.run_experiment(base_config(**overrides))
+        assert (res.best_gap, res.final_gap) == pytest.approx(gaps, rel=1e-6)
+        recorded = [rec.primal_gap for rec in res.records]
+        assert res.best_gap == min(recorded, default=math.inf)
+        assert res.final_gap == (recorded[-1] if recorded else math.inf)
+
+    @pytest.mark.parametrize(
+        "gaps, best", [([math.nan, 2.0, 1.0], 1.0), ([1.0, math.nan], 1.0), ([math.nan], math.inf)]
+    )
+    def test_best_gap_skips_nan_as_a_running_min_does(self, gaps, best):
+        records = [harness.TrialRecord(k, k, k, gap, None, 0.0, 0.0) for k, gap in enumerate(gaps)]
+        res = harness.RunResult(
+            config=None, setup=None, records=records, bits_to_target=None,
+            steps=len(gaps), resolved=None, bits_per_step=0.0,
+        )
+        assert res.best_gap == best
+        assert math.isnan(res.final_gap) == math.isnan(gaps[-1])
+
     def test_ecgd_counts_full_passes(self):
         res = harness.run_experiment(base_config(algo="ec_gd", epochs=3, eta=0.5))
         assert res.records[-1].epoch == pytest.approx(3.0)
@@ -655,26 +690,6 @@ class TestCli:
         assert code == 0
         assert "final_gap" in capsys.readouterr().out
 
-    def test_env_seed_overrides(self, tmp_path, monkeypatch, capsys):
-        def trace_for(seed_env):
-            if seed_env is None:
-                monkeypatch.delenv("ECVR_SEED", raising=False)
-            else:
-                monkeypatch.setenv("ECVR_SEED", seed_env)
-            out = tmp_path / f"s{seed_env}.csv"
-            cli.main(
-                [
-                    "run", "--synth", "60,12,0.4", "--algo", "ec_lsvrg",
-                    "--compressor", "rand_k:2", "--eta", "0.3",
-                    "--epochs", "2", "--seed", "7", "--out", str(out),
-                ]
-            )
-            capsys.readouterr()
-            return strip_wall(out.read_text())
-
-        assert trace_for("7") == trace_for(None)  # env seed equals cli seed
-        assert trace_for("8") != trace_for(None)
-
     @pytest.mark.parametrize("out, csv_at", [("../t", "t"), ("../x.d/t", "x.d/t")])
     def test_json_trace_sits_beside_the_csv(self, tmp_path, monkeypatch, capsys, out, csv_at):
         # The JSON path swaps only the extension of the file name, however
@@ -687,17 +702,15 @@ class TestCli:
         written = {p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*") if p.is_file()}
         assert written == {csv_at, csv_at + ".json"}
 
-    def test_verify_compressors_exit_code(self, monkeypatch, capsys):
+    def test_verify_compressors_exit_code(self, capsys):
         # Every line is pinned: a change to any sparsifier's selection or to a
         # compressor's RNG stream shows up here, not only as a failed check.
-        monkeypatch.delenv("ECVR_SEED", raising=False)
         code = cli.main(["verify", "compressors"])
         out = capsys.readouterr().out
         assert code == 0
         assert out.splitlines() == VERIFY_COMPRESSORS_LINES
 
-    def test_verify_compressors_at_a_small_size(self, monkeypatch, capsys):
-        monkeypatch.delenv("ECVR_SEED", raising=False)
+    def test_verify_compressors_at_a_small_size(self, capsys):
         code = cli.main(["verify", "compressors", "--d", "20", "--trials", "2000"])
         assert code == 0
         assert capsys.readouterr().out.splitlines() == VERIFY_COMPRESSORS_SMALL_LINES
@@ -706,9 +719,8 @@ class TestCli:
         code = cli.main(["verify", "eso", "--trials", "2000", "--instances", "5"])
         assert code == 0
 
-    def test_verify_eso_lines(self, monkeypatch, capsys):
+    def test_verify_eso_lines(self, capsys):
         # Pinned like the compressor lines: a change to the ESO check's draws shows up here.
-        monkeypatch.delenv("ECVR_SEED", raising=False)
         code = cli.main(["verify", "eso", "--trials", "500", "--instances", "3"])
         assert code == 0
         assert capsys.readouterr().out.splitlines() == VERIFY_ESO_LINES
@@ -718,9 +730,8 @@ class TestCli:
         assert code == 0
         assert "ec_lsvrg: 200 steps, per-step identities and full check held" in capsys.readouterr().out
 
-    def test_verify_invariants_lines(self, monkeypatch, capsys):
+    def test_verify_invariants_lines(self, capsys):
         # Pinned: a change to either run's draws or to the theta it resolves shows up here.
-        monkeypatch.delenv("ECVR_SEED", raising=False)
         assert cli.main(["verify", "invariants"]) == 0
         assert capsys.readouterr().out.splitlines() == VERIFY_INVARIANTS_LINES
 
@@ -792,23 +803,17 @@ class TestCli:
             ("--tol", "inf"),
             ("--seed", "-1"),
             ("--shuffle-seed", "-1"),
-            ("ECVR_SEED", "abc"),
         ],
     )
-    def test_bad_value_names_the_argument(self, capsys, monkeypatch, flag, value):
-        monkeypatch.delenv("ECVR_SEED", raising=False)
-        named = f"argument {flag}"
-        if flag == "ECVR_SEED":
-            monkeypatch.setenv(flag, value)
-            argv, named = ["run", "--epochs", "0"], f"environment variable {flag}"
-        elif flag == "--tol":
+    def test_bad_value_names_the_argument(self, capsys, flag, value):
+        if flag == "--tol":
             argv = ["reference", flag, value]
         else:
             argv = ["run", flag, value, "--epochs", "0"]
         with pytest.raises(SystemExit) as exit_info:
             cli.main(argv)
         assert exit_info.value.code == 2
-        assert f"{named}: expects" in capsys.readouterr().err
+        assert f"argument {flag}: expects" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "what, flag, value",
@@ -934,7 +939,76 @@ class TestCli:
         assert "ecvr run: error: reference_tol: reference solver exhausted 50 iterations " in err
         assert "--tol" not in err
 
+    def test_reference_prints_the_p_star_of_the_run_setup(self, monkeypatch, capsys):
+        # `reference` and `run` measure against one reference: RunConfig's tolerance.
+        build, tols = harness.build_setup, []
+        expected = build(harness.RunConfig(synth=(60, 12, 0.4), seed=3)).reference
+
+        def spy(config):
+            tols.append(config.reference_tol)
+            return build(config)
+
+        monkeypatch.setattr(harness, "build_setup", spy)
+        assert cli.main(["reference", "--synth", "60,12,0.4", "--seed", "3"]) == 0
+        assert tols == [harness.RunConfig().reference_tol] == [expected.tol] == [1e-12]
+        assert capsys.readouterr().out.startswith(f"P* = {expected.value!r}  (")
+
+    @pytest.mark.parametrize("source", ["--synth", "--data"])
+    def test_data_with_zero_constants_runs_a_given_step_only(self, tmp_path, capsys, source):
+        zeros = tmp_path / "zeros.libsvm"
+        zeros.write_text("+1 1:0 2:0\n-1 1:0\n+1 2:0\n-1 1:0 2:0\n")
+        if source == "--data":
+            argv = ["run", "--data", str(zeros), "--n", "2", "--epochs", "1"]
+        else:
+            argv = ["run", "--synth-scale", "1e-200", "--epochs", "1"]
+        out = tmp_path / "run.csv"
+        assert cli.main(argv + ["--eta", "1", "--out", str(out)]) == 0
+        manifest = strict_json(tmp_path / "run.json")
+        assert (manifest["eta"], manifest["eta_theory"]) == (1.0, None)
+        assert manifest["final_gap"] == 0.0
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(argv)
+        err = capsys.readouterr().err
+        assert exit_info.value.code == 2
+        assert f"ecvr run: error: argument {source}: L and L_f are 0 on this data" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["run", "--epochs", "1e308"], "--epochs"),
+            (["run", "--synth", f"{10**20},5,0.5", "--epochs", "0"], "--synth"),
+            (["verify", "compressors", "--d", str(10**20)], "--d"),
+            (["verify", "eso", "--trials", str(10**20)], "--trials"),
+        ],
+    )
+    def test_size_too_large_to_count_or_allocate_names_the_argument(self, capsys, argv, flag):
+        # 10**20 elements exceed numpy's largest array, so each fails before any allocation.
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(argv)
+        err = capsys.readouterr().err
+        assert exit_info.value.code == 2
+        assert f"ecvr {argv[0]}: error: argument {flag}: " in err
+        assert "Traceback" not in err
+
     def test_reference_command(self, capsys):
         code = cli.main(["reference", "--synth", "60,12,0.4", "--tol", "1e-8"])
         assert code == 0
         assert "P* =" in capsys.readouterr().out
+
+
+class TestSource:
+    def test_no_module_reads_or_sets_the_environment(self):
+        # A run's inputs are its flags and RunConfig; an environment variable would be a hidden one.
+        hidden = {"environ", "getenv", "putenv"}
+        found = []
+        for path in sorted(Path(ecvr.__file__).parent.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Attribute) and node.attr in hidden:
+                    if isinstance(node.value, ast.Name) and node.value.id == "os":
+                        found.append(f"{path.name}:{node.lineno}: os.{node.attr}")
+                elif isinstance(node, ast.ImportFrom) and node.module == "os":
+                    names = [alias.name for alias in node.names if alias.name in hidden]
+                    found += [f"{path.name}:{node.lineno}: from os import {n}" for n in names]
+        assert found == []

@@ -7,7 +7,7 @@ import pytest
 from scipy import sparse
 
 from ecvr import problem as problem_module
-from ecvr.dataset import Dataset, partition
+from ecvr.dataset import Dataset, column_squares, partition
 from ecvr.harness import synth_dataset
 from ecvr.problem import (
     COMPOSITE,
@@ -418,7 +418,8 @@ class TestConstants:
             ) / part.m
             assert c.r_sq == pytest.approx(r_sq, rel=1e-12)
             assert c.r_bar_sq == pytest.approx(per_node, rel=1e-12)
-            assert c.r_m == pytest.approx(problem.dataset.column_norms()[: part.retained].max())
+            norms = np.sqrt(column_squares(problem.dataset.features))
+            assert c.r_m == pytest.approx(norms[: part.retained].max())
 
     def test_spectral_solves_record_the_full_gram_and_the_slowest_node(self, composite):
         c = compute_constants(composite)
