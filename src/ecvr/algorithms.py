@@ -109,6 +109,14 @@ def _error_norm(opt) -> float:
     return float(np.sqrt(np.sum(opt.e**2)))
 
 
+def _bits(opt) -> float:
+    """The bits an optimizer has communicated: ``k`` steps of ``bits_per_step``.
+
+    One product, so the count is exact whatever the cost per step.
+    """
+    return opt.k * opt.bits_per_step
+
+
 def _node_mean(kept: Optional[np.ndarray], values: np.ndarray, shape: tuple) -> np.ndarray:
     """The mean over nodes of a ``comp._compress`` result on an (n, d) batch.
 
@@ -210,7 +218,6 @@ class EcLsvrg:
         self._form_residual()
         self.k = 0
         self.examples_per_step = n
-        self.bits = 0.0
         self.bits_per_step = problem.n * (
             comp.bit_cost(self.q, d) + comp.bit_cost(self.q1, d) + 1.0
         )
@@ -301,7 +308,6 @@ class EcLsvrg:
             self._form_residual()
         self.x = x_new
         self.k += 1
-        self.bits += self.bits_per_step
         _require_finite("iterate", self.x, self.k)
         return LsvrgStepInfo(
             sampled=sampled,
@@ -312,6 +318,7 @@ class EcLsvrg:
         )
 
     error_norm = _error_norm
+    bits = property(_bits)
 
 
 class Lsvrg:
@@ -340,7 +347,6 @@ class Lsvrg:
         self.grad_w = problem.grad_f_nodes(self.w)
         self.k = 0
         self.examples_per_step = n
-        self.bits = 0.0
         self.bits_per_step = problem.n * (comp.bit_cost(comp.identity(), d) * 2 + 1.0)
         self._sample = _example_sampler(seed, problem.part)
         self._coin = split_rng(seed, "coin")
@@ -368,11 +374,12 @@ class Lsvrg:
             self.grad_w = pr.grad_f_nodes(self.w)
         self.x = x_new
         self.k += 1
-        self.bits += self.bits_per_step
         _require_finite("iterate", self.x, self.k)
 
     def error_norm(self) -> float:
         return 0.0
+
+    bits = property(_bits)
 
 
 class EcGd:
@@ -395,7 +402,6 @@ class EcGd:
         self.e = np.zeros((n, d))
         self.k = 0
         self.examples_per_step = problem.part.retained  # a full pass
-        self.bits = 0.0
         self.bits_per_step = n * comp.bit_cost(compressor, d)
         self._q_uniforms = NodeDraws(node_streams(seed, "compress", n))
 
@@ -410,10 +416,10 @@ class EcGd:
         x_half = self.x - _node_mean(kept, y, t_nodes.shape)
         self.x = pr.prox_psi(x_half, eta)
         self.k += 1
-        self.bits += self.bits_per_step
         _require_finite("iterate", self.x, self.k)
 
     error_norm = _error_norm
+    bits = property(_bits)
 
 
 def _check_surrogate(name: str, opt, u: np.ndarray, aggregate: np.ndarray) -> None:
@@ -441,6 +447,14 @@ QUARTZ = "quartz"
 SDCA = "sdca"
 
 
+def _check_dual_step(variant: str, theta: float, m: int) -> None:
+    """Raise unless ``variant`` is quartz or sdca and ``0 < theta <= 1/m``."""
+    if variant not in (QUARTZ, SDCA):
+        raise ValueError(f"unknown variant {variant!r}")
+    if not 0 < theta <= 1.0 / m:
+        raise ValueError(f"theta must be in (0, 1/m]; got {theta} with m={m}")
+
+
 class EcDual:
     """Compressed primal-dual coordinate ascent (quartz and sdca variants).
 
@@ -462,11 +476,7 @@ class EcDual:
         seed: int,
         variant: str = QUARTZ,
     ):
-        if variant not in (QUARTZ, SDCA):
-            raise ValueError(f"unknown variant {variant!r}")
-        m = problem.part.m
-        if not 0 < theta <= 1.0 / m:
-            raise ValueError(f"theta must be in (0, 1/m]; got {theta} with m={m}")
+        _check_dual_step(variant, theta, problem.part.m)
         d, n = problem.d, problem.part.n
         comp.validate_for_dimension(compressor, d)
         self.problem = problem
@@ -480,7 +490,6 @@ class EcDual:
         self.e = np.zeros((n, d))
         self.k = 0
         self.examples_per_step = n
-        self.bits = 0.0
         self.bits_per_step = n * comp.bit_cost(compressor, d)
         self._sample = _example_sampler(seed, problem.part)
         self._q_uniforms = NodeDraws(node_streams(seed, "compress", n))
@@ -528,7 +537,6 @@ class EcDual:
         self.v = self.v + contrib.mean(axis=0)
         self.x = x_new
         self.k += 1
-        self.bits += self.bits_per_step
         _require_finite("dual vector", self.alpha[sampled], self.k)
         _require_finite("primal surrogate", self.u, self.k)
         self._check_feasible(sampled)
@@ -542,6 +550,7 @@ class EcDual:
         )
 
     error_norm = _error_norm
+    bits = property(_bits)
 
 
 class VanillaDual:
@@ -555,11 +564,7 @@ class VanillaDual:
         seed: int,
         variant: str = QUARTZ,
     ):
-        if variant not in (QUARTZ, SDCA):
-            raise ValueError(f"unknown variant {variant!r}")
-        m = problem.part.m
-        if not 0 < theta <= 1.0 / m:
-            raise ValueError(f"theta must be in (0, 1/m]; got {theta} with m={m}")
+        _check_dual_step(variant, theta, problem.part.m)
         self.problem = problem
         self.theta = theta
         self.variant = variant
@@ -568,7 +573,6 @@ class VanillaDual:
         self.u = problem.dual_aggregate(self.alpha)
         self.k = 0
         self.examples_per_step = problem.part.n
-        self.bits = 0.0
         self.bits_per_step = problem.part.n * comp.bit_cost(comp.identity(), problem.d)
         self._sample = _example_sampler(seed, problem.part)
 
@@ -598,11 +602,12 @@ class VanillaDual:
         self.u = self.u + y_nodes.mean(axis=0)
         self.x = x_new
         self.k += 1
-        self.bits += self.bits_per_step
         _require_finite("dual vector", self.alpha, self.k)
 
     def error_norm(self) -> float:
         return 0.0
+
+    bits = property(_bits)
 
 
 # -- step-size and rate formulas ---------------------------------------------

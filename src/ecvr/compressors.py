@@ -31,6 +31,7 @@ NATURAL = "natural"
 SCALED = "scaled"
 COMPOSE = "compose"
 
+_KINDS = frozenset({IDENTITY, TOP_K, RAND_K, DITHERING, NATURAL, SCALED, COMPOSE})
 _UNBIASED_KINDS = frozenset({DITHERING, NATURAL})
 _K_KINDS = frozenset({TOP_K, RAND_K, COMPOSE})  # the kinds that keep k coordinates
 
@@ -50,6 +51,8 @@ class CompressorSpec:
     inner: Optional["CompressorSpec"] = None
 
     def __post_init__(self) -> None:
+        if self.kind not in _KINDS:
+            raise ValueError(f"unknown compressor kind {self.kind!r}")
         if self.kind in _K_KINDS:
             if self.k is None or self.k < 1:
                 raise ValueError(f"{self.kind} needs k >= 1, got {self.k}")
@@ -146,10 +149,8 @@ def format_spec(spec: CompressorSpec) -> str:
         return "natural_raw"
     if spec.kind == SCALED:
         return "dither" if spec.inner.kind == DITHERING else "natural"
-    if spec.kind == COMPOSE:
-        name = "rtop_k" if spec.inner.kind == DITHERING else "ntop_k"
-        return f"{name}:{spec.k}"
-    raise ValueError(f"unknown spec kind {spec.kind!r}")
+    name = "rtop_k" if spec.inner.kind == DITHERING else "ntop_k"  # COMPOSE
+    return f"{name}:{spec.k}"
 
 
 def validate_for_dimension(spec: CompressorSpec, d: int) -> None:
@@ -206,12 +207,10 @@ def bit_cost(spec: CompressorSpec, d: int) -> float:
         return 12.0 * d
     if spec.kind == SCALED:
         return bit_cost(spec.inner, d)
-    if spec.kind == COMPOSE:
-        cost = bit_cost(spec.inner, spec.k)
-        if spec.k < d:
-            cost += spec.k * index_bits
-        return cost
-    raise ValueError(f"unknown spec kind {spec.kind!r}")
+    cost = bit_cost(spec.inner, spec.k)  # COMPOSE
+    if spec.k < d:
+        cost += spec.k * index_bits
+    return cost
 
 
 Rngs = Union[np.random.Generator, NodeDraws]
@@ -264,8 +263,6 @@ def _compress(
         out = _apply(spec.inner, x, rngs)
         out /= omega_of(spec.inner, d) + 1.0
         return None, out
-    if spec.kind not in _K_KINDS:
-        raise ValueError(f"unknown spec kind {spec.kind!r}")
     if pool is not None:
         kept = pool.kept(x)
     else:

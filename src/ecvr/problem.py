@@ -302,12 +302,6 @@ class DualProblem:
         """(1/(lam N)) sum_j a_j alpha_j, the argument fed to grad g*."""
         return self._design.combine(np.asarray(alpha) / (self.lam * self.N))
 
-    def primal_value(self, x: np.ndarray, loss: float | None = None) -> float:
-        """The objective at x; ``loss`` is ``primal.loss_value(x)`` if the caller already has it."""
-        if loss is None:
-            loss = self.primal.loss_value(x)
-        return loss + self.lam * self.g_value(x)
-
     def dual_value(self, alpha: np.ndarray, aggregate: np.ndarray | None = None) -> float:
         """The dual objective; ``aggregate`` is ``dual_aggregate(alpha)`` if the caller already has it."""
         conj = self.phi_conj_neg(np.asarray(alpha, dtype=np.float64), self._design.b)
@@ -323,8 +317,9 @@ class DualProblem:
         loss: float | None = None,
         aggregate: np.ndarray | None = None,
     ) -> float:
-        """Primal minus dual value; a passed ``loss`` or ``aggregate`` saves its O(N d) product."""
-        return self.primal_value(x, loss) - self.dual_value(alpha, aggregate)
+        """``primal.primal_value`` minus the dual value, so the duality gap and the
+        primal gap read one P(x); a passed ``loss`` or ``aggregate`` saves its O(N d) product."""
+        return self.primal.primal_value(x, loss) - self.dual_value(alpha, aggregate)
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 import copy
 import math
+import re
 import zlib
 
 import numpy as np
@@ -217,6 +218,14 @@ class TestEcLsvrgStep:
         with pytest.raises(ValueError):
             alg.EcLsvrg(composite, comp.top_k(10_000), eta=0.1, p=0.5, seed=1)
 
+    @pytest.mark.parametrize("p", [0.0, 1.5])
+    def test_lsvrg_and_ec_lsvrg_reject_a_refresh_probability_alike(self, composite, p):
+        message = "^" + re.escape(f"refresh probability must be in (0, 1], got {p}") + "$"
+        with pytest.raises(ValueError, match=message):
+            alg.Lsvrg(composite, eta=0.1, p=p, seed=1)
+        with pytest.raises(ValueError, match=message):
+            alg.EcLsvrg(composite, comp.top_k(1), eta=0.1, p=p, seed=1)
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_raises_numerical_error(self, smooth):
         # No prox to tame the step in smooth mode, so a huge eta blows up.
@@ -244,7 +253,7 @@ class DenseEcLsvrg:
         self.grad_w = problem.grad_f_nodes(self.w)
         self.h = self.grad_w.copy()
         self.h_avg = self.h.mean(axis=0)
-        self.bits = 0.0
+        self.k = 0
         self.per_step = n * (comp.bit_cost(q, d) + comp.bit_cost(q1, d) + 1.0)
         self.sample = node_streams(seed, "sample", n)
         self.q_rngs = [NodeDraws([g]) for g in node_streams(seed, "compress", n)]
@@ -281,7 +290,11 @@ class DenseEcLsvrg:
             self.w = x.copy()
             self.grad_w = pr.grad_f_nodes(self.w)
         self.x = x_half if pr.mode == SMOOTH else pr.prox_psi(x_half, eta)
-        self.bits += self.per_step
+        self.k += 1
+
+    @property
+    def bits(self):
+        return self.k * self.per_step
 
 
 class TestKeptPositionStep:
@@ -675,6 +688,22 @@ class TestEcDual:
             alg.EcDual(dual, comp.top_k(1), theta=0.0, seed=1)
         with pytest.raises(ValueError):
             alg.EcDual(dual, comp.top_k(1), theta=2.0 / dual.part.m, seed=1)
+
+    @pytest.mark.parametrize("plain", [False, True], ids=["ec_dual", "vanilla_dual"])
+    def test_both_duals_reject_a_bad_variant_or_theta_alike(self, dual, plain):
+        def build(**kw):
+            if plain:
+                return alg.VanillaDual(dual, seed=1, **kw)
+            return alg.EcDual(dual, comp.top_k(1), seed=1, **kw)
+
+        m = dual.part.m
+        with pytest.raises(ValueError, match=r"^unknown variant 'dca'$"):
+            build(theta=1.0 / m, variant="dca")
+        for theta in (0.0, -1.0 / m, 2.0 / m):
+            message = re.escape(f"theta must be in (0, 1/m]; got {theta} with m={m}")
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                build(theta=theta)
+        assert build(theta=1.0 / m, variant=alg.SDCA).theta == 1.0 / m  # the bound is admitted
 
 
 class TestStepSizeFormulas:

@@ -32,6 +32,11 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             comp.top_k(0)
 
+    def test_unknown_kind_is_rejected_by_name(self):
+        # Every spec a function downstream receives has one of the seven kinds.
+        with pytest.raises(ValueError, match=r"^unknown compressor kind 'top_j'$"):
+            comp.CompressorSpec("top_j", k=1)
+
     def test_scaled_needs_unbiased_inner(self):
         with pytest.raises(ValueError):
             comp.scaled(comp.top_k(1))

@@ -21,7 +21,7 @@ from ecvr import compressors as comp
 from ecvr import harness
 from ecvr import problem as problem_module
 from ecvr.algorithms import NumericalError
-from ecvr.dataset import Dataset, column_squares, partition
+from ecvr.dataset import Dataset, column_squares, normalize_examples, partition, shuffle_examples
 from ecvr.problem import COMPOSITE, DualProblem, PrimalProblem, compute_constants
 
 
@@ -417,6 +417,26 @@ class TestRunExperiment:
         bits = [rec.bits for rec in res.records]
         assert bits == sorted(bits)
 
+    # Each cost per step here is not an integer, so a running sum of it would
+    # drift off the product; ec_lsvrg and rtop_k:3 run at RunConfig's defaults.
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"algo": "ec_gd", "compressor": "dither", "synth": (200, 37, 0.3)},
+            {"algo": "ec_quartz", "compressor": "dither", "synth": (200, 37, 0.3)},
+            {"algo": "ec_lsvrg", "compressor": "rtop_k:3"},
+        ],
+        ids=["ec_gd-dither", "ec_quartz-dither", "ec_lsvrg-rtop_k"],
+    )
+    def test_bits_are_exactly_the_steps_times_the_cost_per_step(self, monkeypatch, overrides):
+        built, real = [], harness.build_optimizer
+        monkeypatch.setattr(harness, "build_optimizer", lambda *a: built.append(real(*a)) or built[-1])
+        res = harness.run_experiment(harness.RunConfig(epochs=20, **overrides))
+        [(opt, _)] = built
+        assert res.bits_per_step != int(res.bits_per_step) and len(res.records) == 20
+        assert [rec.bits for rec in res.records] == [rec.k * res.bits_per_step for rec in res.records]
+        assert opt.bits == opt.k * opt.bits_per_step
+
     def test_identity_ec_lsvrg_matches_lsvrg_gaps(self):
         ec = harness.run_experiment(base_config(compressor="identity", algo="ec_lsvrg"))
         plain = harness.run_experiment(base_config(compressor="identity", algo="lsvrg"))
@@ -430,6 +450,12 @@ class TestRunExperiment:
         )
         for rec in res.records:
             assert rec.dual_gap is not None and rec.dual_gap >= -1e-10
+
+    def test_negative_duality_gap_names_the_step(self, monkeypatch):
+        # A dual value above every primal value breaks weak duality at the first record.
+        monkeypatch.setattr(DualProblem, "dual_value", lambda self, alpha, aggregate=None: 1e3)
+        with pytest.raises(alg.InvariantError, match=r"fell below -1e-10 at step 7$"):
+            harness.run_experiment(base_config(algo="ec_quartz", cadence=7))
 
     def test_gap_target_stops_early_and_reports_bits(self):
         res = harness.run_experiment(
@@ -516,6 +542,28 @@ class TestDesignPaths:
         assert np.array_equal(dense.x, sparse_run.x)
 
 
+class TestLoadDataset:
+    @pytest.mark.parametrize(
+        "overrides, transform",
+        [
+            ({"shuffle_seed": 3}, lambda ds: shuffle_examples(ds, 3)),
+            ({"normalize": True}, normalize_examples),
+            ({"shuffle_seed": 3, "normalize": True}, lambda ds: normalize_examples(shuffle_examples(ds, 3))),
+        ],
+        ids=["shuffle", "normalize", "both"],
+    )
+    def test_run_equals_the_run_on_the_transformed_data(self, monkeypatch, overrides, transform):
+        def trace(res):
+            return [(r.k, r.bits, r.primal_gap, r.err_norm) for r in res.records]
+
+        config = base_config(compressor="rand_k:2", epochs=3)
+        plain = harness.run_experiment(config)
+        flagged = harness.run_experiment(replace(config, **overrides))
+        transformed = transform(harness.load_dataset(config))
+        monkeypatch.setattr(harness, "load_dataset", lambda _: transformed)
+        assert trace(flagged) == trace(harness.run_experiment(config)) != trace(plain)
+
+
 def count_setup_calls(monkeypatch) -> dict[str, list]:
     """Record every call harness makes to its data, constants and reference steps."""
     calls = {}
@@ -543,6 +591,19 @@ class TestGridSearch:
         )
         assert best in (0.3, 1.0)
         assert results[1e-4].final_gap >= results[best].final_gap
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_diverged_candidate_is_recorded_as_none(self):
+        # No prox tames a huge step in smooth mode.
+        base = base_config(mode="smooth", lambda1=0.0, epochs=5)
+        best, results = harness.grid_search_eta(base, candidates=[0.3, 1e9])
+        assert best == 0.3 and results[1e9] is None and results[0.3].final_gap < 1.0
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_every_candidate_diverging_raises(self):
+        base = base_config(mode="smooth", lambda1=0.0, epochs=5)
+        with pytest.raises(RuntimeError, match="^every step-size candidate diverged$"):
+            harness.grid_search_eta(base, candidates=[1e9, 1e10])
 
     def test_candidates_share_one_setup(self, monkeypatch):
         calls = count_setup_calls(monkeypatch)

@@ -312,7 +312,7 @@ class TestDual:
             alpha = dual.labels * rng.uniform(0.0, 1.0, size=dual.N)
             loss, aggregate = composite.loss_value(x), dual.dual_aggregate(alpha)
             assert composite.primal_value(x, loss) == composite.primal_value(x)
-            assert dual.primal_value(x, loss) == dual.primal_value(x)
+            assert dual.primal.primal_value(x, loss) == dual.primal.primal_value(x)
             assert dual.dual_value(alpha, aggregate) == dual.dual_value(alpha)
             assert dual.duality_gap(x, alpha, loss=loss, aggregate=aggregate) == dual.duality_gap(x, alpha)
 
@@ -365,12 +365,16 @@ class TestDual:
         for _ in range(100):
             x = rng.standard_normal(dual.d)
             alpha = dual.labels * rng.uniform(0.0, 1.0, size=dual.N)
-            gap = dual.primal_value(x) - dual.dual_value(alpha)
+            gap = dual.primal.primal_value(x) - dual.dual_value(alpha)
             assert gap >= -1e-10
 
     def test_primal_values_agree_between_views(self, dual, composite):
-        x = rng_for("agree").standard_normal(dual.d)
-        assert dual.primal_value(x) == pytest.approx(composite.primal_value(x), rel=1e-12)
+        # The duality gap reads the one P(x) that the primal gap reads, bit for bit.
+        rng = rng_for("agree")
+        for _ in range(50):
+            x = rng.standard_normal(dual.d)
+            alpha = dual.labels * rng.uniform(0.0, 1.0, size=dual.N)
+            assert dual.duality_gap(x, alpha) == composite.primal_value(x) - dual.dual_value(alpha)
 
     def test_infeasible_alpha_reports_block(self, dual):
         alpha = np.zeros(dual.N)
