@@ -68,10 +68,11 @@ def _compress_with_feedback(
     ``kept`` and ``values`` are ``comp._compress``'s result. Node tau draws
     from stream tau of ``uniforms``. For a sparsifier the residual
     ``t - Q(t)`` is t itself, rewritten at the kept positions only: off them
-    Q(t) is +0 and ``t - 0 == t``. Conservation is verified per node where Q
-    wrote: kinds that copy kept coordinates verbatim must satisfy
-    ``residual + output == t`` bit for bit; quantizing kinds get a 1-ulp
-    allowance per coordinate, relative to that node's largest entry.
+    Q(t) is +0 and ``t - 0 == t``. Conservation is verified where Q wrote:
+    ``|residual + output - t|`` may exceed no slack, which is 0 for kinds
+    that copy kept coordinates verbatim and 1e-12 (1 + the node's largest
+    entry) for quantizers. A NaN round trip is left to the callers'
+    finiteness checks.
     """
     magnitude = np.abs(t)
     # A row holding NaN or an infinity has a non-finite peak.
@@ -81,27 +82,21 @@ def _compress_with_feedback(
         tau = int(np.argmax(nonfinite))
         raise NumericalError(f"compressor input became non-finite at step {k}, node {tau}")
     kept, y = comp._compress(spec, t, uniforms, magnitude)
+    sent = t if kept is None else t.take(kept)
+    e_sent = sent - y
+    round_trip = e_sent + y
+    off = np.flatnonzero(round_trip != sent)
+    if off.size:
+        node = (off if kept is None else kept.take(off)) // t.shape[1]
+        slack = 0.0 if comp.copies_kept(spec) else 1e-12 * (1.0 + peak[node])
+        broken = np.abs(round_trip.take(off) - sent.take(off)) > slack
+        if broken.any():
+            tau = int(node[np.argmax(broken)])
+            raise InvariantError(f"error conservation broken at step {k}, node {tau}")
     if kept is None:
-        sent, residual = t, t - y
-        total = np.add(residual, y, out=magnitude)
-    else:
-        sent = t.take(kept)
-        e_kept = sent - y
-        total = e_kept + y
-        np.put(t, kept, e_kept)
-        residual = t
-    if comp.copies_kept(spec):
-        broken = total != sent
-    else:
-        total -= sent
-        np.abs(total, out=total)
-        tol = 1e-12 * (1.0 + (peak[:, None] if kept is None else peak[kept // t.shape[1]]))
-        broken = total > tol
-    if broken.any():
-        first = int(np.argmax(broken.ravel()))
-        tau = first // t.shape[1] if kept is None else int(kept[first]) // t.shape[1]
-        raise InvariantError(f"error conservation broken at step {k}, node {tau}")
-    return kept, y, residual
+        return None, y, e_sent
+    np.put(t, kept, e_sent)
+    return kept, y, t
 
 
 def _error_norm(opt) -> float:
@@ -138,6 +133,14 @@ def _example_sampler(seed: int, part: Partition) -> Callable[[], np.ndarray]:
     draws = NodeDraws(node_streams(seed, "sample", part.n), fill, np.int64)
     offset = np.arange(part.n) * part.m
     return lambda: draws.draw(part.n, 1)[:, 0] + offset
+
+
+def _check_primal_step(eta: Optional[float] = None, p: Optional[float] = None) -> None:
+    """Raise unless a given step size ``eta`` is >= 0 and a given refresh probability ``p`` in (0, 1]."""
+    if eta is not None and eta < 0:
+        raise ValueError("step size must be nonnegative")
+    if p is not None and not 0 < p <= 1:
+        raise ValueError(f"refresh probability must be in (0, 1], got {p}")
 
 
 def _check_shift_average(
@@ -195,10 +198,7 @@ class EcLsvrg:
         p: float,
         seed: int,
     ):
-        if eta < 0:
-            raise ValueError("step size must be nonnegative")
-        if not 0 < p <= 1:
-            raise ValueError(f"refresh probability must be in (0, 1], got {p}")
+        _check_primal_step(eta, p)
         d, n = problem.d, problem.n
         comp.validate_for_dimension(compressor, d)
         self.q = compressor
@@ -336,8 +336,7 @@ class Lsvrg:
         p: float,
         seed: int,
     ):
-        if not 0 < p <= 1:
-            raise ValueError(f"refresh probability must be in (0, 1], got {p}")
+        _check_primal_step(eta, p)
         d, n = problem.d, problem.n
         self.problem = problem
         self.eta = eta
@@ -393,6 +392,7 @@ class EcGd:
         eta: float,
         seed: int,
     ):
+        _check_primal_step(eta)
         d, n = problem.d, problem.n
         comp.validate_for_dimension(compressor, d)
         self.problem = problem
@@ -627,8 +627,7 @@ def theoretical_eta(
     """Worst-case admissible step size for the composite or smooth regime; inf on zero data."""
     if not 0 < delta <= 1 or not 0 < delta1 <= 1:
         raise ValueError("contraction parameters must be in (0, 1]")
-    if not 0 < p <= 1:
-        raise ValueError("refresh probability must be in (0, 1]")
+    _check_primal_step(p=p)
     lf, lbar, l = c.l_f, c.l_bar, c.l
     rem = 1.0 - delta
     boost = 1.0 + 2.0 * p / delta1

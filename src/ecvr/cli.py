@@ -72,6 +72,9 @@ _compressor = _checked(str, comp.parse_spec, "a compressor such as top_k:1, rand
 _positive_int = _checked(int, lambda v: v >= 1, "an integer >= 1")
 # `verify compressors` checks fixed specs that keep up to 5 coordinates.
 _verify_d = _checked(int, lambda v: v >= 5, "an integer >= 5")
+# The Monte-Carlo verifiers draw in chunks, so a count no array can index would run forever.
+_MAX_INDEX = int(np.iinfo(np.intp).max)
+_trials = _checked(int, lambda v: 1 <= v <= _MAX_INDEX, f"an integer from 1 to {_MAX_INDEX}")
 _seed = _checked(int, lambda v: v >= 0, "a nonnegative integer")
 _probability = _checked(float, lambda v: 0 < v <= 1, "a number in (0, 1]")
 _nonnegative = _checked(float, lambda v: 0 <= v < math.inf, "a nonnegative finite number")
@@ -146,7 +149,7 @@ def cmd_verify(args) -> int:
             comp.identity(),
         ]
         for spec in specs:
-            with harness._blame("d"):  # numpy rejects a d it cannot allocate
+            with harness._blame("d"):  # a d that numpy or the host cannot allocate
                 rep = comp.verify_contraction(spec, d, args.trials, next(streams))
             ok &= rep.passed
             print(
@@ -176,7 +179,7 @@ def cmd_verify(args) -> int:
         rng = split_rng(args.seed, "verify")
         for trial in range(args.instances):
             a = rng.standard_normal((10, 20))
-            with harness._blame("trials"):  # numpy rejects a trial count it cannot allocate
+            with harness._blame("trials"):  # a trial count that numpy or the host cannot allocate
                 rep = harness.eso_check(a, n=4, trials=args.trials, rng=rng)
             ok &= rep.passed
             print(
@@ -237,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser("verify", help="run statistical/invariant verifiers")
     verify.add_argument("what", choices=["compressors", "eso", "invariants"])
     verify.add_argument("--d", type=_verify_d, default=100)
-    verify.add_argument("--trials", type=_positive_int, default=10_000)
+    verify.add_argument("--trials", type=_trials, default=10_000)
     verify.add_argument("--instances", type=_positive_int, default=20)
     verify.add_argument("--seed", type=_seed, default=0)
     verify.set_defaults(func=cmd_verify, parser=verify)

@@ -54,11 +54,11 @@ class ConfigError(ValueError):
 
 @contextmanager
 def _blame(field: str):
-    """Re-raise a ValueError, OSError or ConvergenceError as a ConfigError on ``field``."""
+    """Re-raise a ValueError, OSError, MemoryError or ConvergenceError as a ConfigError on ``field``."""
     try:
         yield
-    except (ValueError, OSError, ConvergenceError) as err:
-        raise ConfigError(field, str(err)) from err
+    except (ValueError, OSError, MemoryError, ConvergenceError) as err:
+        raise ConfigError(field, str(err) or type(err).__name__) from err
 
 
 @dataclass(frozen=True)
@@ -75,7 +75,7 @@ class Reference:
 def solve_reference(
     problem: PrimalProblem,
     constants: ProblemConstants,
-    tol: float = 1e-10,
+    tol: float,
     max_iter: int = 200_000,
 ) -> Reference:
     """High-accuracy minimizer via accelerated proximal gradient.
@@ -377,7 +377,7 @@ def _data_source(config: RunConfig) -> str:
 def load_dataset(config: RunConfig) -> Dataset:
     if (config.data is None) == (config.synth is None):
         raise ConfigError("data", "exactly one of data path or synth spec must be set")
-    # A synthetic size numpy cannot allocate raises ValueError before any allocation.
+    # A size numpy cannot index raises ValueError; one the host cannot hold, MemoryError.
     with _blame(_data_source(config)):
         if config.data is not None:
             ds = parse_libsvm(config.data)
@@ -442,13 +442,14 @@ def build_optimizer(config: RunConfig, setup: Setup):
             message = "L and L_f are 0 on this data, so the theory bounds no step; set eta"
             raise ConfigError(_data_source(config), message)
         eta = eta_theory if config.eta == "theory" else float(config.eta)
-        resolved = Resolved(delta, delta1, omega, p, eta=eta, eta_theory=eta_theory)
-    if algo == "ec_lsvrg":
-        return alg.EcLsvrg(primal, spec, q1, eta=eta, p=p, seed=config.seed), resolved
-    if algo == "lsvrg":
-        return alg.Lsvrg(primal, eta=eta, p=p, seed=config.seed), resolved
-    if algo == "ec_gd":
-        return alg.EcGd(primal, spec, eta=eta, seed=config.seed), resolved
+        with _blame("eta"):  # the primal optimizers reject a negative step
+            if algo == "ec_lsvrg":
+                opt = alg.EcLsvrg(primal, spec, q1, eta=eta, p=p, seed=config.seed)
+            elif algo == "lsvrg":
+                opt = alg.Lsvrg(primal, eta=eta, p=p, seed=config.seed)
+            else:
+                opt = alg.EcGd(primal, spec, eta=eta, seed=config.seed)
+        return opt, Resolved(delta, delta1, omega, p, eta=eta, eta_theory=eta_theory)
     if algo in DUAL_ALGOS:
         with _blame("lambda2"):
             dual = DualProblem(primal)  # O(1): it shares the primal design
@@ -564,9 +565,11 @@ def _run(config: RunConfig, setup: Setup) -> RunResult:
         x=opt.x.copy(),
     )
     if config.out_csv:
-        emit_csv(records, config.out_csv)
+        with _blame("out_csv"):
+            emit_csv(records, config.out_csv)
     if config.out_json:
-        emit_json(result, config.out_json)
+        with _blame("out_json"):
+            emit_json(result, config.out_json)
     return result
 
 

@@ -226,6 +226,15 @@ class TestEcLsvrgStep:
         with pytest.raises(ValueError, match=message):
             alg.EcLsvrg(composite, comp.top_k(1), eta=0.1, p=p, seed=1)
 
+    def test_primal_optimizers_and_the_theory_step_share_one_step_rule(self, composite, constants):
+        negative = "^step size must be nonnegative$"
+        with pytest.raises(ValueError, match=negative):
+            alg.Lsvrg(composite, eta=-0.1, p=0.5, seed=1)
+        with pytest.raises(ValueError, match=negative):
+            alg.EcGd(composite, comp.top_k(1), eta=-0.1, seed=1)
+        with pytest.raises(ValueError, match=re.escape("refresh probability must be in (0, 1], got 1.5")):
+            alg.theoretical_eta(constants, 4, 0.5, 0.5, 1.5, COMPOSITE)
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_raises_numerical_error(self, smooth):
         # No prox to tame the step in smooth mode, so a huge eta blows up.
@@ -475,6 +484,43 @@ class TestCompressWithFeedback:
         t = rng_for("fb").standard_normal((4, 6))
         with pytest.raises(alg.InvariantError, match="step 7, node 1"):
             alg._compress_with_feedback(comp.parse_spec(q), t, self.streams(4), 7)
+
+    @pytest.mark.parametrize("q", ["top_k:1", "dither"], ids=str)
+    def test_optimizer_step_names_the_broken_step_and_node(self, monkeypatch, composite, dual, q):
+        # On step 3, Q's output at node 2 absorbs that node's largest entry
+        # into 1e20, so residual + output rounds to 0 there. Top-k runs on
+        # EcLsvrg, whose Q1 is rand-k and left alone, and dithering on EcDual.
+        spec = comp.parse_spec(q)
+        if q == "top_k:1":
+            opt = alg.EcLsvrg(composite, spec, comp.rand_k(2), eta=0.2, p=0.05, seed=5)
+        else:
+            opt = alg.EcDual(dual, spec, theta=1e-3, seed=5)
+        real = comp._compress
+
+        def lossy(spec_, x, rngs, magnitude=None, pool=None):
+            kept, y = real(spec_, x, rngs, magnitude, pool)
+            if spec_ == spec and opt.k == 3:
+                if kept is None:
+                    j = int(np.argmax(np.abs(x[2])))
+                    y[2, j] = x[2, j] + 1e20
+                else:
+                    node2 = kept // x.shape[1] == 2
+                    y[node2] = x.take(kept[node2]) + 1e20
+            return kept, y
+
+        monkeypatch.setattr(comp, "_compress", lossy)
+        for _ in range(3):
+            opt.step()
+        with pytest.raises(alg.InvariantError, match="^error conservation broken at step 3, node 2$"):
+            opt.step()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_dither_whose_squares_overflow_is_a_numerical_error(self, composite):
+        # Messages of order 1e198 overflow the row norms, so the dither's
+        # output and the residual are NaN: not a conservation fault.
+        opt = alg.EcGd(composite, comp.dithering(), eta=1e200, seed=3)
+        with pytest.raises(alg.NumericalError, match="^iterate became non-finite at step 1$"):
+            opt.step()
 
     def test_one_compressor_call_per_compressor_per_step(self, monkeypatch, composite, dual):
         calls = []

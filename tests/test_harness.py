@@ -3,7 +3,10 @@ import csv
 import functools
 import json
 import math
+import os
 import platform
+import subprocess
+import sys
 import time
 import zlib
 from dataclasses import asdict, replace
@@ -95,7 +98,7 @@ class TestSolveReference:
         constants = problem_module.ProblemConstants(1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1e-3)
         with pytest.raises(harness.ConvergenceError, match="norm is inf at iteration 1 of") as err:
             with pytest.warns(RuntimeWarning, match="overflow encountered in dot"):
-                harness.solve_reference(problem, constants)
+                harness.solve_reference(problem, constants, tol=1e-10)
         assert err.value.iterations == 1
 
 
@@ -405,6 +408,12 @@ class TestRunExperiment:
         with pytest.raises(harness.ConfigError) as err:
             harness.build_setup(base_config(**overrides))
         assert err.value.field == field
+
+    def test_negative_step_names_eta(self):
+        for algo in harness.PRIMAL_ALGOS:
+            with pytest.raises(harness.ConfigError, match="step size must be nonnegative") as err:
+                harness.run_experiment(base_config(algo=algo, eta=-0.1))
+            assert err.value.field == "eta"
 
     def test_bits_column_is_analytic_and_monotone(self):
         from ecvr import compressors as comp
@@ -1042,6 +1051,7 @@ class TestCli:
             (["run", "--synth", f"{10**20},5,0.5", "--epochs", "0"], "--synth"),
             (["verify", "compressors", "--d", str(10**20)], "--d"),
             (["verify", "eso", "--trials", str(10**20)], "--trials"),
+            (["verify", "compressors", "--trials", str(10**20)], "--trials"),
         ],
     )
     def test_size_too_large_to_count_or_allocate_names_the_argument(self, capsys, argv, flag):
@@ -1051,6 +1061,37 @@ class TestCli:
         err = capsys.readouterr().err
         assert exit_info.value.code == 2
         assert f"ecvr {argv[0]}: error: argument {flag}: " in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "module, name, error, argv, flag",
+        [
+            (harness, "synth_dataset", MemoryError, ["run", "--synth", "100,5,0.5"], "--synth"),
+            (comp, "_monte_carlo", MemoryError, ["verify", "compressors"], "--d"),
+            (harness, "eso_check", MemoryError, ["verify", "eso"], "--trials"),
+            (harness, "emit_csv", PermissionError, ["run", "--out", "{tmp}/run.csv"], "--out"),
+            (harness, "emit_json", PermissionError, ["run", "--out", "{tmp}/run.csv"], "--out"),
+        ],
+        ids=["synth", "verify-d", "eso-trials", "csv", "json"],
+    )
+    def test_host_that_cannot_hold_or_write_names_the_argument(
+        self, tmp_path, monkeypatch, capsys, module, name, error, argv, flag
+    ):
+        # A size numpy can index but the host cannot hold raises MemoryError,
+        # and a trace file that cannot be written after the run raises an
+        # OSError. The call that would allocate or write raises in its place.
+        def fail(*args, **kwargs):
+            raise error()
+
+        monkeypatch.setattr(module, name, fail)
+        argv = [arg.format(tmp=tmp_path) for arg in argv]
+        if argv[0] == "run":
+            argv += ["--epochs", "0"]
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(argv)
+        err = capsys.readouterr().err
+        assert exit_info.value.code == 2
+        assert f"ecvr {argv[0]}: error: argument {flag}: {error.__name__}" in err
         assert "Traceback" not in err
 
     def test_reference_command(self, capsys):
@@ -1073,3 +1114,21 @@ class TestSource:
                     names = [alias.name for alias in node.names if alias.name in hidden]
                     found += [f"{path.name}:{node.lineno}: from os import {n}" for n in names]
         assert found == []
+
+    def test_no_algorithm_run_imports_scipy_linalg(self):
+        # Importing scipy.linalg raised peak_rss_mb by 6.8 MB (ROADMAP, Settled).
+        # A fresh interpreter sees every import that a run makes.
+        script = (
+            "import sys\n"
+            "from ecvr import cli, harness\n"
+            "for algo in harness.ALGOS:\n"
+            "    cli.main(['run', '--synth', '60,12,0.4', '--algo', algo, '--epochs', '0.2'])\n"
+            "print(sorted(name for name in sys.modules if name.startswith('scipy.linalg')))\n"
+        )
+        src = str(Path(ecvr.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+        ).stdout.splitlines()
+        assert [line.split()[1] for line in out[:-1]] == [f"algo={a}" for a in harness.ALGOS]
+        assert out[-1] == "[]"
