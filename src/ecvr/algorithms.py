@@ -677,32 +677,3 @@ def theoretical_theta(
     third = dlg / (dlg * m + 12.0 * c.r * math.sqrt(a))
     return min(first, second, third)
 
-
-def contraction_rate(
-    mu: float, eta: float, delta: float, delta1: float, p: float, smooth: bool = False
-) -> float:
-    """Per-step decrease factor exponent: the min defining the averaging weights."""
-    lead = mu * eta / (2.0 if smooth else 3.0)
-    return min(lead, delta / 4.0, delta1 / 4.0, p / 4.0)
-
-
-def weighted_average(iterates, rho: float) -> np.ndarray:
-    """Average with weights (1 - rho)^(-i), normalized against the last weight.
-
-    The running form divides through by the current largest weight so the
-    partial sums stay bounded even when (1 - rho)^(-i) overflows.
-    """
-    if not 0 <= rho < 1:
-        raise ValueError(f"rho must be in [0, 1), got {rho}")
-    it = iter(iterates)
-    try:
-        first = next(it)
-    except StopIteration:
-        raise ValueError("need at least one iterate") from None
-    avg = np.asarray(first, dtype=np.float64).copy()
-    weight_sum = 1.0  # sum of w_j / w_i for j <= i
-    shrink = 1.0 - rho
-    for x in it:
-        weight_sum = weight_sum * shrink + 1.0
-        avg += (np.asarray(x, dtype=np.float64) - avg) / weight_sum
-    return avg

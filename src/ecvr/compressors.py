@@ -162,11 +162,6 @@ def validate_for_dimension(spec: CompressorSpec, d: int) -> None:
         raise ValueError(f"{stage} keeps k={spec.k} coordinates but d={d}")
 
 
-def transmitted_coords(spec: CompressorSpec, d: int) -> int:
-    """Number of coordinate slots the compressor transmits per vector."""
-    return spec.k if spec.kind in _K_KINDS else d
-
-
 def omega_of(spec: CompressorSpec, dim: int) -> float:
     """Variance parameter of an unbiased compressor applied to ``dim`` coords.
 

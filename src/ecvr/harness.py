@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
 import math
 import os
@@ -160,15 +161,13 @@ def eso_check(
 ) -> EsoReport:
     """Estimate E||A h_[S]||^2 against (1/m)(R_m^2 + n R^2) ||h||^2.
 
-    ``features`` is a Dataset or a d x N matrix (columns are examples); the
-    first n*m columns with m = N // n are used. S samples one column per
+    ``features`` is a d x N matrix (columns are examples), dense or sparse;
+    the first n*m columns with m = N // n are used. S samples one column per
     node, uniformly and independently. ``R_m^2`` and ``R^2`` are computed as
     ``compute_constants`` computes them, on a CSC copy of the columns.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    if isinstance(features, Dataset):
-        features = features.features
     A = sparse.csc_matrix(features, dtype=np.float64)
     total = A.shape[1]
     m = total // n
@@ -222,13 +221,12 @@ def synth_dataset(
     seed: int,
     *,
     scale: float = 1.0,
-    unit_columns: bool = True,
 ) -> Dataset:
     """Sparse Gaussian features with labels from a planted logistic model.
 
     Each example keeps ``round(sparsity * d)`` random coordinates (at least
-    one). Columns are normalized to norm ``scale`` by default so the derived
-    constants are controlled. Byte-for-byte reproducible under ``seed``.
+    one). Columns are normalized to norm ``scale`` so the derived constants
+    are controlled. Byte-for-byte reproducible under ``seed``.
     """
     if not 0 < sparsity <= 1:
         raise ValueError("sparsity must be in (0, 1]")
@@ -240,11 +238,10 @@ def synth_dataset(
         rows[j * nnz : (j + 1) * nnz] = rng.choice(d, size=nnz, replace=False)
     cols = np.repeat(np.arange(N), nnz)
     features = sparse.coo_matrix((vals, (rows, cols)), shape=(d, N)).tocsc()
-    if unit_columns:
-        features = scale_columns(features, scale)
+    features = scale_columns(features, scale)
 
     x_true = rng.standard_normal(d)
-    x_true *= 3.0 / (scale * math.sqrt(d) if unit_columns else math.sqrt(d))
+    x_true *= 3.0 / (scale * math.sqrt(d))
     margins = features.T @ x_true
     labels = np.where(rng.random(N) < expit(margins), 1.0, -1.0)
     return Dataset(features=features, labels=labels)
@@ -584,12 +581,25 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _rows(records: list[TrialRecord], columns) -> list[list[str]]:
+    """The trace's text cells: a header of ``columns``, then one row per record."""
+    return [list(columns)] + [[_fmt(getattr(rec, col)) for col in columns] for rec in records]
+
+
 def emit_csv(records: list[TrialRecord], path: str) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TRACE_COLUMNS)
-        for rec in records:
-            writer.writerow([_fmt(getattr(rec, col)) for col in TRACE_COLUMNS])
+        csv.writer(fh).writerows(_rows(records, TRACE_COLUMNS))
+
+
+def trace_digest(records: list[TrialRecord]) -> str:
+    """SHA-256 of the trace's CSV text without ``wall_ms``, the one column the seed does not fix.
+
+    The text joins the rows by newlines with no trailing one; no cell needs
+    CSV quoting, so it is the CSV's lines with that column left out.
+    """
+    columns = [col for col in TRACE_COLUMNS if col != "wall_ms"]
+    text = "\n".join(",".join(row) for row in _rows(records, columns))
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def _json_safe(value):
@@ -633,6 +643,7 @@ def emit_json(result: RunResult, path: str) -> None:
         "best_gap": result.best_gap,
         "final_gap": result.final_gap,
         "bits_to_target": result.bits_to_target,
+        "trace_sha256": trace_digest(result.records),
         "records": [vars(rec) for rec in result.records],
     }
     text = json.dumps(_json_safe(payload), indent=1, allow_nan=False)

@@ -817,43 +817,6 @@ class TestStepSizeFormulas:
             assert 0 < theta * dual.part.m <= 1.0 + 1e-12
 
 
-class TestWeightedAverage:
-    def test_single_iterate(self):
-        x = np.array([1.0, 2.0])
-        assert np.array_equal(alg.weighted_average([x], 0.3), x)
-
-    def test_zero_rate_is_plain_average(self):
-        xs = [np.array([float(i)]) for i in range(10)]
-        assert alg.weighted_average(xs, 0.0)[0] == pytest.approx(4.5)
-
-    def test_two_iterates_half_rate(self):
-        x0, x1 = np.array([1.0]), np.array([4.0])
-        # weights 1 and 2: (x0 + 2 x1) / 3
-        assert alg.weighted_average([x0, x1], 0.5)[0] == pytest.approx(3.0)
-
-    def test_matches_direct_formula(self):
-        rng = rng_for("wavg")
-        xs = [rng.standard_normal(3) for _ in range(40)]
-        rho = 0.1
-        weights = np.array([(1 - rho) ** (-i) for i in range(40)])
-        direct = np.sum(weights[:, None] * np.array(xs), axis=0) / weights.sum()
-        assert np.allclose(alg.weighted_average(xs, rho), direct, atol=1e-12)
-
-    def test_survives_huge_histories(self):
-        # (1 - rho)^(-i) overflows for long runs; the running form must not.
-        xs = (np.array([1.0]) for _ in range(5000))
-        assert alg.weighted_average(xs, 0.5)[0] == pytest.approx(1.0)
-
-    def test_empty_errors(self):
-        with pytest.raises(ValueError):
-            alg.weighted_average([], 0.1)
-
-    def test_contraction_rate(self):
-        assert alg.contraction_rate(1.0, 0.04, 0.9, 0.9, 0.9) == pytest.approx(0.04 / 3)
-        assert alg.contraction_rate(1.0, 0.04, 0.9, 0.9, 0.9, smooth=True) == pytest.approx(0.02)
-        assert alg.contraction_rate(1.0, 10.0, 0.2, 0.4, 0.8) == pytest.approx(0.05)
-
-
 class TestSampling:
     def test_steps_record_the_replayed_global_draws(self, composite, dual, constants):
         # Node tau draws its local example from stream ("sample", tau); the

@@ -72,7 +72,7 @@ def test_sparsifiers_conserve_exactly(case):
 def test_row_nonzeros_within_transmitted_coords(case):
     spec, x, rngs = case
     y = comp._apply(spec, x, rngs)
-    assert np.all(np.count_nonzero(y, axis=1) <= comp.transmitted_coords(spec, x.shape[1]))
+    assert np.all(np.count_nonzero(y, axis=1) <= (spec.k or x.shape[1]))
 
 
 @PROPERTY
@@ -91,7 +91,7 @@ def test_top_k_contracts_every_row(case):
 def test_bit_cost_follows_transmitted_coords(case):
     text, d = case
     spec = comp.parse_spec(text)
-    kept = comp.transmitted_coords(spec, d)
+    kept = spec.k or d
     index_bits = math.ceil(math.log2(d))
     cost = comp.bit_cost(spec, d)
     if spec.kind in (comp.TOP_K, comp.RAND_K):

@@ -402,7 +402,10 @@ class TestTransforms:
         assert (again.features != shuffled.features).nnz == 0
 
     def test_normalize_unit_columns(self):
-        ds = synth_dataset(15, 6, 0.5, seed=7, unit_columns=False)
+        rng = np.random.default_rng(7)  # Gaussian entries: unequal, nonzero column norms
+        features = sparse.random(6, 15, density=0.5, random_state=rng, data_rvs=rng.standard_normal)
+        ds = Dataset(features=features, labels=rng.choice([-1.0, 1.0], size=15))
+        assert not np.allclose(np.sqrt(column_squares(ds.features)), 1.0)
         normed = normalize_examples(ds)
         assert np.allclose(np.sqrt(column_squares(normed.features)), 1.0)
 

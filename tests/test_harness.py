@@ -1,6 +1,7 @@
 import ast
 import csv
 import functools
+import hashlib
 import json
 import math
 import os
@@ -26,6 +27,8 @@ from ecvr import problem as problem_module
 from ecvr.algorithms import NumericalError
 from ecvr.dataset import Dataset, column_squares, normalize_examples, partition, shuffle_examples
 from ecvr.problem import COMPOSITE, DualProblem, PrimalProblem, compute_constants
+
+from conftest import BENCH_SCALE, BENCH_SEED, BENCH_SHAPE
 
 
 def rng_for(name: str) -> np.random.Generator:
@@ -134,7 +137,7 @@ class TestEsoCheck:
         rep = harness.eso_check(a, n=3, trials=2_000, rng=rng_for("eso5"))
         assert rep.rhs > 0
         ds = harness.synth_dataset(12, 8, 0.4, seed=8)
-        rep = harness.eso_check(ds, n=3, trials=2_000, rng=rng_for("eso6"))
+        rep = harness.eso_check(ds.features, n=3, trials=2_000, rng=rng_for("eso6"))
         assert rep.rhs > 0
 
     def test_rhs_uses_the_constants_of_the_theory(self):
@@ -146,7 +149,7 @@ class TestEsoCheck:
             constants = compute_constants(PrimalProblem(ds, part, lam1=1e-3, lam2=1e-3))
             retained = part.retained
             h = np.ones(retained)
-            rep = harness.eso_check(ds, n=n, trials=50, rng=rng_for("eso7"), h=h)
+            rep = harness.eso_check(ds.features, n=n, trials=50, rng=rng_for("eso7"), h=h)
             col_sq = column_squares(ds.features[:, :retained])
             assert rep.rhs == (col_sq.max() + n * constants.r_sq) / part.m * retained
 
@@ -165,6 +168,20 @@ class TestSynthDataset:
     def test_column_scaling(self):
         ds = harness.synth_dataset(30, 15, 0.4, seed=11, scale=0.3)
         assert np.allclose(np.sqrt(column_squares(ds.features)), 0.3)
+
+    @pytest.mark.parametrize("sparsity", [0.01, 0.4, 1.0])
+    def test_every_example_keeps_its_share_of_coordinates(self, sparsity):
+        ds = harness.synth_dataset(40, 15, sparsity, seed=13)
+        assert np.array_equal(np.diff(ds.features.indptr), np.full(40, max(1, round(sparsity * 15))))
+
+    def test_scale_moves_only_the_column_norms(self):
+        # The planted model divides by the scale that the columns gain, so the
+        # margins, and with them the labels, do not depend on it.
+        unit = harness.synth_dataset(60, 15, 0.4, seed=14, scale=1.0)
+        small = harness.synth_dataset(60, 15, 0.4, seed=14, scale=0.3)
+        assert np.array_equal(unit.labels, small.labels)
+        assert np.array_equal(unit.features.indices, small.features.indices)
+        assert np.allclose(small.features.data, 0.3 * unit.features.data, rtol=1e-14, atol=0)
 
     def test_planted_model_is_learnable(self):
         ds = harness.synth_dataset(200, 20, 0.4, seed=12, scale=1.0)
@@ -640,6 +657,87 @@ class TestDeterminism:
         a = harness.run_experiment(base_config(seed=1, compressor="rand_k:2"))
         b = harness.run_experiment(base_config(seed=2, compressor="rand_k:2"))
         assert [r.primal_gap for r in a.records] != [r.primal_gap for r in b.records]
+
+    def test_trace_digest_hashes_the_csv_lines_without_wall(self, tmp_path):
+        out_csv, out_json = tmp_path / "t.csv", tmp_path / "t.json"
+        res = harness.run_experiment(base_config(out_csv=str(out_csv), out_json=str(out_json), epochs=3))
+        digest = harness.trace_digest(res.records)
+        assert digest == hashlib.sha256(strip_wall(out_csv.read_text()).encode()).hexdigest()
+        assert strict_json(out_json)["trace_sha256"] == digest
+        assert harness.trace_digest([replace(r, wall_ms=r.wall_ms + 1.0) for r in res.records]) == digest
+        moved = replace(res.records[-1], primal_gap=np.nextafter(res.records[-1].primal_gap, 1.0))
+        assert harness.trace_digest(res.records[:-1] + [moved]) != digest
+
+    def test_trace_digest_of_no_records_hashes_the_header(self):
+        header = ",".join(col for col in harness.TRACE_COLUMNS if col != "wall_ms")
+        assert header == "k,epoch,bits,primal_gap,dual_gap,err_norm"
+        assert harness.trace_digest([]) == hashlib.sha256(header.encode()).hexdigest()
+
+    def test_trace_digest_is_the_same_in_a_fresh_interpreter(self):
+        # Another process has another str hash seed and its own import order.
+        config = base_config(compressor="rand_k:2", epochs=3)
+        script = (
+            "from ecvr import harness\n"
+            f"config = harness.RunConfig(**{asdict(config)!r})\n"
+            "print(harness.trace_digest(harness.run_experiment(config).records))\n"
+        )
+        src = str(Path(ecvr.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONHASHSEED="12345")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        out = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+        ).stdout
+        assert out.strip() == harness.trace_digest(harness.run_experiment(config).records)
+
+    def test_every_algorithm_keeps_its_pinned_trace(self):
+        config = harness.RunConfig(
+            synth=BENCH_SHAPE,
+            synth_scale=BENCH_SCALE,
+            n=4,
+            seed=BENCH_SEED,
+            compressor="top_k:1",
+            eta=1.0,
+            epochs=20,
+        )
+        setup = harness.build_setup(config)
+        got = {
+            algo: harness.trace_digest(harness._run(replace(config, algo=algo), setup).records)
+            for algo in harness.ALGOS
+        }
+        changed = sorted(algo for algo in harness.ALGOS if got[algo] != TRACE_PINS[algo])
+        assert changed == [], (
+            f"trace digests changed for {changed} with numpy {np.__version__} on {cpu_name()}."
+            " The pins hold for one host and one numpy: OpenBLAS picks its kernels per CPU, or"
+            " as OPENBLAS_CORETYPE says (see the README on traces across hosts). A change that"
+            " alters traces on purpose updates TRACE_PINS and lists the new pins in CHANGES.md"
+            " with the reason."
+        )
+
+
+# trace_digest of each algorithm's 20-epoch top_k:1 run on the benchmark problem, at
+# eta = 1.0 and the theory theta; recorded with numpy 2.4.6 and its OpenBLAS on an Intel
+# Xeon, and unchanged under 1 and 2 BLAS threads.
+TRACE_PINS = {
+    "ec_lsvrg": "877a37a143e49d8834669d5848ce34920201c266a63cc8bc15becbda73df94a3",
+    "lsvrg": "f7ec69c586ea4a10ceaffec1768995190f29aa51ae4036d3ac994a8775bd57cf",
+    "ec_gd": "f99b8365b3831eeceb2bbafc2c34fb142dcf56e1de0c1f56d180c2e05842b072",
+    "ec_quartz": "0d3d8b88f1197e5e34092c2783cc8ed72a1a805aee570e0b9f24d9fae9bff069",
+    "ec_sdca": "ea97c6126a82be13d87d193cf47d0c2835786f21dee21e5bf2931e25554ba76b",
+    "quartz": "7fb4412aa1de953f3df4975f7313187137756b0058bf9f42f4460a28c8e540f1",
+    "sdca": "9657e46517ca405618fc22262afe58586edb3ccff0fa7ff1eeccc1504ba14fde",
+}
+
+
+def cpu_name() -> str:
+    """The CPU model Linux reports, else what ``platform`` knows."""
+    try:
+        with open("/proc/cpuinfo", encoding="utf-8") as fh:
+            for line in fh:
+                if line.startswith("model name"):
+                    return line.split(":", 1)[1].strip()
+    except OSError:
+        pass
+    return platform.processor() or platform.machine()
 
 
 def strip_wall(text: str) -> str:
@@ -1132,3 +1230,41 @@ class TestSource:
         ).stdout.splitlines()
         assert [line.split()[1] for line in out[:-1]] == [f"algo={a}" for a in harness.ALGOS]
         assert out[-1] == "[]"
+
+    def test_every_module_function_has_a_caller_in_the_package(self):
+        # Code that no CLI path, harness path or acceptance criterion runs is
+        # deleted; tests alone are not a caller.
+        allowed = {
+            "grid_search_eta": "acceptance criterion 05 tunes the step with it",
+        }
+        uncalled = uncalled_functions(sorted(Path(ecvr.__file__).parent.glob("*.py")))
+        unused = sorted(set(uncalled) - set(allowed))
+        assert unused == [], f"module functions with no caller in the package: {unused}"
+        assert set(allowed) <= set(uncalled)  # an entry that gains a caller leaves the list
+
+    def test_caller_guard_counts_no_self_reference_and_no_method(self, tmp_path):
+        (tmp_path / "a.py").write_text(
+            "def called():\n    return 1\n\n"
+            "def recursive(k):\n    return recursive(k - 1) if k else 0\n\n"
+            "def dead():\n    return called()\n\n"
+            "class Box:\n    def method(self):\n        return 0\n",
+            encoding="utf-8",
+        )
+        (tmp_path / "b.py").write_text("import a\n\nVALUE = a.called()\n", encoding="utf-8")
+        assert uncalled_functions(sorted(tmp_path.glob("*.py"))) == ["dead", "recursive"]
+
+
+def uncalled_functions(paths) -> list[str]:
+    """Module-level functions of ``paths`` that no name or attribute outside their own body references."""
+    defined, used = set(), set()
+    for path in paths:
+        for top in ast.parse(Path(path).read_text(encoding="utf-8")).body:
+            own = top.name if isinstance(top, ast.FunctionDef) else None
+            if own:
+                defined.add(own)
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name) and node.id != own:
+                    used.add(node.id)
+                elif isinstance(node, ast.Attribute) and node.attr != own:
+                    used.add(node.attr)
+    return sorted(defined - used)

@@ -442,7 +442,9 @@ class TestConstants:
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_ordering_invariants(self, seed):
-        ds = synth_dataset(36, 9, 0.5, seed=seed, unit_columns=False)
+        rng = np.random.default_rng(seed)  # Gaussian entries: unequal column norms
+        features = sparse.random(9, 36, density=0.5, random_state=rng, data_rvs=rng.standard_normal)
+        ds = Dataset(features=features, labels=rng.choice([-1.0, 1.0], size=36))
         part = partition(ds, 3)
         for mode, lam1 in ((COMPOSITE, 1e-3), (SMOOTH, 0.0)):
             c = compute_constants(PrimalProblem(ds, part, lam1=lam1, lam2=1e-3, mode=mode))
