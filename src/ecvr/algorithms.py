@@ -10,21 +10,20 @@ every node's numbers ahead in blocks of at most 64 steps and 1 MiB. A
 sparsifier's result is its kept flat positions and their values, and error
 feedback rewrites the residual only there.
 Aggregation sums in fixed node order so runs are reproducible bit for bit.
-``EcLsvrg`` keeps the shift residual ``r = grad_w - h`` up to date where Q1
-changed ``h``, so between refreshes its step touches the sampled columns'
-stored entries and the compressors' kept coordinates. Q1 with a top-k stage
-selects from a ``TopKPool`` of each row's largest entries, rebuilt only when
-a refresh re-forms ``r`` or the pool runs out; what is left of the step's
-whole-array work is ``e += eta * r``, Q's selection on its (n, d) messages
-and the refreshes.
+``EcLsvrg`` writes ``h`` only where Q1 kept, so between refreshes Q1's input
+``grad_w - h`` changes only there, and Q1 with a top-k stage selects from a
+``TopKPool`` of each row's largest entries, rebuilt only after a refresh or
+when the pool runs out. What is left of the step's whole-array work is
+forming ``r = grad_w - h``, ``e += eta * r``, Q's selection on its (n, d)
+messages and the refreshes.
 Each optimizer validates its defining algebraic identities every step (error
 conservation, maintained averages, dual feasibility) where the step changed
 its state, and raises on NaN/Inf. Every optimizer offers the harness the
 same record protocol. ``examples_per_step``, the examples a step reads (n,
 or N for ``EcGd``'s full pass), sets the epoch. ``certify()``, called at
 every record, checks in full what a step maintains incrementally:
-``EcLsvrg.certify`` compares ``r`` with ``grad_w - h``, checks ``h`` for
-NaN/Inf and ``h_avg`` against the node mean of ``h`` over all n d entries;
+``EcLsvrg.certify`` checks ``h`` for NaN/Inf and ``h_avg`` against the node
+mean of ``h`` over all n d entries;
 ``EcDual.certify`` runs the O(N d) surrogate and feasibility checks and
 ``VanillaDual.certify`` the surrogate check, each returning the aggregate,
 which the record reuses for the duality gap; ``Lsvrg`` and ``EcGd`` keep
@@ -176,16 +175,15 @@ class EcLsvrg:
     start at the node gradients of the starting point 0. Bits are
     accounted per node per step as cost(Q) + cost(Q1) + 1 (the refresh flag).
 
-    The step keeps the shift residual ``r = grad_w - h``, Q1's input. It is
-    formed in full at the start and on a refresh; otherwise it changes only
-    where Q1 kept coordinates. Off the sampled columns' stored entries ``g``
-    is ``r`` (plus the l2 drift in smooth mode), so ``t = eta * g + e`` is
-    formed in place in ``e`` and re-formed at those entries; a sparsifying Q
-    then rewrites ``e`` only at the k coordinates it keeps. Between
-    refreshes ``r`` changes only where Q1 kept, so a Q1 with a top-k stage
-    takes its picks from a ``TopKPool``, which ``_form_residual`` resets. The step checks the shift average on the
-    columns Q1 kept, where alone ``h`` and ``h_avg`` changed; ``certify``
-    checks ``r`` against ``grad_w - h`` and the shift average in full.
+    Each step forms the shift residual ``r = grad_w - h`` once; it is Q1's
+    input. Off the sampled columns' stored entries ``g`` is ``r`` (plus the
+    l2 drift in smooth mode), so ``t = eta * g + e`` is formed in place in
+    ``e`` and re-formed at those entries; a sparsifying Q then rewrites ``e``
+    only at the k coordinates it keeps. Between refreshes ``r`` changes only
+    where Q1 kept, so a Q1 with a top-k stage takes its picks from a
+    ``TopKPool``, which a refresh resets. The step checks the shift average
+    on the columns Q1 kept, where alone ``h`` and ``h_avg`` changed;
+    ``certify`` checks it in full.
     """
 
     def __init__(
@@ -213,9 +211,7 @@ class EcLsvrg:
         self.grad_w = problem.grad_f_nodes(self.w)
         self.h = self.grad_w.copy()
         self.h_avg = self.h.mean(axis=0)
-        self.r = np.empty((n, d))
         self._q1_pool = comp.pool_for(self.q1, d)
-        self._form_residual()
         self.k = 0
         self.examples_per_step = n
         self.bits_per_step = problem.n * (
@@ -226,29 +222,21 @@ class EcLsvrg:
         self._q1_uniforms = NodeDraws(node_streams(seed, "compress_shift", n))
         self._coin = split_rng(seed, "coin")
 
-    def _form_residual(self) -> None:
-        np.subtract(self.grad_w, self.h, out=self.r)
-        if self._q1_pool is not None:
-            self._q1_pool.reset()
-
     def certify(self) -> None:
-        """Check over all n d entries that h is finite, that the maintained
-        ``r`` equals ``grad_w - h`` exactly, and that ``h_avg`` is the node
-        mean of h to 1e-12 relative to max |h|.
+        """Check over all n d entries that h is finite and that ``h_avg`` is
+        the node mean of h to 1e-12 relative to max |h|.
 
-        Between refreshes the step writes h and r only where Q1 kept
-        coordinates and checks h and the shift average only there; the
-        harness calls this at every record.
+        Between refreshes the step writes h only where Q1 kept coordinates
+        and checks h and the shift average only there; the harness calls
+        this at every record.
         """
         # A NaN or an infinity in h makes its node's peak non-finite.
         peak = np.max(np.abs(self.h), axis=1)
-        r_held = (self.grad_w - self.h == self.r).all(axis=1)
-        for name, held, error in (
-            ("shift vectors became non-finite", np.isfinite(peak), NumericalError),
-            ("shift residual r drifted from grad_w - h", r_held, InvariantError),
-        ):
-            if not held.all():
-                raise error(f"{name} at step {self.k}, node {int(np.argmin(held))}")
+        finite = np.isfinite(peak)
+        if not finite.all():
+            raise NumericalError(
+                f"shift vectors became non-finite at step {self.k}, node {int(np.argmin(finite))}"
+            )
         _check_shift_average(self.k, self.h, self.h_avg, float(peak.max()))
 
     def step(self) -> LsvrgStepInfo:
@@ -265,18 +253,19 @@ class EcLsvrg:
         # g = dc * col + grad_w - h, which off a column's stored entries is r
         # bit for bit (dc * 0 + grad_w == grad_w): form t = eta * g + e in e
         # from r, then re-form it at the entries in that order.
+        r = self.grad_w - self.h
         g_at = dc[node] * a + self.grad_w.take(at) - self.h.take(at)
         t_at = e.take(at)
         if pr.mode == SMOOTH:
             l2_drift = pr.lam2 * (x - w)
             g_at += l2_drift[at % shape[1]]
-            e += eta * (self.r + l2_drift)
+            e += eta * (r + l2_drift)
         else:
-            e += eta * self.r
+            e += eta * r
         t_at += eta * g_at
         np.put(e, at, t_at)
         y_kept, y, self.e = _compress_with_feedback(self.q, e, self._q_uniforms, self.k)
-        z_kept, z = comp._compress(self.q1, self.r, self._q1_uniforms, pool=self._q1_pool)
+        z_kept, z = comp._compress(self.q1, r, self._q1_uniforms, pool=self._q1_pool)
         coin = bool(self._coin.random() < self.p)
 
         y_avg = _node_mean(y_kept, y, shape)
@@ -289,13 +278,11 @@ class EcLsvrg:
         if z_kept is None:
             self.h += z
             _require_finite("shift vectors", self.h, self.k)
-            self._form_residual()
             _check_shift_average(self.k, self.h, self.h_avg, float(np.max(np.abs(self.h))))
         else:
             h_kept = self.h.take(z_kept) + z
             _require_finite("shift vectors", h_kept, self.k)
             np.put(self.h, z_kept, h_kept)
-            np.put(self.r, z_kept, self.grad_w.take(z_kept) - h_kept)
             # h and h_avg changed only in the columns Q1 kept; certify checks the rest.
             cols = z_kept % shape[1]
             h_cols = self.h[:, cols]
@@ -305,7 +292,8 @@ class EcLsvrg:
         if coin:
             self.w = x.copy()
             self.grad_w = pr.grad_f_nodes(self.w)
-            self._form_residual()
+            if self._q1_pool is not None:
+                self._q1_pool.reset()
         self.x = x_new
         self.k += 1
         _require_finite("iterate", self.x, self.k)
@@ -602,7 +590,7 @@ class VanillaDual:
         self.u = self.u + y_nodes.mean(axis=0)
         self.x = x_new
         self.k += 1
-        _require_finite("dual vector", self.alpha, self.k)
+        _require_finite("dual vector", self.alpha[J], self.k)
 
     def error_norm(self) -> float:
         return 0.0

@@ -371,16 +371,9 @@ class TestKeptPositionStep:
         opt = alg.EcLsvrg(composite, comp.top_k(2), comp.top_k(2), eta=0.5, p=0.3, seed=7)
         for _ in range(10):
             opt.step()
-        while True:  # stop before a step that does not refresh, which would re-form r
-            probe = copy.deepcopy(opt)
-            w = probe.w
-            probe.step()
-            if probe.w is w:
-                break
-            opt.step()
         k, d = opt.k, composite.d
         # Q1 is top-k, so the columns the next step touches are known ahead.
-        touched = set((np.flatnonzero(comp._kept(opt.q1, opt.r, None)) % d).tolist())
+        touched = set((np.flatnonzero(comp._kept(opt.q1, opt.grad_w - opt.h, None)) % d).tolist())
         j_touched = min(touched)
         broken = copy.deepcopy(opt)
         broken.h[2, j_touched] += 1e-3
@@ -388,67 +381,24 @@ class TestKeptPositionStep:
         with pytest.raises(alg.InvariantError, match=message):
             broken.step()
         # Off the touched columns the step passes, and the record's certify
-        # names the step and the node, or the column where only the average broke.
+        # names the step and the column where the average broke.
         untouched = [j for j in range(d) if j not in touched]
-        j = untouched[int(np.argmin(np.abs(opt.r[2, untouched])))]
-        for consistent, message in (
-            (False, rf"^shift residual r drifted from grad_w - h at step {k + 1}, node 2$"),
-            (True, rf"^shift average drifted at step {k + 1}, column {j}$"),
-        ):
-            broken = copy.deepcopy(opt)
-            broken.h[2, j] += 1e-9
-            if consistent:
-                broken.r[2, j] = broken.grad_w[2, j] - broken.h[2, j]
-            broken.step()
-            with pytest.raises(alg.InvariantError, match=message):
-                broken.certify()
+        j = untouched[int(np.argmin(np.abs((opt.grad_w - opt.h)[2, untouched])))]
+        broken = copy.deepcopy(opt)
+        broken.h[2, j] += 1e-9
+        broken.step()
+        with pytest.raises(alg.InvariantError, match=rf"^shift average drifted at step {k + 1}, column {j}$"):
+            broken.certify()
 
     def test_certify_names_the_node(self, composite):
         opt = alg.EcLsvrg(composite, comp.top_k(2), comp.top_k(2), eta=0.5, p=0.3, seed=7)
         for _ in range(10):
             opt.step()
         opt.certify()
-        for name, value, error, message in (
-            ("h", np.inf, alg.NumericalError, "shift vectors became non-finite"),
-            ("r", 1e-3, alg.InvariantError, "shift residual r drifted from grad_w - h"),
-        ):
-            broken = copy.deepcopy(opt)
-            getattr(broken, name)[2, 7] += value
-            with pytest.raises(error, match=rf"^{message} at step 10, node 2$"):
-                broken.certify()
-
-    def test_record_certifies_the_maintained_residual(self, monkeypatch):
-        # One ulp of drift in r, at an entry the next step leaves alone,
-        # passes that step's checks; the record after it names the node.
-        config = harness.RunConfig(algo="ec_lsvrg", compressor="top_k:2", eta=0.5, p=0.5, cadence=2)
-        setup = harness.build_setup(config)
-        build = harness.build_optimizer
-        drifted_at = []
-
-        def drifting_build(config, setup):
-            opt, resolved = build(config, setup)
-            real_step = opt.step
-
-            def step():
-                info = real_step()
-                if not drifted_at and opt.k % 2 == 1 and np.any(opt.r[2]):
-                    probe = copy.deepcopy(opt)
-                    w = probe.w
-                    alg.EcLsvrg.step(probe)
-                    if probe.w is w:  # the next step does not refresh
-                        untouched = np.flatnonzero(probe.r[2] == opt.r[2])
-                        j = untouched[np.argmin(np.abs(opt.r[2, untouched]))]
-                        opt.r[2, j] = np.nextafter(opt.r[2, j], np.inf)
-                        drifted_at.append(opt.k + 1)
-                return info
-
-            opt.step = step
-            return opt, resolved
-
-        monkeypatch.setattr(harness, "build_optimizer", drifting_build)
-        with pytest.raises(alg.InvariantError, match="shift residual r drifted") as err:
-            harness._run(config, setup)
-        assert str(err.value).endswith(f"at step {drifted_at[0]}, node 2")
+        broken = copy.deepcopy(opt)
+        broken.h[2, 7] += np.inf
+        with pytest.raises(alg.NumericalError, match=r"^shift vectors became non-finite at step 10, node 2$"):
+            broken.certify()
 
 
 class TestCompressWithFeedback:
@@ -675,6 +625,15 @@ class TestEcDual:
         with pytest.raises(alg.InvariantError, match=r"^primal surrogate drifted from A alpha at step 20$"):
             plain.certify()
 
+    def test_vanilla_step_names_the_step_that_wrote_a_nonfinite_dual(self, monkeypatch, dual, constants):
+        # The step checks only the n duals it wrote; a NaN derivative at step 6 lands there.
+        plain = alg.VanillaDual(dual, theta=self.theta_for(constants, dual, 1.0), seed=89)
+        for _ in range(5):
+            plain.step()
+        monkeypatch.setattr(alg, "logistic_grad", lambda margins, b: np.full(len(b), np.nan))
+        with pytest.raises(alg.NumericalError, match=r"^dual vector became non-finite at step 6$"):
+            plain.step()
+
     @pytest.mark.parametrize("algo", ["ec_quartz", "ec_sdca", "quartz"])
     def test_weak_l2_run_passes_its_surrogate_checks(self, algo):
         # At lambda2 = 1e-8 the aggregate A alpha / (lam N) grows to about
@@ -815,6 +774,23 @@ class TestStepSizeFormulas:
                 constants, dual.part.m, dual.part.n, dual.lam, dual.gamma, float(delta)
             )
             assert 0 < theta * dual.part.m <= 1.0 + 1e-12
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (
+                lambda c: alg.theoretical_eta(c, 4, 0.5, 0.5, 0.5, "bogus"),
+                "unknown regime 'bogus'; expected 'composite' or 'smooth'",
+            ),
+            (lambda c: alg.theoretical_theta(c, 10, 4, 1e-3, 4.0, 0.0), "delta must be in (0, 1]"),
+        ],
+        ids=["eta-regime", "theta-delta"],
+    )
+    def test_rejects_an_input_outside_its_domain(self, constants, call, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call(constants)
 
 
 class TestSampling:

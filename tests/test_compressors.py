@@ -1,4 +1,5 @@
 import math
+import re
 import zlib
 
 import numpy as np
@@ -67,6 +68,27 @@ class TestSpecValidation:
             comp.parse_spec("top_k")
         with pytest.raises(ValueError):
             comp.parse_spec("bogus:3")
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: comp.CompressorSpec(comp.DITHERING, k=2), "dithering takes no k"),
+        (
+            lambda: comp.CompressorSpec(comp.NATURAL, inner=comp.natural()),
+            "natural takes no inner compressor",
+        ),
+        (lambda: comp.validate_for_dimension(comp.top_k(1), 0), "dimension must be positive, got 0"),
+        (
+            lambda: comp.verify_contraction(comp.top_k(1), 5, 0, rng_for("trials")),
+            "trials must be >= 1",
+        ),
+    ],
+    ids=["k", "inner", "dimension", "trials"],
+)
+def test_rejects_an_input_by_name(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 def compress_one(spec, x, rng):

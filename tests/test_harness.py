@@ -6,6 +6,7 @@ import json
 import math
 import os
 import platform
+import re
 import subprocess
 import sys
 import time
@@ -1197,6 +1198,62 @@ class TestCli:
         assert code == 0
         assert "P* =" in capsys.readouterr().out
 
+    def test_reference_on_all_zero_values_steps_at_one(self, tmp_path, capsys):
+        # Every stored value is 0 and lambda2 is 0, so L_f + lambda2 is 0 and
+        # the solver takes the unit step; x* = 0 and P* = log 2.
+        data = tmp_path / "zeros.svm"
+        data.write_text("1 1:0\n-1 2:0\n1 1:0\n-1 2:0\n", encoding="utf-8")
+        assert cli.main(["reference", "--data", str(data), "--n", "2", "--lambda2", "0"]) == 0
+        assert capsys.readouterr().out.startswith(f"P* = {math.log(2.0)!r}  (||x*|| = 0.000000, d = 2)")
+
+    def test_verify_rejects_an_unknown_target(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["verify", "bogus"])
+        assert exit_info.value.code == 2
+        assert "argument what: invalid choice: 'bogus'" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def small_setup() -> harness.Setup:
+    return harness.build_setup(base_config())
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (
+            lambda setup: harness.solve_reference(setup.primal, setup.constants, tol=0.0),
+            ValueError,
+            "tol must be positive",
+        ),
+        (
+            lambda setup: harness.eso_check(np.eye(4), n=2, trials=0, rng=rng_for("eso")),
+            ValueError,
+            "trials must be >= 1",
+        ),
+        (
+            lambda setup: harness.eso_check(np.ones((3, 2)), n=4, trials=1, rng=rng_for("eso")),
+            ValueError,
+            "4 nodes need at least 4 columns, got 2",
+        ),
+        (lambda setup: harness.synth_dataset(10, 5, 0.0, seed=1), ValueError, "sparsity must be in (0, 1]"),
+        (
+            lambda setup: harness.build_optimizer(base_config(algo="bogus"), setup),
+            harness.ConfigError,
+            f"unknown algorithm 'bogus'; expected one of {harness.ALGOS}",
+        ),
+        (
+            lambda setup: harness._run(base_config(cadence=0), setup),
+            harness.ConfigError,
+            "cadence must be >= 1",
+        ),
+    ],
+    ids=["tol", "eso-trials", "eso-columns", "sparsity", "algo", "cadence"],
+)
+def test_rejects_an_input_by_name(small_setup, call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call(small_setup)
+
 
 class TestSource:
     def test_no_module_reads_or_sets_the_environment(self):
@@ -1253,6 +1310,28 @@ class TestSource:
         (tmp_path / "b.py").write_text("import a\n\nVALUE = a.called()\n", encoding="utf-8")
         assert uncalled_functions(sorted(tmp_path.glob("*.py"))) == ["dead", "recursive"]
 
+    def test_every_method_has_a_caller_in_the_package(self):
+        allowed = {
+            "PrimalProblem.grad_fi": "acceptance criterion 10 checks the batched node gradients against it",
+        }
+        uncalled = uncalled_methods(sorted(Path(ecvr.__file__).parent.glob("*.py")))
+        unused = sorted(set(uncalled) - set(allowed))
+        assert unused == [], f"methods with no caller in the package: {unused}"
+        assert set(allowed) <= set(uncalled)  # an entry that gains a caller leaves the list
+
+    def test_method_guard_counts_no_self_reference_and_no_dunder(self, tmp_path):
+        (tmp_path / "a.py").write_text(
+            "class Box:\n"
+            "    def __init__(self):\n        self.value = 0\n\n"
+            "    def called(self):\n        return self.value\n\n"
+            "    def recursive(self, k):\n        return self.recursive(k - 1) if k else 0\n\n"
+            "    def dead(self):\n        return self.called()\n\n"
+            "def function():\n    return 1\n",
+            encoding="utf-8",
+        )
+        (tmp_path / "b.py").write_text("import a\n\nVALUE = a.Box().called()\n", encoding="utf-8")
+        assert uncalled_methods(sorted(tmp_path.glob("*.py"))) == ["Box.dead", "Box.recursive"]
+
 
 def uncalled_functions(paths) -> list[str]:
     """Module-level functions of ``paths`` that no name or attribute outside their own body references."""
@@ -1268,3 +1347,23 @@ def uncalled_functions(paths) -> list[str]:
                 elif isinstance(node, ast.Attribute) and node.attr != own:
                     used.add(node.attr)
     return sorted(defined - used)
+
+
+def uncalled_methods(paths) -> list[str]:
+    """Methods, as ``Class.method``, of the top-level classes of ``paths`` whose
+    name no name or attribute outside their own body references; dunders are
+    called by Python itself."""
+    defined, used = set(), set()
+    for path in paths:
+        for top in ast.parse(Path(path).read_text(encoding="utf-8")).body:
+            items = top.body if isinstance(top, ast.ClassDef) else [top]
+            for item in items:
+                own = item.name if isinstance(item, ast.FunctionDef) and top is not item else None
+                if own and not (own.startswith("__") and own.endswith("__")):
+                    defined.add((top.name, own))
+                for node in ast.walk(item):
+                    if isinstance(node, ast.Name) and node.id != own:
+                        used.add(node.id)
+                    elif isinstance(node, ast.Attribute) and node.attr != own:
+                        used.add(node.attr)
+    return sorted(f"{cls}.{name}" for cls, name in defined if name not in used)
