@@ -414,11 +414,11 @@ def _check_surrogate(name: str, opt, u: np.ndarray, aggregate: np.ndarray) -> No
     """Raise unless a dual optimizer's surrogate ``u`` is within
     1e-10 max(1 + max |alpha|, max |aggregate|) of its aggregate.
 
-    The aggregate ``A alpha / (lam N)`` scales with 1/lam, and so does the
-    rounding a running sum of it collects. Its max is taken only past the first bound.
+    The aggregate ``A alpha / (lam N)`` scales with 1/lam, and so does the rounding
+    a running sum of it collects. The O(N) dual max is taken only past the O(d) bound.
     """
     lag = np.max(np.abs(u - aggregate), initial=0.0)
-    if lag > 1e-10 * (1.0 + np.max(np.abs(opt.alpha))) and lag > 1e-10 * np.max(np.abs(aggregate)):
+    if lag > 1e-10 * np.max(np.abs(aggregate)) and lag > 1e-10 * (1.0 + np.max(np.abs(opt.alpha))):
         raise InvariantError(f"{name} drifted from A alpha at step {opt.k}")
 
 

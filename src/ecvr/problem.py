@@ -84,11 +84,12 @@ class _Design:
     every full pass at O(nnz) cost. ``Dataset`` keeps one stored entry per
     coordinate, and the EC-LSVRG step relies on it: it re-forms its message
     at each stored entry of a sampled column. A's CSR transpose ``A_t``,
-    built once, gives the margins, and ``node_A[tau]``, node tau's columns
-    as a CSC matrix, gives that node's combinations (node gradients and node
-    Grams). All share the dataset's arrays. The dense copy
-    ``A_dense``, kept when ``N * d`` is at most ``_DENSE_LIMIT``, serves only
-    ``columns``, which is faster from it than from the sparse matrix.
+    built once, gives the margins. ``A_nodes`` stacks the node blocks into one
+    (n d, N) CSC matrix, entry (i, j) of A at row (j // m) d + i, so that one
+    product gives every node's combination. It shares A's data and indptr
+    and holds its own row indices. The dense copy ``A_dense``, kept when
+    ``N * d`` is at most ``_DENSE_LIMIT``, serves only ``columns``, which is
+    faster from it than from the sparse matrix.
     """
 
     def __init__(self, dataset: Dataset, part: Partition):
@@ -96,13 +97,13 @@ class _Design:
         self.N = N
         self.d = dataset.d
         self.n = part.n
-        self.A = _column_view(dataset.features, slice(0, N))
+        self.A = A = _column_view(dataset.features, slice(0, N))
         self.b = np.asarray(dataset.labels[:N], dtype=np.float64)
-        self.A_dense = self.A.toarray() if self.d * N <= _DENSE_LIMIT else None
-        self.A_t = self.A.T
-        self._col_nnz = np.diff(self.A.indptr)
-        self._node_cols = [part.node_slice(tau) for tau in range(self.n)]
-        self.node_A = [_column_view(self.A, cols) for cols in self._node_cols]
+        self.A_dense = A.toarray() if self.d * N <= _DENSE_LIMIT else None
+        self.A_t = A.T
+        self._col_nnz = np.diff(A.indptr)
+        rows = A.indices + np.repeat(np.arange(N) // part.m * self.d, self._col_nnz)
+        self.A_nodes = sparse.csc_matrix((A.data, rows, A.indptr), shape=(self.n * self.d, N))
 
     def margins(self, x: np.ndarray) -> np.ndarray:
         return self.A_t @ x
@@ -146,12 +147,9 @@ class _Design:
     def combine_nodes(self, coef: np.ndarray) -> np.ndarray:
         """The (n, d) block whose row tau is ``A[:, node_slice(tau)] @ coef[node_slice(tau)]``.
 
-        One product per node, with ``node_A[tau]``.
+        One product with ``A_nodes``, summing in the order of a product per node.
         """
-        out = np.empty((self.n, self.d))
-        for tau, (block, cols) in enumerate(zip(self.node_A, self._node_cols)):
-            out[tau] = block @ coef[cols]
-        return out
+        return (self.A_nodes @ coef).reshape(self.n, self.d)
 
 
 @dataclass
@@ -438,7 +436,7 @@ def compute_constants(problem: PrimalProblem) -> ProblemConstants:
     r_m = float(np.sqrt(col_sq.max()))
 
     full = gram_top_eigenvalue(A)
-    nodes = [gram_top_eigenvalue(block) for block in design.node_A]
+    nodes = [gram_top_eigenvalue(_column_view(A, part.node_slice(tau))) for tau in range(part.n)]
     worst = max(range(part.n), key=lambda tau: nodes[tau].steps)
     r_sq = full.value / design.N
     r_bar_sq = max(node.value for node in nodes) / m

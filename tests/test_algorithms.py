@@ -1,6 +1,7 @@
 import copy
 import math
 import re
+import types
 import zlib
 
 import numpy as np
@@ -518,6 +519,25 @@ class TestEcGd:
         opt.step()
         assert opt.error_norm() > 0.0
         assert opt.bits == composite.n * comp.bit_cost(comp.top_k(1), composite.d)
+
+
+class TestCheckSurrogate:
+    # With these duals the bound 1e-10 (1 + max |alpha|) is 4e-10; the
+    # aggregate's, 1e-10 max |aggregate|, is 1e-7 at scale 1e3 and 1e-13 at 1e-3.
+    @pytest.mark.parametrize(
+        "scale, lag, raises",
+        [(1e3, 1e-6, True), (1e3, 1e-8, False), (1e-3, 1e-11, False)],
+        ids=["past-both", "past-the-dual-bound-only", "past-the-aggregate-bound-only"],
+    )
+    def test_raises_only_past_both_bounds(self, scale, lag, raises):
+        opt = types.SimpleNamespace(alpha=np.array([3.0, -1.0]), k=9)
+        aggregate = scale * np.array([1.0, -0.5, 0.25])
+        u = aggregate + np.array([0.0, lag, 0.0])
+        if raises:
+            with pytest.raises(alg.InvariantError, match=r"^stub surrogate drifted from A alpha at step 9$"):
+                alg._check_surrogate("stub surrogate", opt, u, aggregate)
+        else:
+            alg._check_surrogate("stub surrogate", opt, u, aggregate)
 
 
 class TestEcDual:

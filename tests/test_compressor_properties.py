@@ -69,7 +69,7 @@ def test_sparsifiers_conserve_exactly(case):
 
 @PROPERTY
 @given(batches())
-def test_row_nonzeros_within_transmitted_coords(case):
+def test_row_nonzeros_within_k_or_d(case):
     spec, x, rngs = case
     y = comp._apply(spec, x, rngs)
     assert np.all(np.count_nonzero(y, axis=1) <= (spec.k or x.shape[1]))
@@ -88,7 +88,7 @@ def test_top_k_contracts_every_row(case):
 
 @PROPERTY
 @given(spec_texts())
-def test_bit_cost_follows_transmitted_coords(case):
+def test_bit_cost_follows_k_or_d(case):
     text, d = case
     spec = comp.parse_spec(text)
     kept = spec.k or d

@@ -77,11 +77,13 @@ class TestDesign:
             assert got.shape == (len(J), design.d)
             assert np.array_equal(got, full[:, J].T)
 
+    @pytest.mark.parametrize("n", [1, 4, 43])
     @pytest.mark.parametrize("mode", [COMPOSITE, SMOOTH])
     @pytest.mark.parametrize("dense", [True, False])
-    def test_node_gradients_equal_the_per_node_csc_loop(self, monkeypatch, dense, mode):
-        # 43 examples on 4 nodes drop 3; the random pattern leaves some
-        # columns and rows empty and gives the columns unequal entry counts.
+    def test_node_gradients_equal_the_per_node_csc_loop(self, monkeypatch, dense, mode, n):
+        # 43 examples on 1 node, on 4 nodes (dropping 3) and on 43 nodes of
+        # one example each; the random pattern leaves some columns and rows
+        # empty and gives the columns unequal entry counts.
         if not dense:
             monkeypatch.setattr(problem_module, "_DENSE_LIMIT", 0)
         canonical = sparse.random(12, 43, density=0.2, random_state=5, format="csc")
@@ -98,7 +100,7 @@ class TestDesign:
         given = [a.copy() for a in (features.data, features.indices, features.indptr)]
         labels = np.where(rng_for("node-labels").random(43) < 0.5, -1.0, 1.0)
         ds = Dataset(features=features, labels=labels)
-        part = partition(ds, 4)
+        part = partition(ds, n)
         problem = PrimalProblem(ds, part, lam1=0.0, lam2=1e-2, mode=mode)
         design = problem._design
         assert (design.A_dense is not None) == dense
@@ -110,10 +112,12 @@ class TestDesign:
         ):
             assert np.array_equal(got, expected)
         assert np.any(np.diff(design.A.indptr) == 0)
-        # A, the node blocks and the transpose are views of the dataset's arrays, not copies.
-        for block in (*design.node_A, design.A_t):
-            assert np.shares_memory(block.data, design.A.data)
-            assert np.shares_memory(block.indices, design.A.indices)
+        # A, the transpose and the node-stacked matrix are views of the
+        # dataset's arrays, apart from the stacked matrix's own row indices.
+        assert np.shares_memory(design.A_t.data, design.A.data)
+        assert np.shares_memory(design.A_t.indices, design.A.indices)
+        assert np.shares_memory(design.A_nodes.data, design.A.data)
+        assert np.shares_memory(design.A_nodes.indptr, design.A.indptr)
         assert np.shares_memory(design.A.data, ds.features.data)
         assert np.shares_memory(design.A.indices, ds.features.indices)
         rng = rng_for("node-loop")
@@ -526,7 +530,8 @@ class TestConstants:
             u = rng.standard_normal(30)
             matvec, dim = (lambda v: u * (u @ v)), 30
         else:
-            block = bench_primal._design.node_A[0]
+            design, cols = bench_primal._design, bench_primal.part.node_slice(0)
+            block = problem_module._column_view(design.A, cols)
             block_t = block.T
             matvec, dim = (lambda v: block_t @ (block @ v)), block.shape[1]
         got, want = lanczos(matvec, dim), rebuilt(matvec, dim)
