@@ -19,16 +19,18 @@ messages and the refreshes.
 Each optimizer validates its defining algebraic identities every step (error
 conservation, maintained averages, dual feasibility) where the step changed
 its state, and raises on NaN/Inf. Every optimizer offers the harness the
-same record protocol. ``examples_per_step``, the examples a step reads (n,
-or N for ``EcGd``'s full pass), sets the epoch. ``certify()``, called at
-every record, checks in full what a step maintains incrementally:
-``EcLsvrg.certify`` checks ``h`` for NaN/Inf and ``h_avg`` against the node
-mean of ``h`` over all n d entries;
-``EcDual.certify`` runs the O(N d) surrogate and feasibility checks and
-``VanillaDual.certify`` the surrogate check, each returning the aggregate,
-which the record reuses for the duality gap; ``Lsvrg`` and ``EcGd`` keep
-nothing incrementally and return None. A surrogate check's tolerance scales
-with the aggregate (see ``_check_surrogate``). The last step is always
+record protocol, defined once in ``_Recorded``: ``bits`` is ``k`` steps of
+``bits_per_step``, ``error_norm()`` the l2 norm of the residuals ``e`` (0.0
+for the oracles, which keep none), and ``certify()``, called at every
+record, checks in full what a step maintains incrementally. By default it
+checks nothing and returns None, as ``Lsvrg`` and ``EcGd`` keep nothing
+incrementally. ``EcLsvrg.certify`` checks ``h`` for NaN/Inf and ``h_avg``
+against the node mean of ``h`` over all n d entries; ``EcDual.certify`` runs
+the O(N d) surrogate and feasibility checks and ``VanillaDual.certify`` the
+surrogate check, each returning the aggregate, which the record reuses for
+the duality gap. A surrogate check's tolerance scales with the aggregate
+(see ``_check_surrogate``). ``examples_per_step``, the examples a step reads
+(n, or N for ``EcGd``'s full pass), sets the epoch. The last step is always
 recorded, so a completed run certifies its own internal consistency.
 """
 
@@ -59,6 +61,19 @@ def _require_finite(name: str, arr: np.ndarray, k: int) -> None:
         raise NumericalError(f"{name} became non-finite at step {k}")
 
 
+def _finite_row_peaks(name: str, magnitude: np.ndarray, k: int) -> np.ndarray:
+    """Each node's largest entry of ``magnitude``, the ``|.|`` of an (n, d) array.
+
+    Raises ``NumericalError`` naming ``name``, step ``k`` and the first node
+    whose row holds NaN or an infinity: such a row has a non-finite peak.
+    """
+    peak = np.max(magnitude, axis=1, initial=0.0)
+    nonfinite = ~np.isfinite(peak)
+    if nonfinite.any():
+        raise NumericalError(f"{name} became non-finite at step {k}, node {int(np.argmax(nonfinite))}")
+    return peak
+
+
 def _compress_with_feedback(
     spec: comp.CompressorSpec, t: np.ndarray, uniforms: NodeDraws, k: int
 ) -> tuple[Optional[np.ndarray], np.ndarray, np.ndarray]:
@@ -74,12 +89,7 @@ def _compress_with_feedback(
     finiteness checks.
     """
     magnitude = np.abs(t)
-    # A row holding NaN or an infinity has a non-finite peak.
-    peak = np.max(magnitude, axis=1, initial=0.0)
-    nonfinite = ~np.isfinite(peak)
-    if nonfinite.any():
-        tau = int(np.argmax(nonfinite))
-        raise NumericalError(f"compressor input became non-finite at step {k}, node {tau}")
+    peak = _finite_row_peaks("compressor input", magnitude, k)
     kept, y = comp._compress(spec, t, uniforms, magnitude)
     sent = t if kept is None else t.take(kept)
     e_sent = sent - y
@@ -98,17 +108,26 @@ def _compress_with_feedback(
     return kept, y, t
 
 
-def _error_norm(opt) -> float:
-    """The l2 norm of an optimizer's (n, d) error-feedback residuals ``opt.e``."""
-    return float(np.sqrt(np.sum(opt.e**2)))
+class _Recorded:
+    """The record protocol ``harness._run`` reads, shared by every optimizer.
 
-
-def _bits(opt) -> float:
-    """The bits an optimizer has communicated: ``k`` steps of ``bits_per_step``.
-
-    One product, so the count is exact whatever the cost per step.
+    An optimizer sets ``k``, its step count, and ``bits_per_step``, and sets
+    ``e`` to its (n, d) error-feedback residuals if it keeps any.
     """
-    return opt.k * opt.bits_per_step
+
+    e: Optional[np.ndarray] = None
+
+    def certify(self) -> Optional[np.ndarray]:
+        """Nothing to check: the step keeps no state up to date incrementally."""
+
+    def error_norm(self) -> float:
+        """The l2 norm of the residuals ``e``; 0.0 without any."""
+        return 0.0 if self.e is None else float(np.sqrt(np.sum(self.e**2)))
+
+    @property
+    def bits(self) -> float:
+        """The bits communicated: one product, so exact whatever the cost per step."""
+        return self.k * self.bits_per_step
 
 
 def _node_mean(kept: Optional[np.ndarray], values: np.ndarray, shape: tuple) -> np.ndarray:
@@ -166,7 +185,7 @@ class LsvrgStepInfo:
     h_avg_prev: np.ndarray
 
 
-class EcLsvrg:
+class EcLsvrg(_Recorded):
     """Loopless SVRG with error feedback and learned per-node shifts.
 
     Each node compresses its step ``eta * g + e`` with Q, feeding the residual
@@ -226,17 +245,12 @@ class EcLsvrg:
         """Check over all n d entries that h is finite and that ``h_avg`` is
         the node mean of h to 1e-12 relative to max |h|.
 
-        Between refreshes the step writes h only where Q1 kept coordinates
-        and checks h and the shift average only there; the harness calls
-        this at every record.
+        A sparsifying Q1 writes h only where it kept coordinates, and the step
+        checks h and the shift average only there; the harness calls this at
+        every record, and so does the step when Q1 is dense and wrote all of h.
+        A non-finite h names its first bad node.
         """
-        # A NaN or an infinity in h makes its node's peak non-finite.
-        peak = np.max(np.abs(self.h), axis=1)
-        finite = np.isfinite(peak)
-        if not finite.all():
-            raise NumericalError(
-                f"shift vectors became non-finite at step {self.k}, node {int(np.argmin(finite))}"
-            )
+        peak = _finite_row_peaks("shift vectors", np.abs(self.h), self.k)
         _check_shift_average(self.k, self.h, self.h_avg, float(peak.max()))
 
     def step(self) -> LsvrgStepInfo:
@@ -277,8 +291,7 @@ class EcLsvrg:
         self.h_avg = h_avg_prev + z_avg
         if z_kept is None:
             self.h += z
-            _require_finite("shift vectors", self.h, self.k)
-            _check_shift_average(self.k, self.h, self.h_avg, float(np.max(np.abs(self.h))))
+            self.certify()
         else:
             h_kept = self.h.take(z_kept) + z
             _require_finite("shift vectors", h_kept, self.k)
@@ -305,11 +318,8 @@ class EcLsvrg:
             h_avg_prev=h_avg_prev,
         )
 
-    error_norm = _error_norm
-    bits = property(_bits)
 
-
-class Lsvrg:
+class Lsvrg(_Recorded):
     """Uncompressed loopless SVRG, used as the identity-reduction oracle.
 
     Consumes the same sampling and coin streams as EcLsvrg under the same
@@ -338,9 +348,6 @@ class Lsvrg:
         self._sample = _example_sampler(seed, problem.part)
         self._coin = split_rng(seed, "coin")
 
-    def certify(self) -> None:
-        """Nothing to check: the step keeps no state up to date incrementally."""
-
     def step(self) -> None:
         pr = self.problem
         n, eta = pr.n, self.eta
@@ -363,13 +370,8 @@ class Lsvrg:
         self.k += 1
         _require_finite("iterate", self.x, self.k)
 
-    def error_norm(self) -> float:
-        return 0.0
 
-    bits = property(_bits)
-
-
-class EcGd:
+class EcGd(_Recorded):
     """Error-feedback full-gradient descent baseline (one full pass per step)."""
 
     def __init__(
@@ -393,9 +395,6 @@ class EcGd:
         self.bits_per_step = n * comp.bit_cost(compressor, d)
         self._q_uniforms = NodeDraws(node_streams(seed, "compress", n))
 
-    def certify(self) -> None:
-        """Nothing to check: the step keeps no state up to date incrementally."""
-
     def step(self) -> None:
         pr = self.problem
         eta = self.eta
@@ -405,9 +404,6 @@ class EcGd:
         self.x = pr.prox_psi(x_half, eta)
         self.k += 1
         _require_finite("iterate", self.x, self.k)
-
-    error_norm = _error_norm
-    bits = property(_bits)
 
 
 def _check_surrogate(name: str, opt, u: np.ndarray, aggregate: np.ndarray) -> None:
@@ -443,7 +439,7 @@ def _check_dual_step(variant: str, theta: float, m: int) -> None:
         raise ValueError(f"theta must be in (0, 1/m]; got {theta} with m={m}")
 
 
-class EcDual:
+class EcDual(_Recorded):
     """Compressed primal-dual coordinate ascent (quartz and sdca variants).
 
     Each node updates one dual coordinate, compresses its contribution to the
@@ -537,11 +533,8 @@ class EcDual:
             x_new=x_new,
         )
 
-    error_norm = _error_norm
-    bits = property(_bits)
 
-
-class VanillaDual:
+class VanillaDual(_Recorded):
     """Uncompressed quartz/sdca oracle sharing EcDual's sampling streams."""
 
     def __init__(
@@ -591,11 +584,6 @@ class VanillaDual:
         self.x = x_new
         self.k += 1
         _require_finite("dual vector", self.alpha[J], self.k)
-
-    def error_norm(self) -> float:
-        return 0.0
-
-    bits = property(_bits)
 
 
 # -- step-size and rate formulas ---------------------------------------------

@@ -143,7 +143,7 @@ class EsoReport:
     """Monte-Carlo check of the one-index-per-node sampling inequality."""
 
     lhs_mean: float
-    lhs_se: float
+    lhs_se: float  # comp._monte_carlo's SE: population std / sqrt(trials); 0 when deterministic
     rhs: float
     ratio: float
     ratio_se: float
@@ -162,12 +162,16 @@ def eso_check(
     """Estimate E||A h_[S]||^2 against (1/m)(R_m^2 + n R^2) ||h||^2.
 
     ``features`` is a d x N matrix (columns are examples), dense or sparse;
-    the first n*m columns with m = N // n are used. S samples one column per
-    node, uniformly and independently. ``R_m^2`` and ``R^2`` are computed as
-    ``compute_constants`` computes them, on a CSC copy of the columns.
+    the first n*m columns with m = N // n are used, and ``h``, if given,
+    holds one entry per used column. S samples one column per node,
+    uniformly and independently. ``R_m^2`` and ``R^2`` are computed as
+    ``compute_constants`` computes them, on a CSC copy of the columns. The
+    trials run through ``comp._monte_carlo`` in chunks, one product per chunk.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
     A = sparse.csc_matrix(features, dtype=np.float64)
     total = A.shape[1]
     m = total // n
@@ -178,24 +182,26 @@ def eso_check(
     if h is None:
         h = rng.standard_normal(N)
     h = np.asarray(h, dtype=np.float64)
+    if h.shape != (N,):
+        raise ValueError(f"h must have shape ({N},), one entry per used column, got {h.shape}")
 
     r_m_sq = float(column_squares(A).max())
     r_sq = gram_top_eigenvalue(A).value / N
     rhs = (r_m_sq + n * r_sq) / m * float(h @ h)
 
+    offsets = np.arange(n) * m
+
+    def squared_sums(rows: int) -> np.ndarray:
+        cols = (rng.integers(0, m, size=(rows, n)) + offsets).ravel()
+        # Column t of ``sampled`` holds h at trial t's picks, so column t of A @ sampled is A h_[S_t].
+        sampled = sparse.csc_matrix((h[cols], cols, np.arange(0, cols.size + 1, n)), shape=(N, rows))
+        return np.sum((A @ sampled).toarray() ** 2, axis=0)
+
+    # With m = 1 every trial picks every column, and the draw takes nothing from the stream.
     deterministic = m == 1
     if deterministic:
-        picks = np.zeros((1, n), dtype=np.int64)
         trials = 1
-    else:
-        picks = rng.integers(0, m, size=(trials, n))
-    cols = (picks + np.arange(n) * m).ravel()
-    # Column t of ``sampled`` holds h at trial t's picks, so column t of A @ sampled is A h_[S_t].
-    sampled = sparse.csc_matrix((h[cols], cols, np.arange(0, cols.size + 1, n)), shape=(N, trials))
-    sums = (A @ sampled).toarray()
-    lhs = np.sum(sums**2, axis=0)
-    lhs_mean = float(lhs.mean())
-    lhs_se = 0.0 if deterministic else float(lhs.std(ddof=1) / math.sqrt(trials))
+    lhs_mean, lhs_se, _ = (float(v) for v in comp._monte_carlo(squared_sums, trials))
     ratio = lhs_mean / rhs
     ratio_se = lhs_se / rhs
     if deterministic:
@@ -356,14 +362,6 @@ class RunResult:
     def design(self) -> str:
         """"dense" or "sparse": the ``_Design`` path the run took."""
         return "dense" if self.setup.primal._design.A_dense is not None else "sparse"
-
-    @property
-    def eta(self) -> Optional[float]:
-        return self.resolved.eta
-
-    @property
-    def theta(self) -> Optional[float]:
-        return self.resolved.theta
 
 
 def _data_source(config: RunConfig) -> str:

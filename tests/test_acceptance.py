@@ -172,7 +172,7 @@ def test_c07_dual_methods_converge():
         ok &= run.records[-1].dual_gap <= 1e-6
         ok &= min(gaps) >= -1e-10
         details.append(
-            f"{algo}: theta={run.theta:.2e}, gap {run.records[-1].dual_gap:.1e}"
+            f"{algo}: theta={run.resolved.theta:.2e}, gap {run.records[-1].dual_gap:.1e}"
             f" at epoch {run.records[-1].epoch:.0f}"
         )
     assert _report(7, "dual methods reach 1e-6 duality gap", ok, "; ".join(details))

@@ -401,6 +401,25 @@ class TestKeptPositionStep:
         with pytest.raises(alg.NumericalError, match=r"^shift vectors became non-finite at step 10, node 2$"):
             broken.certify()
 
+    def test_dense_shift_step_names_the_node(self, monkeypatch, composite):
+        # On step 4 the identity Q1 outputs NaN on node 2, so h turns non-finite
+        # there; the step that wrote all of h names the node, as certify does.
+        q1 = comp.identity()
+        opt = alg.EcLsvrg(composite, comp.top_k(2), q1, eta=0.5, p=0.3, seed=7)
+        real = comp._compress
+
+        def poisoned(spec, x, rngs, magnitude=None, pool=None):
+            kept, y = real(spec, x, rngs, magnitude, pool)
+            if spec == q1 and opt.k == 4:
+                y[2, 0] = np.nan
+            return kept, y
+
+        monkeypatch.setattr(comp, "_compress", poisoned)
+        for _ in range(4):
+            opt.step()
+        with pytest.raises(alg.NumericalError, match=r"^shift vectors became non-finite at step 4, node 2$"):
+            opt.step()
+
 
 class TestCompressWithFeedback:
     def streams(self, n):

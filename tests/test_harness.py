@@ -10,6 +10,7 @@ import re
 import subprocess
 import sys
 import time
+import tracemalloc
 import zlib
 from dataclasses import asdict, replace
 from pathlib import Path
@@ -153,6 +154,30 @@ class TestEsoCheck:
             rep = harness.eso_check(ds.features, n=n, trials=50, rng=rng_for("eso7"), h=h)
             col_sq = column_squares(ds.features[:, :retained])
             assert rep.rhs == (col_sq.max() + n * constants.r_sq) / part.m * retained
+
+    def test_chunks_match_the_one_shot_formula(self, monkeypatch):
+        # 2000 trials in chunks of 700 draw three chunks. The same picks in one
+        # draw give every trial's ||A h_[S]||^2, and their population moments
+        # the mean and the standard error.
+        a = rng_for("eso8").standard_normal((10, 20))
+        h = rng_for("eso9").standard_normal(20)
+        monkeypatch.setattr(comp, "_CHUNK_ROWS", 700)
+        rep = harness.eso_check(a, n=4, trials=2000, rng=rng_for("eso10"), h=h)
+        picks = rng_for("eso10").integers(0, 5, size=(2000, 4)) + np.arange(4) * 5
+        lhs = np.array([np.sum((a[:, cols] @ h[cols]) ** 2) for cols in picks])
+        assert rep.lhs_mean == pytest.approx(lhs.mean(), rel=1e-14)
+        assert rep.lhs_se == pytest.approx(lhs.std() / math.sqrt(2000), rel=1e-12)
+
+    def test_memory_is_bounded_by_one_chunk(self):
+        # One product of all 2e5 trials peaked at 64 MB; a chunk of 20 000 holds a tenth.
+        a = rng_for("eso11").standard_normal((10, 20))
+        tracemalloc.start()
+        try:
+            harness.eso_check(a, n=4, trials=200_000, rng=rng_for("eso12"))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
 
 class TestSynthDataset:
@@ -387,7 +412,7 @@ class TestRunExperiment:
         )
         assert composite.setup.reference.value == smoothed.setup.reference.value
         assert np.array_equal(composite.setup.reference.x, smoothed.setup.reference.x)
-        assert composite.theta == smoothed.theta
+        assert composite.resolved.theta == smoothed.resolved.theta
         assert len(composite.records) == 3
         assert [replace(r, wall_ms=0.0) for r in composite.records] == [
             replace(r, wall_ms=0.0) for r in smoothed.records
@@ -531,14 +556,14 @@ class TestRunExperiment:
 
     def test_theory_eta_resolves(self):
         res = harness.run_experiment(base_config(eta="theory", epochs=1))
-        assert res.eta is not None and res.eta > 0
+        assert res.resolved.eta is not None and res.resolved.eta > 0
 
     def test_theory_eta_uses_smooth_regime_in_smooth_mode(self):
         composite = harness.run_experiment(base_config(eta="theory", epochs=1))
         smoothed = harness.run_experiment(
             base_config(eta="theory", epochs=1, mode="smooth", lambda1=0.0)
         )
-        assert smoothed.eta != composite.eta and smoothed.eta > 0
+        assert smoothed.resolved.eta != composite.resolved.eta and smoothed.resolved.eta > 0
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_nan_abort_names_iteration(self):
@@ -1236,6 +1261,27 @@ def small_setup() -> harness.Setup:
             ValueError,
             "4 nodes need at least 4 columns, got 2",
         ),
+        (
+            lambda setup: harness.eso_check(np.eye(4), n=0, trials=1, rng=rng_for("eso")),
+            ValueError,
+            "n must be >= 1, got 0",
+        ),
+        (
+            lambda setup: harness.eso_check(np.eye(4), n=-2, trials=1, rng=rng_for("eso")),
+            ValueError,
+            "n must be >= 1, got -2",
+        ),
+        (
+            lambda setup: harness.eso_check(np.ones((3, 6)), n=3, trials=1, rng=rng_for("eso"), h=np.ones(5)),
+            ValueError,
+            "h must have shape (6,), one entry per used column, got (5,)",
+        ),
+        (
+            # The seventh column is not used, so no trial could pick h's seventh entry.
+            lambda setup: harness.eso_check(np.ones((3, 7)), n=3, trials=1, rng=rng_for("eso"), h=np.ones(7)),
+            ValueError,
+            "h must have shape (6,), one entry per used column, got (7,)",
+        ),
         (lambda setup: harness.synth_dataset(10, 5, 0.0, seed=1), ValueError, "sparsity must be in (0, 1]"),
         (
             lambda setup: harness.build_optimizer(base_config(algo="bogus"), setup),
@@ -1248,11 +1294,27 @@ def small_setup() -> harness.Setup:
             "cadence must be >= 1",
         ),
     ],
-    ids=["tol", "eso-trials", "eso-columns", "sparsity", "algo", "cadence"],
+    ids=[
+        "tol", "eso-trials", "eso-columns", "eso-no-nodes", "eso-negative-nodes",
+        "eso-short-h", "eso-long-h", "sparsity", "algo", "cadence",
+    ],
 )
 def test_rejects_an_input_by_name(small_setup, call, error, message):
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
         call(small_setup)
+
+
+def test_optimizers_that_keep_nothing_take_the_record_defaults(small_setup):
+    # The uncompressed oracles keep no residuals; lsvrg and ec_gd keep nothing
+    # that a step maintains incrementally, so certify has nothing to check.
+    for algo in ("lsvrg", "quartz", "sdca"):
+        opt, _ = harness.build_optimizer(base_config(algo=algo), small_setup)
+        opt.step()
+        assert opt.error_norm() == 0.0
+    for algo in ("lsvrg", "ec_gd"):
+        opt, _ = harness.build_optimizer(base_config(algo=algo), small_setup)
+        opt.step()
+        assert opt.certify() is None
 
 
 class TestSource:
